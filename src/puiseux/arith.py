@@ -170,10 +170,12 @@ def nth_odd_prime(n: int) -> int:
 
 
 def primes() -> Iterator[int]:
-    """Yield 2, 3, 5, 7, ... indefinitely."""
-    i = 1
+    """Yield 2, 3, 5, 7, ... indefinitely, read from the prime cache."""
+    i = 0
     while True:
-        yield nth_prime(i)
+        if i == len(_PRIME_CACHE):
+            _extend_prime_cache()
+        yield _PRIME_CACHE[i]
         i += 1
 
 

@@ -18,15 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .arith import (
     is_prime,
-    make_rational,
     nth_odd_prime,
     nth_prime,
     parse_rational,
     prime_factors,
+    primes,
 )
 from .errors import BadIndex, BadProgression, NonPositive, NotPrime, ParseError
 from .monoid import FgMonoid
@@ -410,6 +410,12 @@ class AllPrimes:
         return {"kind": "all"}
 
 
+# Growing cache shared by every CongruencePrimes stream of one class,
+# like arith's prime cache: (residue, modulus) -> the class's primes
+# found so far, in order, and the prime iterator the scan resumes from.
+_CLASS_PRIMES: dict[tuple[int, int], tuple[list[int], Iterator[int]]] = {}
+
+
 @dataclass(frozen=True)
 class CongruencePrimes:
     """Primes congruent to residue mod modulus, in increasing order.
@@ -432,15 +438,14 @@ class CongruencePrimes:
 
     def prime_at(self, n: int) -> int:
         _check_index(n)
-        seen = 0
-        i = 1
-        while True:
-            p = nth_prime(i)
+        found, rest = _CLASS_PRIMES.setdefault(
+            (self.residue, self.modulus), ([], primes())
+        )
+        while len(found) < n:
+            p = next(rest)
             if p % self.modulus == self.residue:
-                seen += 1
-                if seen == n:
-                    return p
-            i += 1
+                found.append(p)
+        return found[n - 1]
 
     def as_mapping(self) -> dict:
         return {"kind": "congruence", "residue": self.residue, "modulus": self.modulus}
@@ -519,14 +524,24 @@ class CalkinWilfTargets:
     Starts 1, 1/2, 2, 1/3, 3/2, 2/3, 3, ... and visits every positive
     rational exactly once, so its underlying set is dense in the
     positive reals.
+
+    The n-th term is fusc(n)/fusc(n+1), where fusc is Stern's diatomic
+    sequence (Calkin and Wilf, Recounting the rationals, 2000). It is
+    read off the binary digits of n in O(log n) steps, instead of
+    applying Newman's map q -> 1/(2*floor(q) - q + 1) n - 1 times.
     """
 
     def value_at(self, n: int) -> Fraction:
         _check_index(n)
-        q = Fraction(1)
-        for _ in range(n - 1):
-            q = 1 / (2 * math.floor(q) - q + 1)
-        return q
+        # (fusc(m), fusc(m+1)) for m the leading bits of n read so far:
+        # appending bit 0 gives m -> 2m, appending bit 1 gives m -> 2m+1.
+        a, b = 0, 1
+        for bit in bin(n)[2:]:
+            if bit == "1":
+                a += b
+            else:
+                b += a
+        return Fraction(a, b)
 
     def as_mapping(self) -> dict:
         return {"kind": "calkin-wilf"}

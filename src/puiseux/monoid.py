@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import format_rational, p_adic_valuation, prime_factors
+from .arith import format_rational, padic_valuation_int, prime_factors
 from .errors import NonPositive
 from .semigroup import NumericalSemigroup
 
@@ -113,24 +113,37 @@ class FgMonoid:
     def atoms(self) -> tuple[Fraction, ...]:
         """The atoms, i.e. the minimal generating set, increasing.
 
-        A generator fails to be an atom exactly when the others already
-        generate it. Two shortcuts avoid the membership test: the
-        smallest generator is always an atom, and so is any generator g
-        with a prime p where the valuation of g is strictly below the
-        valuation of every other generator, since valuations of sums
-        cannot drop below the minimum over the summands.
+        A generator g fails to be an atom exactly when the others
+        already generate it, and only generators smaller than g can
+        appear in such a sum. A shortcut avoids the membership test:
+        g is an atom when, for some prime p, its denominator holds a
+        higher power of p than the denominator of every smaller
+        generator, since then v_p(g) is below the valuation of every
+        possible summand, and valuations of sums cannot drop below the
+        minimum over the summands. This covers every generator with the
+        strictly least valuation at some prime.
+
+        One pass in increasing order finds these records: each
+        denominator is factored once, and for every prime the largest
+        exponent seen so far is kept. A denominator that could not be
+        factored is compared at every prime found in the others. The
+        smallest generator is always an atom; any other generator
+        without a record falls back to the membership test.
         """
         gens = self.generators
+        factored = [prime_factors(g.denominator) for g in gens]
+        found = {p for ps in factored if ps for p in ps}
+        # prime -> largest exponent of it in the denominators seen so far
+        top: dict[int, int] = {}
         out = []
-        for i, g in enumerate(gens):
-            others = gens[:i] + gens[i + 1 :]
-            if i == 0 or not others:
-                out.append(g)
-                continue
-            if _valuation_gap(g, others):
-                out.append(g)
-                continue
-            if not FgMonoid(others).contains(g):
+        for i, (g, ps) in enumerate(zip(gens, factored)):
+            record = i == 0
+            for p in found if ps is None else ps:
+                e = padic_valuation_int(p, g.denominator)
+                if e > top.get(p, 0):
+                    top[p] = e
+                    record = True
+            if record or not FgMonoid(gens[:i] + gens[i + 1 :]).contains(g):
                 out.append(g)
         return tuple(out)
 
@@ -179,17 +192,6 @@ class FgMonoid:
         if c <= 0:
             raise NonPositive(f"scale factor must be positive, got {c}")
         return FgMonoid(tuple(g * c for g in self.generators))
-
-
-def _valuation_gap(g: Fraction, others: tuple[Fraction, ...]) -> bool:
-    primes_of_d = prime_factors(g.denominator)
-    if primes_of_d is None:
-        return False
-    for p in primes_of_d:
-        vg = p_adic_valuation(p, g)
-        if all(p_adic_valuation(p, h) > vg for h in others):
-            return True
-    return False
 
 
 def isomorphism_witness(a: FgMonoid, b: FgMonoid) -> Fraction | None:

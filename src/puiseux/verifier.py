@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .arith import is_prime, nth_odd_prime, prime_factors, prime_index
 from .cyclic import cyclic_factorizations, cyclic_trade, generalized_cyclic_embed
-from .errors import GcdOne, HypothesisViolated, UnknownClaim
+from .errors import GcdOne, HypothesisViolated, PuiseuxError, UnknownClaim
 from .families import (
     AffineSeq,
     BfNotFf,
@@ -570,12 +570,18 @@ def claim_ids() -> tuple[str, ...]:
 
 
 def run_claims(ids="all", parameters: ClaimParameters | None = None) -> list[ClaimOutcome]:
-    """Run the registered claims and return their outcomes, id order."""
+    """Run the registered claims and return their outcomes, id order.
+
+    Each id runs once, however often it is listed. A claim that raises
+    a domain error (a bounded search running out of budget, say) gets
+    the status "error" with the message as its witness, and the other
+    claims still run.
+    """
     params = parameters if parameters is not None else ClaimParameters()
     if ids == "all":
         chosen = list(claim_ids())
     else:
-        chosen = list(ids)
+        chosen = list(dict.fromkeys(ids))
         for cid in chosen:
             if cid not in _CLAIMS:
                 raise UnknownClaim(f"no claim named {cid!r}")
@@ -587,6 +593,8 @@ def run_claims(ids="all", parameters: ClaimParameters | None = None) -> list[Cla
             status, witnesses = fn(params)
         except _Refuted as r:
             status, witnesses = "refuted", [r.witness]
+        except PuiseuxError as e:
+            status, witnesses = "error", [str(e)]
         outcomes.append(
             ClaimOutcome(
                 claim_id=cid,

@@ -255,6 +255,10 @@ def test_verify_run_single_claim_and_report(tmp_path):
     result = invoke("verify", "run", "--claims", "C99")
     assert result.exit_code == 1
 
+    result = invoke("verify", "run", "--claims", "C5,C5")
+    assert result.exit_code == 0
+    assert result.output.splitlines() == ["C5 confirmed"]
+
 
 def test_domain_errors_exit_one():
     result = invoke("ns", "frobenius", "--gens", "4,6")

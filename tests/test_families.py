@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from puiseux import families
 from puiseux.arith import is_prime, nth_prime
 from puiseux.errors import BadIndex, BadProgression, NonPositive, NotPrime
 from puiseux.families import (
@@ -141,6 +143,22 @@ def test_congruence_primes():
         CongruencePrimes(2, 4)
 
 
+def test_congruence_primes_any_order(monkeypatch):
+    # Start from an empty class cache, so the shuffled calls grow it in
+    # jumps and the descending calls then extend a partial list.
+    monkeypatch.setattr(families, "_CLASS_PRIMES", {})
+    rng = random.Random(59)
+    for residue, modulus in ((1, 4), (3, 4), (2, 9), (7, 10)):
+        want = [p for p in map(nth_prime, range(1, 1000)) if p % modulus == residue]
+        shuffled, descending = CongruencePrimes(residue, modulus), CongruencePrimes(residue, modulus)
+        order = list(range(1, 61))
+        rng.shuffle(order)
+        for n in order:
+            assert shuffled.prime_at(n) == want[n - 1], (residue, modulus, n)
+        for n in range(120, 0, -1):
+            assert descending.prime_at(n) == want[n - 1], (residue, modulus, n)
+
+
 def test_partition_class_primes():
     stream = PartitionClassPrimes(1)
     # Class 1 holds the primes at odd positions.
@@ -179,6 +197,15 @@ def test_calkin_wilf_targets():
     seen = {t.value_at(n) for n in range(1, 201)}
     assert len(seen) == 200
     assert all(q > 0 for q in seen)
+    # Agreement with Newman's map q -> 1/(2*floor(q) - q + 1).
+    q = F(1)
+    for n in range(1, 2001):
+        assert t.value_at(n) == q, n
+        q = 1 / (2 * math.floor(q) - q + 1)
+    # Closed forms along the leftmost and rightmost paths of the tree.
+    k = 200
+    assert t.value_at(2**k) == F(1, k + 1)
+    assert t.value_at(2**k - 1) == F(k)
 
 
 def test_explicit_targets():

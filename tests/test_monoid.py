@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from puiseux import arith, monoid
 from puiseux.errors import NonPositive
 from puiseux.monoid import Factorization, FgMonoid, isomorphism_witness
 
@@ -93,6 +94,46 @@ def test_atoms_match_brute_force():
     rng = random.Random(43)
     for _ in range(60):
         m = random_monoid(rng)
+        assert set(m.atoms()) == brute_atoms(m.generators), m.generators
+    # Ties on the least valuation at a prime: only the smallest of the
+    # tied generators is proved an atom by it.
+    ties = [
+        (F(1, 4), F(3, 4), F(1, 2), F(1, 3)),
+        (F(1, 3), F(1, 2), F(5, 6)),
+        (F(3, 4), F(5, 4), F(1)),
+        (F(1, 9), F(2, 9), F(4, 9), F(1, 2)),
+        (F(1, 8), F(3, 8), F(5, 8), F(1, 4), F(3, 2)),
+    ]
+    # Primes shared across denominators.
+    shared = [
+        (F(1, 6), F(1, 10), F(1, 15), F(7, 30)),
+        (F(1, 12), F(1, 18), F(5, 36)),
+        (F(1, 6), F(1, 4), F(1, 9), F(5, 12)),
+        (F(2, 15), F(1, 10), F(1, 6), F(1, 2)),
+    ]
+    smooth = [2 ** a * 3 ** b * 5 ** c for a in range(3) for b in range(3) for c in range(2)]
+    shared += [
+        tuple(F(rng.randint(1, 6), rng.choice(smooth)) for _ in range(rng.randint(2, 5)))
+        for _ in range(40)
+    ]
+    for gens in ties + shared:
+        m = FgMonoid(gens)
+        assert set(m.atoms()) == brute_atoms(m.generators), m.generators
+
+
+def test_atoms_with_unfactored_denominator(monkeypatch):
+    # With a trial-division limit of 10, 143 = 11 * 13 stays unfactored,
+    # and 1/143 must still count against 1/11 at the prime 11.
+    monkeypatch.setattr(
+        monoid, "prime_factors", lambda n: arith.prime_factors(n, limit=10)
+    )
+    assert monoid.prime_factors(143) is None
+    for gens in (
+        (F(1, 143), F(1, 11), F(1, 7)),
+        (F(1, 7), F(3, 143), F(1, 11), F(1, 13)),
+        (F(2, 143), F(3, 143), F(1, 2)),
+    ):
+        m = FgMonoid(gens)
         assert set(m.atoms()) == brute_atoms(m.generators), m.generators
 
 

@@ -32,6 +32,26 @@ def test_selection_is_sorted_and_validated():
         run_claims(["C0"])
 
 
+def test_duplicate_ids_run_once():
+    outcomes = run_claims(["C3", "C1", "C1", "C3"])
+    assert [o.claim_id for o in outcomes] == ["C1", "C3"]
+
+
+def test_claim_error_is_contained():
+    tight = run_claims("all", ClaimParameters(prime_search_limit=1))
+    default = run_claims("all")
+    assert [o.claim_id for o in tight] == list(claim_ids())
+    by_id = {o.claim_id: o for o in tight}
+    assert by_id["C6"].status == "error"
+    assert len(by_id["C6"].witnesses) == 1
+    assert "<= 1" in by_id["C6"].witnesses[0]
+    for want in default:
+        if want.claim_id == "C6":
+            continue
+        got = by_id[want.claim_id]
+        assert (got.status, got.witnesses) == (want.status, want.witnesses)
+
+
 def test_c11_counts_match_independent_enumeration():
     outcome = run_claims(["C11"])[0]
     assert outcome.status == "data-only"
