@@ -620,9 +620,7 @@ def verify():
 @click.option("--claims", default="all", show_default=True)
 @click.option("--truncation", type=click.IntRange(min=2), default=50, show_default=True)
 @click.option("--cap", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option(
-    "--limit", type=click.IntRange(min=100), default=100_000, show_default=True
-)
+@click.option("--limit", type=click.IntRange(min=1), default=100_000, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True)

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, nth_odd_prime, prime_factors, prime_index
+from .arith import format_rational, is_prime, nth_odd_prime, prime_factors, prime_index
 from .cyclic import cyclic_factorizations, cyclic_trade, generalized_cyclic_embed
 from .errors import GcdOne, HypothesisViolated, PuiseuxError, UnknownClaim
 from .families import (
@@ -97,8 +97,24 @@ def _check(condition: bool, detail) -> None:
         raise _Refuted(detail)
 
 
-def _frac(r: Fraction) -> str:
-    return f"{r.numerator}/{r.denominator}"
+def _unit_sums(atoms) -> list[tuple[Fraction, ...]]:
+    """Every multiset of one to three atoms summing to 1, as a nondecreasing
+    tuple: the last part of a pair or triple is looked up in a set, and the
+    triple loops stop once every tuple left in them must sum past 1."""
+    pool = sorted(set(atoms))
+    present = set(pool)
+    found = [(a,) for a in pool if a == 1]
+    found += [(a, 1 - a) for a in pool if a <= 1 - a and 1 - a in present]
+    for i, a in enumerate(pool):
+        if 3 * a > 1:
+            break
+        for b in pool[i:]:
+            c = 1 - a - b
+            if c < b:
+                break
+            if c in present:
+                found.append((a, b, c))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +140,10 @@ def _c1(params: ClaimParameters):
             eps = Fraction(1, rng.randint(3, 150))
             got = approximate(spec, target, eps)
             gap = target - got.value
-            _check(0 < gap < eps, {"family": spec.as_mapping(), "gap": _frac(gap)})
+            _check(0 < gap < eps, {"family": spec.as_mapping(), "gap": str(gap)})
             _check(
                 got.value == got.multiplier * got.generator,
-                {"family": spec.as_mapping(), "value": _frac(got.value)},
+                {"family": spec.as_mapping(), "value": format_rational(got.value)},
             )
             _check(
                 generator_at(spec, got.generator_index) == got.generator,
@@ -159,17 +175,14 @@ def _c2(params: ClaimParameters):
             tuple((c * a, m) for a, m in f.terms) for f in monoid.factorizations(x)
         }
         moved = {f.terms for f in scaled.factorizations(c * x)}
-        _check(
-            plain == moved,
-            {"generators": [_frac(g) for g in gens], "x": _frac(x), "c": _frac(c)},
-        )
-        rounds += 1
-        sample = {
-            "generators": [_frac(g) for g in gens],
-            "x": _frac(x),
-            "c": _frac(c),
-            "factorizations": len(moved),
+        shown = {
+            "generators": [format_rational(g) for g in gens],
+            "x": format_rational(x),
+            "c": format_rational(c),
         }
+        _check(plain == moved, shown)
+        rounds += 1
+        sample = {**shown, "factorizations": len(moved)}
     return "confirmed", [{"rounds": rounds, "sample": sample}]
 
 
@@ -254,7 +267,7 @@ def _c5(params: ClaimParameters):
         small = generator_at(spec, n)
         _check(Fraction(1, 2**n) == p * small, {"n": n})
         if n <= 3:
-            shown.append(f"1/2^{n} = {p} * {_frac(small)}")
+            shown.append(f"1/2^{n} = {p} * {format_rational(small)}")
     return "confirmed", [{"identities": shown, "checked_up_to": 10}]
 
 
@@ -283,7 +296,7 @@ def _c6(params: ClaimParameters):
                     and factors is not None
                     and len(factors) == k
                     and math.prod(factors) == atom.denominator,
-                    {"atom": _frac(atom), "k": k},
+                    {"atom": format_rational(atom), "k": k},
                 )
         shown.append(w.as_mapping())
     return "confirmed", shown
@@ -304,7 +317,7 @@ def _c7(params: ClaimParameters):
     blocks = truncate(PartitionedKPrimary(2), 4)
     _check(set(blocks.atoms()) == set(blocks.generators), {"family": "partitioned"})
     return "confirmed", checks + [
-        {"partitioned_generators": [_frac(g) for g in blocks.generators]}
+        {"partitioned_generators": [format_rational(g) for g in blocks.generators]}
     ]
 
 
@@ -349,7 +362,7 @@ def _c9(params: ClaimParameters):
             {
                 "p": p,
                 "levels": 3,
-                "sample": f"{_frac(minus)} + {_frac(plus)} = 2/{s}",
+                "sample": f"{format_rational(minus)} + {format_rational(plus)} = 2/{s}",
             }
         )
     return "confirmed", shown
@@ -426,12 +439,8 @@ def _c12(params: ClaimParameters):
         atoms = [g for g in gens if g < 2 * third]
         for g in gens:
             if g >= 2 * third:
-                _check(g == third + third, {"generator": _frac(g)})
-        found = []
-        for length in (1, 2, 3):
-            for combo in itertools.combinations_with_replacement(atoms, length):
-                if sum(combo) == 1:
-                    found.append(combo)
+                _check(g == third + third, {"generator": format_rational(g)})
+        found = _unit_sums(atoms)
         lengths = sorted({len(c) for c in found})
         _check(set(lengths) <= {2, 3}, {"size": size, "lengths": lengths})
         pairs = sum(1 for c in found if len(c) == 2)
@@ -530,17 +539,15 @@ def _c15(params: ClaimParameters):
         )
         monoid = FgMonoid(gens)
         scale, ns = monoid.to_scaled_integer()
-        _check(math.gcd(*ns.generators) == 1, {"generators": [_frac(g) for g in gens]})
+        shown = {"generators": [format_rational(g) for g in gens]}
+        _check(math.gcd(*ns.generators) == 1, shown)
         rebuilt = tuple(scale * g for g in ns.generators)
-        _check(rebuilt == monoid.generators, {"generators": [_frac(g) for g in gens]})
+        _check(rebuilt == monoid.generators, shown)
         for _ in range(6):
             x = Fraction(rng.randint(0, 15), rng.randint(1, 6))
             fast = monoid.contains(x)
             slow = brute(monoid.generators, x)
-            _check(
-                fast == slow,
-                {"generators": [_frac(g) for g in gens], "x": _frac(x)},
-            )
+            _check(fast == slow, {**shown, "x": format_rational(x)})
             agreements += 1
         rounds += 1
     return "confirmed", [{"rounds": rounds, "membership_agreements": agreements}]

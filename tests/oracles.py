@@ -153,6 +153,20 @@ def brute_atoms(gens: tuple[Fraction, ...], ) -> set[Fraction]:
     return out
 
 
+def brute_unit_sums(
+    atoms: tuple[Fraction, ...], max_len: int
+) -> set[tuple[Fraction, ...]]:
+    """Every multiset of 1 to max_len atoms summing to 1, as a
+    nondecreasing tuple, by trying every combination with repetition."""
+    pool = sorted(set(atoms))
+    found = set()
+    for length in range(1, max_len + 1):
+        for combo in itertools.combinations_with_replacement(pool, length):
+            if sum(combo) == 1:
+                found.add(combo)
+    return found
+
+
 def subset_in_colex(universe_size: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of 1..universe_size in colexicographic order."""
     subsets = list(itertools.combinations(range(1, universe_size + 1), k))

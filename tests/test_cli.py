@@ -260,6 +260,35 @@ def test_verify_run_single_claim_and_report(tmp_path):
     assert result.output.splitlines() == ["C5 confirmed"]
 
 
+def test_verify_run_scaled_truncation_json():
+    result = invoke("verify", "run", "--json", "--truncation", "100")
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert [o["claim_id"] for o in payload] == [f"C{n}" for n in range(1, 16)]
+    for o in payload:
+        expected = "data-only" if o["claim_id"] == "C11" else "confirmed"
+        assert o["status"] == expected, o["claim_id"]
+        assert o["parameters"]["truncation"] == 100
+
+
+def test_verify_run_small_limit_reports_claim_error():
+    result = invoke("verify", "run", "--limit", "10")
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert len(lines) == 15
+    assert "C6 error" in lines
+    assert "C5 confirmed" in lines
+
+    result = invoke("verify", "run", "--claims", "C6", "--limit", "10", "--json")
+    assert result.exit_code == 0
+    (outcome,) = json.loads(result.output)
+    assert outcome["status"] == "error"
+    assert outcome["witnesses"] == ["no prime of the form n*71 + 11 with n <= 10"]
+
+    result = invoke("verify", "run", "--claims", "C6", "--limit", "0")
+    assert result.exit_code == 2
+
+
 def test_domain_errors_exit_one():
     result = invoke("ns", "frobenius", "--gens", "4,6")
     assert result.exit_code == 1

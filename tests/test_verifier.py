@@ -1,11 +1,14 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from puiseux.errors import UnknownClaim
-from puiseux.verifier import ClaimParameters, claim_ids, run_claims
+from puiseux.families import BfNotFf, truncate
+from puiseux.verifier import ClaimParameters, _unit_sums, claim_ids, run_claims
 
-from oracles import brute_cyclic_factorizations
+from oracles import brute_cyclic_factorizations, brute_unit_sums
 
 
 def test_claim_ids_cover_c1_through_c15():
@@ -93,3 +96,49 @@ def test_c12_scales_with_truncation_parameter():
     assert sizes[-1] == 20
     final = outcome.witnesses[-1]
     assert final["factorizations_of_one"] == final["pairs"] + 1
+
+
+def test_unit_sums_match_brute_force():
+    rng = random.Random(17)
+    seen_lengths = set()
+    for _ in range(200):
+        atoms = [
+            Fraction(rng.randint(1, 12), rng.randint(1, 12))
+            for _ in range(rng.randint(1, 25))
+        ]
+        got = _unit_sums(atoms)
+        assert len(got) == len(set(got))
+        assert set(got) == brute_unit_sums(tuple(atoms), 3), atoms
+        seen_lengths |= {len(c) for c in got}
+    assert seen_lengths == {1, 2, 3}
+
+
+def test_c12_rows_match_brute_force():
+    expected = {}
+    for size in range(2, 41):
+        found = brute_unit_sums(truncate(BfNotFf(), size).atoms(), 3)
+        expected[size] = {
+            "size": size,
+            "factorizations_of_one": len(found),
+            "pairs": sum(1 for c in found if len(c) == 2),
+            "atoms_meeting_one": len({a for c in found for a in c}),
+            "lengths": sorted({len(c) for c in found}),
+        }
+    for truncation in range(2, 41):
+        outcome = run_claims(["C12"], ClaimParameters(truncation=truncation))[0]
+        assert outcome.status == "confirmed", outcome.witnesses
+        assert outcome.witnesses[-1]["size"] == truncation
+        for row in outcome.witnesses:
+            assert row == expected[row["size"]], truncation
+
+
+def test_c12_at_truncation_400_is_fast():
+    start = time.perf_counter()
+    outcome = run_claims(["C12"], ClaimParameters(truncation=400))[0]
+    elapsed = time.perf_counter() - start
+    assert outcome.status == "confirmed", outcome.witnesses
+    last = outcome.witnesses[-1]
+    assert last["size"] == 400
+    assert last["pairs"] == 199
+    assert last["factorizations_of_one"] == 200
+    assert elapsed < 10.0
