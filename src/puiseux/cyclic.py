@@ -43,18 +43,24 @@ class CyclicFactorization:
     terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        ratio = Fraction(self.ratio)
-        if ratio <= 0:
+        ratio = self.ratio
+        if type(ratio) is not Fraction:
+            ratio = Fraction(ratio)
+        if ratio.numerator <= 0:
             raise NonPositive(f"the ratio must be positive, got {ratio}")
-        merged: dict[int, int] = {}
-        for exponent, mult in self.terms:
+        terms = tuple(self.terms)
+        for exponent, mult in terms:
             if exponent < 1:
                 raise BadIndex(f"exponents start at 1, got {exponent}")
             if mult < 1:
                 raise NonPositive(f"multiplicities must be >= 1, got {mult}")
-            merged[exponent] = merged.get(exponent, 0) + mult
+        if any(e >= f for (e, _), (f, _) in zip(terms, terms[1:])):
+            merged: dict[int, int] = {}
+            for exponent, mult in terms:
+                merged[exponent] = merged.get(exponent, 0) + mult
+            terms = sorted(merged.items())
         object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "terms", tuple(sorted(merged.items())))
+        object.__setattr__(self, "terms", tuple(terms))
 
     @property
     def length(self) -> int:
@@ -254,14 +260,18 @@ def cyclic_factorizations(
     if scaled.denominator != 1:
         return []
     weights = _weights(a, b, horizon)
-    by_weight = {w: t for t, w in weights.items()}
     ns = NumericalSemigroup(tuple(weights.values()))
-    out = []
-    for rep in ns.representations(scaled.numerator):
-        terms = tuple((by_weight[g], c) for g, c in zip(ns.generators, rep) if c > 0)
-        out.append(CyclicFactorization(r, terms))
-    out.sort(key=lambda f: tuple(f.multiplicity(t) for t in range(1, horizon + 1)))
-    return out
+    # ns orders its generators by weight, which falls with the exponent
+    # when r < 1 and rises with it when r > 1; read coefficients by exponent.
+    slot = {g: i for i, g in enumerate(ns.generators)}
+    order = [slot[weights[t]] for t in range(1, horizon + 1)]
+    vectors = sorted(
+        tuple(rep[i] for i in order) for rep in ns.representations(scaled.numerator)
+    )
+    return [
+        CyclicFactorization(r, tuple((t, c) for t, c in enumerate(v, start=1) if c))
+        for v in vectors
+    ]
 
 
 def cyclic_trade(

@@ -33,16 +33,25 @@ class Factorization:
     terms: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        merged: dict[Fraction, int] = {}
+        terms = []
         for atom, mult in self.terms:
-            atom = Fraction(atom)
+            if type(atom) is not Fraction:
+                atom = Fraction(atom)
             mult = int(mult)
-            if atom <= 0:
+            # A Fraction's denominator is positive, so its sign is the numerator's.
+            if atom.numerator <= 0:
                 raise NonPositive(f"atoms must be positive, got {atom}")
             if mult < 1:
                 raise NonPositive(f"multiplicities must be >= 1, got {mult}")
-            merged[atom] = merged.get(atom, 0) + mult
-        object.__setattr__(self, "terms", tuple(sorted(merged.items())))
+            terms.append((atom, mult))
+        # Results built from a sorted atom tuple are already strictly
+        # increasing; only other input needs merging and sorting.
+        if any(a >= b for (a, _), (b, _) in zip(terms, terms[1:])):
+            merged: dict[Fraction, int] = {}
+            for atom, mult in terms:
+                merged[atom] = merged.get(atom, 0) + mult
+            terms = sorted(merged.items())
+        object.__setattr__(self, "terms", tuple(terms))
 
     @property
     def length(self) -> int:
@@ -147,6 +156,24 @@ class FgMonoid:
                 out.append(g)
         return tuple(out)
 
+    def _representations(self, x: Fraction | int) -> tuple[tuple[Fraction, ...], list[tuple[int, ...]]]:
+        """The atoms and every coefficient vector over them summing to x.
+
+        Vectors are in NumericalSemigroup.representations order. For
+        x = 0 the only vector is the empty one, over no atoms.
+        """
+        x = Fraction(x)
+        if x <= 0:
+            return (), ([()] if x == 0 else [])
+        ats = self.atoms()
+        if not ats:
+            return ats, []
+        q, ns = FgMonoid(ats).to_scaled_integer()
+        t = x / q
+        if t.denominator != 1:
+            return ats, []
+        return ats, ns.representations(t.numerator)
+
     def factorizations(self, x: Fraction | int) -> list[Factorization]:
         """All factorizations of x into atoms.
 
@@ -156,35 +183,31 @@ class FgMonoid:
         canonical order varies the largest generator slowest; both
         orders are deterministic, they just serve different readers.
         """
-        x = Fraction(x)
-        if x < 0:
-            return []
-        if x == 0:
-            return [Factorization(())]
-        ats = self.atoms()
-        if not ats:
-            return []
-        q, ns = FgMonoid(ats).to_scaled_integer()
-        t = x / q
-        if t.denominator != 1:
-            return []
-        reps = sorted(ns.representations(t.numerator))
+        ats, reps = self._representations(x)
         return [
             Factorization(tuple((a, c) for a, c in zip(ats, rep) if c))
-            for rep in reps
+            for rep in sorted(reps)
         ]
 
     def lengths(self, x: Fraction | int) -> tuple[int, ...]:
         """The set of factorization lengths of x, sorted increasing."""
-        return tuple(sorted({f.length for f in self.factorizations(x)}))
+        _, reps = self._representations(x)
+        return tuple(sorted({sum(rep) for rep in reps}))
 
     def atom_support(self, x: Fraction | int) -> tuple[Fraction, ...]:
         """Atoms that appear in at least one factorization of x.
 
-        An atom a qualifies exactly when x - a is still a member.
+        An atom a qualifies exactly when x - a is still a member, which
+        is tested against one reduction to a numerical semigroup (whose
+        contains rejects the negative x - a of atoms above x).
         """
         x = Fraction(x)
-        return tuple(a for a in self.atoms() if a <= x and self.contains(x - a))
+        ats = self.atoms()
+        if not ats:
+            return ()
+        q, ns = self.to_scaled_integer()
+        ts = ((x - a) / q for a in ats)
+        return tuple(a for a, t in zip(ats, ts) if t.denominator == 1 and ns.contains(t.numerator))
 
     def scale(self, c: Fraction | int) -> "FgMonoid":
         """The monoid c * self for a positive rational c."""

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, nth_prime, padic_valuation_int, prime_index
+from .arith import format_rational, is_prime, nth_prime, padic_valuation_int, prime_index
 from .errors import (
     HypothesisViolated,
     NonPositive,
@@ -54,9 +54,9 @@ class Approximation:
 
     def as_mapping(self) -> dict:
         return {
-            "value": f"{self.value.numerator}/{self.value.denominator}",
+            "value": format_rational(self.value),
             "generator_index": self.generator_index,
-            "generator": f"{self.generator.numerator}/{self.generator.denominator}",
+            "generator": format_rational(self.generator),
             "multiplier": self.multiplier,
         }
 
@@ -110,11 +110,11 @@ class DenseAtomEntry:
     def as_mapping(self) -> dict:
         return {
             "k": self.k,
-            "target": f"{self.target.numerator}/{self.target.denominator}",
+            "target": format_rational(self.target),
             "prime": self.prime,
             "exponent": self.exponent,
             "numerator": self.numerator,
-            "atom": f"{self.atom.numerator}/{self.atom.denominator}",
+            "atom": format_rational(self.atom),
         }
 
 
@@ -128,9 +128,7 @@ class DenseAtomConstruction:
         return {
             "class_index": self.class_index,
             "entries": [e.as_mapping() for e in self.entries],
-            "generators": [
-                f"{g.numerator}/{g.denominator}" for g in self.monoid.generators
-            ],
+            "generators": [format_rational(g) for g in self.monoid.generators],
         }
 
 
@@ -217,7 +215,7 @@ class AntimatterWitness:
                 f"{self.p_prime}*{self.q_prime} = "
                 f"{self.m}*{q}*{self.q_prime} + {self.n}*{p}*{self.p_prime} + {p}*{q}"
             ),
-            "target": f"{self.target.numerator}/{self.target.denominator}",
+            "target": format_rational(self.target),
             "decomposition": self.decomposition.as_mapping(),
         }
 

@@ -11,8 +11,10 @@ from puiseux.cyclic import (
     generalized_cyclic_embed,
 )
 from puiseux.errors import (
+    BadIndex,
     GcdOne,
     InsufficientMultiplicity,
+    NonPositive,
     NotAtomic,
     ParseError,
 )
@@ -25,6 +27,7 @@ F = Fraction
 def test_cyclic_factorization_merges_and_evaluates():
     z = CyclicFactorization(F(2, 3), ((2, 1), (1, 2), (2, 1)))
     assert z.terms == ((1, 2), (2, 2))
+    assert CyclicFactorization(F(2, 3), ((1, 1), (1, 2))).terms == ((1, 3),)
     assert z.length == 4
     assert z.value() == 2 * F(2, 3) + 2 * F(4, 9)
     assert z.multiplicity(2) == 2 and z.multiplicity(5) == 0
@@ -35,6 +38,16 @@ def test_cyclic_factorization_merges_and_evaluates():
             {"exponent": 2, "mult": 2},
         ],
     }
+
+
+def test_cyclic_factorization_checks_its_terms():
+    for ratio in (0, F(-2, 3)):
+        with pytest.raises(NonPositive):
+            CyclicFactorization(ratio, ((1, 1),))
+    with pytest.raises(NonPositive):
+        CyclicFactorization(F(2, 3), ((1, 0),))
+    with pytest.raises(BadIndex):
+        CyclicFactorization(F(2, 3), ((0, 1),))
 
 
 def test_cyclic_factorization_bridges_to_atoms():
@@ -60,7 +73,9 @@ def test_pinned_factorization_sets():
 
 def test_factorizations_against_oracle_randomized():
     rng = random.Random(67)
-    ratios = [F(2, 3), F(3, 2), F(2, 5), F(5, 2)]
+    # Both generator directions occur: weights fall with the exponent
+    # when r < 1 and rise when r > 1.
+    ratios = [F(2, 3), F(3, 2), F(2, 5), F(5, 2), F(3, 5), F(5, 3)]
     for _ in range(24):
         r = rng.choice(ratios)
         cap = rng.randint(2, 5)
@@ -68,9 +83,13 @@ def test_factorizations_against_oracle_randomized():
             (rng.randint(0, 2) * r**e for e in range(1, cap + 1)),
             F(0),
         )
-        got = {z.terms for z in cyclic_factorizations(r, x, cap)}
+        found = cyclic_factorizations(r, x, cap)
+        got = {z.terms for z in found}
         want = brute_cyclic_factorizations(r, x, cap)
         assert got == want, (r, x, cap)
+        # Ascending by multiplicity vector over exponents 1..cap.
+        vectors = [tuple(z.multiplicity(e) for e in range(1, cap + 1)) for z in found]
+        assert vectors == sorted(vectors), (r, x, cap)
 
 
 def test_factorizations_degenerate_inputs():

@@ -27,10 +27,21 @@ def random_monoid(rng, max_gens=4, bound=12):
 def test_factorization_merges_and_sorts():
     f = Factorization(((F(1, 2), 1), (F(1, 3), 2), (F(1, 2), 3)))
     assert f.terms == ((F(1, 3), 2), (F(1, 2), 4))
+    assert Factorization(((F(1, 3), 1), (F(1, 3), 2))).terms == ((F(1, 3), 3),)
     assert f.length == 6
     assert f.evaluate() == 2 * F(1, 3) + 4 * F(1, 2)
     assert f.multiplicity(F(1, 2)) == 4
     assert f.multiplicity(F(1, 7)) == 0
+
+
+def test_factorization_checks_its_terms():
+    for atom in (0, F(-1, 2)):
+        with pytest.raises(NonPositive):
+            Factorization(((atom, 1),))
+    with pytest.raises(NonPositive):
+        Factorization(((F(1, 2), 0),))
+    f = Factorization(((2, 1),))
+    assert f.terms == ((F(2), 1),) and type(f.terms[0][0]) is Fraction
 
 
 def test_factorization_mapping_shape():
@@ -170,6 +181,8 @@ def test_factorizations_match_brute_force():
         got = {f.terms for f in m.factorizations(x)}
         want = brute_rational_factorizations(atoms, x)
         assert got == want, (m.generators, x)
+        want_lengths = sorted({sum(k for _, k in terms) for terms in want})
+        assert m.lengths(x) == tuple(want_lengths), (m.generators, x)
 
 
 def test_factorizations_order_and_degenerates():

@@ -118,6 +118,10 @@ def test_dense_atom_monoid_tracks_calkin_wilf():
     assert made.monoid.generators == tuple(sorted(e.atom for e in made.entries))
 
 
+def test_dense_atom_mapping_prints_integer_targets_bare():
+    assert dense_atom_monoid(1, 2).as_mapping()["entries"][0]["target"] == "1"
+
+
 def test_dense_atom_monoid_atoms_equal_generators():
     made = dense_atom_monoid(2, 10)
     assert set(made.monoid.atoms()) == set(made.monoid.generators)
