@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import prime_factors
+from .arith import format_rational, prime_factors
 from .errors import (
     BadIndex,
     InsufficientMultiplicity,
@@ -333,8 +333,8 @@ class EmbeddingWitness:
             "power": self.power,
             "prime": self.prime,
             "coefficient": self.coefficient,
-            "base": f"{self.base.numerator}/{self.base.denominator}",
-            "value": f"{self.value.numerator}/{self.value.denominator}",
+            "base": format_rational(self.base),
+            "value": format_rational(self.value),
         }
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from .arith import (
+    format_rational,
     is_prime,
     nth_odd_prime,
     nth_prime,
@@ -568,7 +569,7 @@ class ExplicitTargets:
     def as_mapping(self) -> dict:
         return {
             "kind": "explicit",
-            "values": [f"{v.numerator}/{v.denominator}" for v in self.values],
+            "values": [format_rational(v) for v in self.values],
         }
 
 
@@ -781,7 +782,7 @@ class Cyclic:
         return self.r**n
 
     def as_mapping(self) -> dict:
-        return {"family": "cyclic", "r": f"{self.r.numerator}/{self.r.denominator}"}
+        return {"family": "cyclic", "r": format_rational(self.r)}
 
 
 @dataclass(frozen=True)
@@ -810,7 +811,7 @@ class GeneralizedCyclic:
     def as_mapping(self) -> dict:
         return {
             "family": "generalized-cyclic",
-            "ratios": [f"{r.numerator}/{r.denominator}" for r in self.ratios],
+            "ratios": [format_rational(r) for r in self.ratios],
         }
 
 
@@ -854,7 +855,7 @@ class ExplicitList:
     def as_mapping(self) -> dict:
         return {
             "family": "explicit",
-            "generators": [f"{g.numerator}/{g.denominator}" for g in self.generators],
+            "generators": [format_rational(g) for g in self.generators],
         }
 
 

@@ -16,10 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .arith import format_rational, padic_valuation_int, prime_factors
+from .arith import format_rational
 from .errors import NonPositive
 from .semigroup import NumericalSemigroup
+
+
+def _order_key(q: Fraction) -> tuple[int, Fraction]:
+    """An exact sort key for rationals: floor(q * 2**64), then q.
+
+    The floor is monotone in q, so almost every comparison is settled
+    by one integer compare, and q itself orders the rare ties exactly.
+    """
+    return (q.numerator << 64) // q.denominator, q
 
 
 @dataclass(frozen=True)
@@ -46,11 +56,12 @@ class Factorization:
             terms.append((atom, mult))
         # Results built from a sorted atom tuple are already strictly
         # increasing; only other input needs merging and sorting.
-        if any(a >= b for (a, _), (b, _) in zip(terms, terms[1:])):
+        keys = [_order_key(atom) for atom, _ in terms]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
             merged: dict[Fraction, int] = {}
             for atom, mult in terms:
                 merged[atom] = merged.get(atom, 0) + mult
-            terms = sorted(merged.items())
+            terms = sorted(merged.items(), key=lambda term: _order_key(term[0]))
         object.__setattr__(self, "terms", tuple(terms))
 
     @property
@@ -81,14 +92,22 @@ class FgMonoid:
     """The additive closure of finitely many positive rationals.
 
     Generators are normalized to a strictly increasing tuple of reduced
-    fractions. An empty tuple gives the trivial monoid.
+    fractions. An empty tuple gives the trivial monoid. The atoms and
+    the reduction to a numerical semigroup are computed once per
+    instance and cached outside the dataclass fields, so equality,
+    hashing and repr see the generators only.
     """
 
     generators: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        gens = tuple(sorted(set(Fraction(g) for g in self.generators)))
-        if gens and gens[0] <= 0:
+        unique: dict[tuple[int, int], Fraction] = {}
+        for g in self.generators:
+            if type(g) is not Fraction:
+                g = Fraction(g)
+            unique[g.numerator, g.denominator] = g
+        gens = tuple(sorted(unique.values(), key=_order_key))
+        if gens and gens[0].numerator <= 0:
             raise NonPositive(f"generators must be positive, got {gens[0]}")
         object.__setattr__(self, "generators", gens)
 
@@ -101,6 +120,10 @@ class FgMonoid:
         """
         if not self.generators:
             raise NonPositive("the trivial monoid has no scaled integer form")
+        return self._reduction
+
+    @cached_property
+    def _reduction(self) -> tuple[Fraction, NumericalSemigroup]:
         common = math.lcm(*(g.denominator for g in self.generators))
         nums = [g.numerator * (common // g.denominator) for g in self.generators]
         d = math.gcd(*nums)
@@ -122,39 +145,47 @@ class FgMonoid:
     def atoms(self) -> tuple[Fraction, ...]:
         """The atoms, i.e. the minimal generating set, increasing.
 
-        A generator g fails to be an atom exactly when the others
-        already generate it, and only generators smaller than g can
-        appear in such a sum. A shortcut avoids the membership test:
-        g is an atom when, for some prime p, its denominator holds a
-        higher power of p than the denominator of every smaller
-        generator, since then v_p(g) is below the valuation of every
-        possible summand, and valuations of sums cannot drop below the
-        minimum over the summands. This covers every generator with the
-        strictly least valuation at some prime.
-
-        One pass in increasing order finds these records: each
-        denominator is factored once, and for every prime the largest
-        exponent seen so far is kept. A denominator that could not be
-        factored is compared at every prime found in the others. The
-        smallest generator is always an atom; any other generator
-        without a record falls back to the membership test.
+        A generator g fails to be an atom exactly when the generators
+        smaller than g already generate it: no larger generator can
+        appear in such a sum. Every such sum has a denominator dividing
+        L, the lcm of the smaller generators' denominators, so g is an
+        atom whenever its denominator does not divide L. That is the
+        case exactly when some prime power in g's denominator exceeds
+        the one in every smaller generator's denominator, and it needs
+        no factoring: one pass in increasing order keeps L as a running
+        lcm. The smallest generator is always an atom; any other
+        generator whose denominator divides L falls back to membership
+        in the monoid of the smaller generators, tested on the integer
+        generators of to_scaled_integer.
         """
+        return self._atoms
+
+    @cached_property
+    def _atoms(self) -> tuple[Fraction, ...]:
         gens = self.generators
-        factored = [prime_factors(g.denominator) for g in gens]
-        found = {p for ps in factored if ps for p in ps}
-        # prime -> largest exponent of it in the denominators seen so far
-        top: dict[int, int] = {}
+        seen = 1  # lcm of the denominators of the generators before g
         out = []
-        for i, (g, ps) in enumerate(zip(gens, factored)):
-            record = i == 0
-            for p in found if ps is None else ps:
-                e = padic_valuation_int(p, g.denominator)
-                if e > top.get(p, 0):
-                    top[p] = e
-                    record = True
-            if record or not FgMonoid(gens[:i] + gens[i + 1 :]).contains(g):
-                out.append(g)
+        for i, g in enumerate(gens):
+            d = g.denominator
+            r = seen % d
+            if r:
+                seen *= d // math.gcd(d, r)
+            elif out:
+                # Ask in the integers of self's reduction, where g and
+                # the smaller generators keep their indices.
+                scaled = self._reduction[1].generators
+                if NumericalSemigroup(scaled[:i]).contains(scaled[i]):
+                    continue
+            out.append(g)
         return tuple(out)
+
+    @cached_property
+    def _atom_semigroup(self) -> NumericalSemigroup:
+        # The atoms generate the same monoid, so they share self's scale q.
+        q = self._reduction[0]
+        return NumericalSemigroup(
+            tuple(a.numerator * q.denominator // (a.denominator * q.numerator) for a in self._atoms)
+        )
 
     def _representations(self, x: Fraction | int) -> tuple[tuple[Fraction, ...], list[tuple[int, ...]]]:
         """The atoms and every coefficient vector over them summing to x.
@@ -168,11 +199,10 @@ class FgMonoid:
         ats = self.atoms()
         if not ats:
             return ats, []
-        q, ns = FgMonoid(ats).to_scaled_integer()
-        t = x / q
+        t = x / self._reduction[0]
         if t.denominator != 1:
             return ats, []
-        return ats, ns.representations(t.numerator)
+        return ats, self._atom_semigroup.representations(t.numerator)
 
     def factorizations(self, x: Fraction | int) -> list[Factorization]:
         """All factorizations of x into atoms.

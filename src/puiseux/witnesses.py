@@ -160,11 +160,14 @@ def dense_atom_monoid(
         while p**e <= 2 * k:
             e += 1
         scale = p**e
-        m = math.floor(target * scale + Fraction(1, 2))
+        # m = floor(target * scale + 1/2) and |target - m/scale| < 1/k,
+        # both cleared of denominators.
+        a, b = target.numerator, target.denominator
+        m = (2 * a * scale + b) // (2 * b)
         if m % p == 0:
             m = m + 1 if m - 1 < 1 else m - 1
         atom = Fraction(m, scale)
-        if not abs(target - atom) < Fraction(1, k):
+        if not k * abs(a * scale - m * b) < b * scale:
             raise HypothesisViolated(
                 f"atom {atom} strays from target {target} by 1/{k} or more"
             )

@@ -218,6 +218,16 @@ def test_embedding_witness():
     assert w.value == F(4, 7) ** 3
     assert w.value == w.coefficient * w.base**3
 
+    w = generalized_cyclic_embed((F(2), F(4, 7)), 1, 1)
+    assert w.as_mapping() == {
+        "ratio_index": 1,
+        "power": 1,
+        "prime": 2,
+        "coefficient": 7,
+        "base": "2/7",
+        "value": "2",
+    }
+
 
 def test_embedding_requires_shared_prime():
     with pytest.raises(GcdOne):

@@ -214,6 +214,7 @@ def test_explicit_targets():
     with pytest.raises(BadIndex):
         t.value_at(3)
     assert targets_from_mapping(t.as_mapping()) == t
+    assert t.as_mapping()["values"] == ["1/2", "5"]
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +380,18 @@ def test_family_mappings_round_trip():
         GeneralizedCyclic((F(2, 5), F(4, 7))),
         BfNotFf(),
         ExplicitList((F(1, 2), F(3, 4))),
+        Cyclic(F(2)),
+        GeneralizedCyclic((F(2), F(4, 7))),
+        ExplicitList((F(1), F(3, 4))),
     ]
     for spec in specs:
         assert family_from_mapping(spec.as_mapping()) == spec
+
+
+def test_family_mappings_print_integers_bare():
+    assert Cyclic(2).as_mapping() == {"family": "cyclic", "r": "2"}
+    assert GeneralizedCyclic((F(2), F(4, 7))).as_mapping()["ratios"] == ["2", "4/7"]
+    assert ExplicitList((F(1), F(3, 4))).as_mapping()["generators"] == ["1", "3/4"]
 
 
 def test_truncate_sorts_ascending():

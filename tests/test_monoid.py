@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from puiseux import arith, monoid
+from puiseux import arith
 from puiseux.errors import NonPositive
 from puiseux.monoid import Factorization, FgMonoid, isomorphism_witness
 
@@ -57,6 +58,37 @@ def test_generators_normalized():
     assert m.generators == (F(1, 2), F(3))
     with pytest.raises(NonPositive):
         FgMonoid((F(1, 2), F(0)))
+
+
+@st.composite
+def generator_inputs(draw):
+    """Rationals, some zero or negative, each with near or equal twins.
+
+    A twin q + c / t with t > 2**66 often ties q on floor(q * 2**64);
+    an equal twin arrives as a str, an unreduced str, or an int.
+    """
+    out = []
+    for q in draw(st.lists(st.builds(F, st.integers(-3, 2**90), st.integers(1, 2**70)), max_size=8)):
+        out.append(q)
+        if draw(st.booleans()):
+            out.append(q + F(draw(st.integers(-3, 3)), draw(st.integers(2**66, 2**100))))
+        k = draw(st.integers(1, 2**40))
+        out.append(draw(st.sampled_from((str(q), f"{q.numerator * k}/{q.denominator * k}"))))
+        if q.denominator == 1:
+            out.append(q.numerator)
+    return draw(st.permutations(out))
+
+
+@given(generator_inputs())
+def test_generators_are_sorted_distinct_fractions(gens):
+    want = tuple(sorted(set(map(F, gens))))
+    if want and want[0] <= 0:
+        with pytest.raises(NonPositive):
+            FgMonoid(gens)
+        return
+    got = FgMonoid(gens).generators
+    assert got == want
+    assert all(type(g) is Fraction for g in got)
 
 
 def test_empty_monoid_is_trivial():
@@ -132,13 +164,11 @@ def test_atoms_match_brute_force():
         assert set(m.atoms()) == brute_atoms(m.generators), m.generators
 
 
-def test_atoms_with_unfactored_denominator(monkeypatch):
-    # With a trial-division limit of 10, 143 = 11 * 13 stays unfactored,
-    # and 1/143 must still count against 1/11 at the prime 11.
-    monkeypatch.setattr(
-        monoid, "prime_factors", lambda n: arith.prime_factors(n, limit=10)
-    )
-    assert monoid.prime_factors(143) is None
+def test_atoms_with_unfactored_denominator():
+    # atoms() factors no denominator: 143 = 11 * 13 is out of reach of
+    # trial division up to 10, and 1/143 must still count against 1/11
+    # and 1/13.
+    assert arith.prime_factors(143, limit=10) is None
     for gens in (
         (F(1, 143), F(1, 11), F(1, 7)),
         (F(1, 7), F(3, 143), F(1, 11), F(1, 13)),
@@ -146,6 +176,25 @@ def test_atoms_with_unfactored_denominator(monkeypatch):
     ):
         m = FgMonoid(gens)
         assert set(m.atoms()) == brute_atoms(m.generators), m.generators
+
+
+def test_cached_results_are_stable_and_hidden():
+    rng = random.Random(67)
+    for _ in range(30):
+        gens = random_monoid(rng).generators
+        m = FgMonoid(gens)
+        atoms, reduction = m.atoms(), m.to_scaled_integer()
+        untouched = FgMonoid(gens)
+        assert m == untouched and hash(m) == hash(untouched) and repr(m) == repr(untouched)
+        for _ in range(3):
+            x = sum((rng.randint(0, 2) * a for a in atoms), F(0))
+            for query in (m.factorizations, m.lengths, m.atom_support, m.contains):
+                query(x)
+        assert m.atoms() == atoms and m.to_scaled_integer() == reduction
+        fresh = FgMonoid(gens)
+        assert fresh.to_scaled_integer() == reduction and fresh.atoms() == atoms
+        assert m == untouched and hash(m) == hash(untouched) and repr(m) == repr(untouched)
+        assert {m: 1}[untouched] == 1
 
 
 def test_atoms_generate_back():

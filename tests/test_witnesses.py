@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -120,6 +121,24 @@ def test_dense_atom_monoid_tracks_calkin_wilf():
 
 def test_dense_atom_mapping_prints_integer_targets_bare():
     assert dense_atom_monoid(1, 2).as_mapping()["entries"][0]["target"] == "1"
+
+
+def test_dense_atom_monoid_matches_fraction_formula():
+    for j in range(1, 5):
+        made = dense_atom_monoid(j, 400)
+        target = F(1)
+        for k, entry in enumerate(made.entries, start=1):
+            p = nth_prime(2 ** (j - 1) * (2 * k - 1))
+            e = 1
+            while p**e <= 2 * k:
+                e += 1
+            m = math.floor(target * p**e + F(1, 2))
+            if m % p == 0:
+                m = m + 1 if m - 1 < 1 else m - 1
+            assert (entry.target, entry.prime, entry.exponent, entry.numerator) == (target, p, e, m), (j, k)
+            assert entry.atom == F(m, p**e)
+            # The next Calkin-Wilf target, by Newman's map.
+            target = 1 / (2 * math.floor(target) - target + 1)
 
 
 def test_dense_atom_monoid_atoms_equal_generators():
