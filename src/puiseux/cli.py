@@ -31,6 +31,7 @@ from .families import (
     classify,
     family_from_mapping,
     generator_at,
+    json_int,
     targets_from_mapping,
     truncate,
 )
@@ -120,20 +121,36 @@ def _load_family(token: str):
     return family_from_mapping(_load_mapping(token))
 
 
-def domain_errors(fn):
-    @functools.wraps(fn)
-    def wrapped(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except PuiseuxError as bad:
-            click.echo(f"error: {bad}", err=True)
-            sys.exit(1)
+def command(group: click.Group, name: str):
+    """Register the decorated function as the subcommand `group name`.
 
-    return wrapped
+    The function takes the command's options and returns (payload,
+    lines). The command gets the one --json flag: with it, the payload
+    is printed as one JSON document with sorted keys; without it, the
+    lines are printed. A PuiseuxError becomes `error: ...` on stderr and
+    exit status 1; a click.UsageError still exits 2.
+    """
 
+    def register(fn):
+        def run(as_json, **options):
+            try:
+                payload, lines = fn(**options)
+            except PuiseuxError as bad:
+                click.echo(f"error: {bad}", err=True)
+                sys.exit(1)
+            if as_json:
+                click.echo(json.dumps(payload, sort_keys=True))
+            else:
+                for line in lines:
+                    click.echo(line)
 
-def _emit(value) -> None:
-    click.echo(json.dumps(value, sort_keys=True))
+        # update_wrapper hands the click.option parameters attached to fn
+        # over to run, so click builds the command from them.
+        cmd = group.command(name)(functools.update_wrapper(run, fn))
+        cmd.params.append(click.Option(["--json", "as_json"], is_flag=True))
+        return fn
+
+    return register
 
 
 def _format_terms(terms, label) -> str:
@@ -148,6 +165,18 @@ def _format_factorization(f) -> str:
 
 def _format_cyclic(f: CyclicFactorization) -> str:
     return _format_terms(f.terms, lambda e: f"r^{e}")
+
+
+def _membership(member: bool, witness, label):
+    """The `ns member` / `fg member` result: a verdict and the generator
+    combination reaching x, when there is one to show."""
+    shown = None
+    if witness is not None:
+        shown = [{"generator": label(g), "mult": c} for g, c in witness]
+    lines = ["true" if member else "false"]
+    if witness:
+        lines.append("witness: " + _format_terms(witness, label))
+    return {"member": member, "witness": shown}, lines
 
 
 def _member_witness(monoid: FgMonoid, x: Fraction):
@@ -183,71 +212,43 @@ def ns():
     """Numerical semigroups given by integer generators."""
 
 
-@ns.command("mingens")
+@command(ns, "mingens")
 @click.option("--gens", type=INTS, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def ns_mingens(gens, as_json):
-    minimal = NumericalSemigroup(gens).minimal_generators()
-    if as_json:
-        _emit(list(minimal))
-    else:
-        click.echo(" ".join(str(g) for g in minimal))
+def ns_mingens(gens):
+    minimal = list(NumericalSemigroup(gens).minimal_generators())
+    return minimal, [" ".join(str(g) for g in minimal)]
 
 
-@ns.command("frobenius")
+@command(ns, "frobenius")
 @click.option("--gens", type=INTS, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def ns_frobenius(gens, as_json):
+def ns_frobenius(gens):
     value = NumericalSemigroup(gens).frobenius()
-    _emit(value) if as_json else click.echo(str(value))
+    return value, [str(value)]
 
 
-@ns.command("member")
+@command(ns, "member")
 @click.option("--gens", type=INTS, required=True)
 @click.option("--x", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def ns_member(gens, x, as_json):
+def ns_member(gens, x):
     sg = NumericalSemigroup(gens)
-    rep = sg.any_representation(x) if x >= 0 else None
-    member = x == 0 or rep is not None
-    if as_json:
-        witness = None
-        if member and x != 0:
-            witness = [
-                {"generator": g, "mult": c}
-                for g, c in zip(sg.generators, rep)
-                if c > 0
-            ]
-        _emit({"member": member, "witness": witness if member else None})
-        return
-    if not member:
-        click.echo("false")
-        return
-    click.echo("true")
-    if x != 0:
-        shown = [(g, c) for g, c in zip(sg.generators, rep) if c > 0]
-        click.echo("witness: " + _format_terms(shown, str))
+    rep = sg.any_representation(x) if x > 0 else None
+    witness = None
+    if rep is not None:
+        witness = [(g, c) for g, c in zip(sg.generators, rep) if c > 0]
+    return _membership(x == 0 or witness is not None, witness, int)
 
 
-@ns.command("factorize")
+@command(ns, "factorize")
 @click.option("--gens", type=INTS, required=True)
 @click.option("--x", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def ns_factorize(gens, x, as_json):
+def ns_factorize(gens, x):
     sg = NumericalSemigroup(gens)
     reps = sg.representations(x) if x >= 0 else []
-    if as_json:
-        _emit([list(rep) for rep in reps])
-        return
-    for rep in reps:
-        shown = [(g, c) for g, c in zip(sg.generators, rep) if c > 0]
-        click.echo(_format_terms(shown, str))
-    if not reps:
-        click.echo("none")
+    lines = [
+        _format_terms([(g, c) for g, c in zip(sg.generators, rep) if c > 0], str)
+        for rep in reps
+    ]
+    return [list(rep) for rep in reps], lines or ["none"]
 
 
 # ---------------------------------------------------------------------------
@@ -259,101 +260,54 @@ def fg():
     """Finitely generated monoids of nonnegative rationals."""
 
 
-@fg.command("atoms")
+@command(fg, "atoms")
 @click.option("--gens", type=RATIONALS, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def fg_atoms(gens, as_json):
-    atoms = FgMonoid(gens).atoms()
-    if as_json:
-        _emit([format_rational(a) for a in atoms])
-    else:
-        for a in atoms:
-            click.echo(format_rational(a))
+def fg_atoms(gens):
+    atoms = [format_rational(a) for a in FgMonoid(gens).atoms()]
+    return atoms, atoms
 
 
-@fg.command("member")
+@command(fg, "member")
 @click.option("--gens", type=RATIONALS, required=True)
 @click.option("--x", type=RATIONAL_OR_ZERO, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def fg_member(gens, x, as_json):
-    monoid = FgMonoid(gens)
-    witness = _member_witness(monoid, x)
-    member = witness is not None
-    if as_json:
-        shown = None
-        if member:
-            shown = [
-                {"generator": format_rational(g), "mult": c} for g, c in witness
-            ]
-        _emit({"member": member, "witness": shown})
-        return
-    if not member:
-        click.echo("false")
-        return
-    click.echo("true")
-    if witness:
-        click.echo("witness: " + _format_terms(witness, format_rational))
+def fg_member(gens, x):
+    witness = _member_witness(FgMonoid(gens), x)
+    return _membership(witness is not None, witness, format_rational)
 
 
-@fg.command("factorize")
+@command(fg, "factorize")
 @click.option("--gens", type=RATIONALS, required=True)
 @click.option("--x", type=RATIONAL_OR_ZERO, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def fg_factorize(gens, x, as_json):
+def fg_factorize(gens, x):
     found = FgMonoid(gens).factorizations(x)
-    if as_json:
-        _emit([f.as_mapping() for f in found])
-        return
-    for f in found:
-        click.echo(_format_factorization(f))
-    if not found:
-        click.echo("none")
+    lines = [_format_factorization(f) for f in found]
+    return [f.as_mapping() for f in found], lines or ["none"]
 
 
-@fg.command("lengths")
+@command(fg, "lengths")
 @click.option("--gens", type=RATIONALS, required=True)
 @click.option("--x", type=RATIONAL_OR_ZERO, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def fg_lengths(gens, x, as_json):
-    lengths = FgMonoid(gens).lengths(x)
-    if as_json:
-        _emit(list(lengths))
-    else:
-        click.echo(" ".join(str(n) for n in lengths) if lengths else "none")
+def fg_lengths(gens, x):
+    lengths = list(FgMonoid(gens).lengths(x))
+    return lengths, [" ".join(str(n) for n in lengths) if lengths else "none"]
 
 
-@fg.command("support")
+@command(fg, "support")
 @click.option("--gens", type=RATIONALS, required=True)
 @click.option("--x", type=RATIONAL_OR_ZERO, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def fg_support(gens, x, as_json):
-    support = FgMonoid(gens).atom_support(x)
-    if as_json:
-        _emit([format_rational(a) for a in support])
-    else:
-        for a in support:
-            click.echo(format_rational(a))
-        if not support:
-            click.echo("none")
+def fg_support(gens, x):
+    support = [format_rational(a) for a in FgMonoid(gens).atom_support(x)]
+    return support, support or ["none"]
 
 
-@fg.command("iso")
+@command(fg, "iso")
 @click.option("--gens", type=RATIONALS, required=True, multiple=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def fg_iso(gens, as_json):
+def fg_iso(gens):
     if len(gens) != 2:
         raise click.UsageError("fg iso needs --gens twice, one list per monoid")
     witness = isomorphism_witness(FgMonoid(gens[0]), FgMonoid(gens[1]))
-    if as_json:
-        _emit({"witness": format_rational(witness) if witness else None})
-    else:
-        click.echo(format_rational(witness) if witness else "none")
+    shown = format_rational(witness) if witness else None
+    return {"witness": shown}, [shown or "none"]
 
 
 # ---------------------------------------------------------------------------
@@ -365,106 +319,71 @@ def family():
     """Cataloged generator families described by JSON specs."""
 
 
-@family.command("gen")
+@command(family, "gen")
 @click.option("--spec", required=True)
 @click.option("--n", type=click.IntRange(min=1), required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def family_gen(spec, n, as_json):
-    value = generator_at(_load_family(spec), n)
-    _emit(format_rational(value)) if as_json else click.echo(format_rational(value))
+def family_gen(spec, n):
+    value = format_rational(generator_at(_load_family(spec), n))
+    return value, [value]
 
 
-@family.command("truncate")
+@command(family, "truncate")
 @click.option("--spec", required=True)
 @click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def family_truncate(spec, n, as_json):
-    monoid = truncate(_load_family(spec), n)
-    if as_json:
-        _emit([format_rational(g) for g in monoid.generators])
-    else:
-        for g in monoid.generators:
-            click.echo(format_rational(g))
+def family_truncate(spec, n):
+    gens = [format_rational(g) for g in truncate(_load_family(spec), n).generators]
+    return gens, gens
 
 
-@family.command("classify")
+@command(family, "classify")
 @click.option("--spec", required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def family_classify(spec, as_json):
+def family_classify(spec):
     report = classify(_load_family(spec))
-    if as_json:
-        _emit(report.as_mapping())
-        return
-    for field in (
-        "dense",
-        "atomic",
-        "antimatter",
-        "strongly_bounded",
-        "finite_puiseux",
-        "hereditarily_atomic",
-    ):
-        click.echo(f"{field}: {getattr(report, field)}")
-    for line in report.justification:
-        click.echo(f"  {line}")
+    payload = report.as_mapping()
+    lines = [f"{k}: {v}" for k, v in payload.items() if k != "justification"]
+    lines += [f"  {line}" for line in report.justification]
+    return payload, lines
 
 
-@family.command("approx")
+@command(family, "approx")
 @click.option("--spec", required=True)
 @click.option("--target", type=RATIONAL, required=True)
 @click.option("--eps", type=RATIONAL, required=True)
 @click.option("--limit", type=click.IntRange(min=1), default=None)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def family_approx(spec, target, eps, limit, as_json):
+def family_approx(spec, target, eps, limit):
     kwargs = {} if limit is None else {"scan_limit": limit}
     got = approximate(_load_family(spec), target, eps, **kwargs)
-    if as_json:
-        _emit(got.as_mapping())
-    else:
-        click.echo(
-            f"{format_rational(got.value)} = {got.multiplier}"
-            f"*{format_rational(got.generator)} (generator {got.generator_index})"
-        )
+    return got.as_mapping(), [
+        f"{format_rational(got.value)} = {got.multiplier}"
+        f"*{format_rational(got.generator)} (generator {got.generator_index})"
+    ]
 
 
-@family.command("dense-atoms")
+@command(family, "dense-atoms")
 @click.option("--class-index", type=click.IntRange(min=1), required=True)
 @click.option("--count", type=click.IntRange(min=1), required=True)
 @click.option("--spec", default=None, help="optional JSON target sequence")
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def family_dense_atoms(class_index, count, spec, as_json):
+def family_dense_atoms(class_index, count, spec):
     targets = None
     if spec is not None:
         targets = targets_from_mapping(_load_mapping(spec))
     made = dense_atom_monoid(class_index, count, targets)
-    if as_json:
-        _emit(made.as_mapping())
-        return
-    for e in made.entries:
-        click.echo(
-            f"{e.k}: target {format_rational(e.target)} atom "
-            f"{format_rational(e.atom)} = {e.numerator}/{e.prime}^{e.exponent}"
-        )
+    return made.as_mapping(), [
+        f"{e.k}: target {format_rational(e.target)} atom "
+        f"{format_rational(e.atom)} = {e.numerator}/{e.prime}^{e.exponent}"
+        for e in made.entries
+    ]
 
 
-@family.command("noniso")
+@command(family, "noniso")
 @click.option("--spec", required=True, multiple=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def family_noniso(spec, as_json):
+def family_noniso(spec):
     if len(spec) != 2:
         raise click.UsageError("family noniso needs --spec twice")
     cert = disjoint_prime_noniso(_load_family(spec[0]), _load_family(spec[1]))
-    if as_json:
-        _emit({"certificate": cert.as_mapping() if cert else None})
-    elif cert is None:
-        click.echo("no certificate")
-    else:
-        click.echo(f"not isomorphic: {cert.reason}")
+    if cert is None:
+        return {"certificate": None}, ["no certificate"]
+    return {"certificate": cert.as_mapping()}, [f"not isomorphic: {cert.reason}"]
 
 
 # ---------------------------------------------------------------------------
@@ -476,79 +395,62 @@ def cyclic():
     """Monoids generated by the positive powers of one rational."""
 
 
-@cyclic.command("member")
+@command(cyclic, "member")
 @click.option("--r", type=RATIONAL, required=True)
 @click.option("--x", type=RATIONAL_OR_ZERO, required=True)
 @click.option("--cap", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def cyclic_member(r, x, cap, as_json):
+def cyclic_member(r, x, cap):
     got = cyclic_contains(r, x, cap)
-    if as_json:
-        _emit(got.as_mapping())
-        return
-    click.echo(got.status)
+    lines = [got.status]
     if got.witness is not None:
-        click.echo("witness: " + _format_cyclic(got.witness))
+        lines.append("witness: " + _format_cyclic(got.witness))
     if got.certificate is not None:
-        click.echo(f"certificate: {got.certificate}")
+        lines.append(f"certificate: {got.certificate}")
+    return got.as_mapping(), lines
 
 
-@cyclic.command("factorize")
+@command(cyclic, "factorize")
 @click.option("--r", type=RATIONAL, required=True)
 @click.option("--x", type=RATIONAL_OR_ZERO, required=True)
 @click.option("--cap", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def cyclic_factorize(r, x, cap, as_json):
+def cyclic_factorize(r, x, cap):
     found = cyclic_factorizations(r, x, cap)
-    if as_json:
-        _emit([f.as_mapping() for f in found])
-        return
-    for f in found:
-        click.echo(_format_cyclic(f))
-    if not found:
-        click.echo("none")
+    lines = [_format_cyclic(f) for f in found]
+    return [f.as_mapping() for f in found], lines or ["none"]
 
 
-@cyclic.command("trade")
+@command(cyclic, "trade")
 @click.option("--r", type=RATIONAL, required=True)
 @click.option("--z", required=True, help="factorization as JSON (file or inline)")
 @click.option("--t", type=click.IntRange(min=1), required=True)
 @click.option(
     "--direction", type=click.Choice(["up", "down"]), required=True
 )
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def cyclic_trade_cmd(r, z, t, direction, as_json):
+def cyclic_trade_cmd(r, z, t, direction):
     data = _load_mapping(z)
     try:
         terms = tuple(
-            (int(term["exponent"]), int(term["mult"])) for term in data["terms"]
+            (json_int(term["exponent"]), json_int(term["mult"]))
+            for term in data["terms"]
         )
     except (KeyError, TypeError) as bad:
         raise ParseError(
             'factorization JSON needs "terms": [{"exponent": e, "mult": m}, ...]'
         ) from bad
     moved = cyclic_trade(r, CyclicFactorization(r, terms), t, direction)
-    _emit(moved.as_mapping()) if as_json else click.echo(_format_cyclic(moved))
+    return moved.as_mapping(), [_format_cyclic(moved)]
 
 
-@cyclic.command("embed")
+@command(cyclic, "embed")
 @click.option("--ratios", type=RATIONALS, required=True)
 @click.option("--i", type=click.IntRange(min=1), required=True)
 @click.option("--m", type=click.IntRange(min=1), required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def cyclic_embed(ratios, i, m, as_json):
+def cyclic_embed(ratios, i, m):
     w = generalized_cyclic_embed(ratios, i, m)
-    if as_json:
-        _emit(w.as_mapping())
-    else:
-        click.echo(
-            f"{format_rational(w.value)} = {w.coefficient}"
-            f"*({format_rational(w.base)})^{w.power}"
-        )
+    return w.as_mapping(), [
+        f"{format_rational(w.value)} = {w.coefficient}"
+        f"*({format_rational(w.base)})^{w.power}"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -560,51 +462,40 @@ def witness():
     """Constructive witnesses for structural statements."""
 
 
-@witness.command("kprimary")
+@command(witness, "kprimary")
 @click.option("--primes", type=INTS, required=True)
 @click.option("--limit", type=click.IntRange(min=1), default=None)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def witness_kprimary(primes, limit, as_json):
+def witness_kprimary(primes, limit):
     kwargs = {} if limit is None else {"search_limit": limit}
     w = kprimary_antimatter_witness(primes, **kwargs)
-    if as_json:
-        _emit(w.as_mapping())
-    else:
-        click.echo(w.as_mapping()["identity"])
-        click.echo(
-            "decomposition: " + _format_factorization(w.decomposition)
-        )
+    payload = w.as_mapping()
+    return payload, [
+        payload["identity"],
+        "decomposition: " + _format_factorization(w.decomposition),
+    ]
 
 
-@witness.command("padic-atoms")
+@command(witness, "padic-atoms")
 @click.option("--spec", required=True)
 @click.option("--prefix", type=click.IntRange(min=1), required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def witness_padic_atoms(spec, prefix, as_json):
-    family_spec = _load_family(spec)
-    report = padic_candidate_atoms(family_spec, prefix)
-    if as_json:
-        _emit(report.as_mapping())
-        return
-    click.echo("kept: " + " ".join(str(i) for i in report.kept))
-    for exc in report.exclusions:
-        click.echo(
-            f"excluded {exc.index}: generator({exc.index}) = "
-            f"{exc.coefficient}*generator({exc.kept_index})"
-        )
+def witness_padic_atoms(spec, prefix):
+    report = padic_candidate_atoms(_load_family(spec), prefix)
+    lines = ["kept: " + " ".join(str(i) for i in report.kept)]
+    lines += [
+        f"excluded {exc.index}: generator({exc.index}) = "
+        f"{exc.coefficient}*generator({exc.kept_index})"
+        for exc in report.exclusions
+    ]
+    return report.as_mapping(), lines
 
 
-@witness.command("sumk-atom")
+@command(witness, "sumk-atom")
 @click.option("--k", type=click.IntRange(min=1), required=True)
 @click.option("--indices", type=INTS, required=True)
 @click.option("--max-index", type=click.IntRange(min=1), required=True)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def witness_sumk_atom(k, indices, max_index, as_json):
+def witness_sumk_atom(k, indices, max_index):
     still_atom = sum_kprimary_atom_check(k, indices, max_index)
-    _emit(still_atom) if as_json else click.echo("true" if still_atom else "false")
+    return still_atom, ["true" if still_atom else "false"]
 
 
 # ---------------------------------------------------------------------------
@@ -616,16 +507,14 @@ def verify():
     """Replay the registered claims with independent checks."""
 
 
-@verify.command("run")
+@command(verify, "run")
 @click.option("--claims", default="all", show_default=True)
 @click.option("--truncation", type=click.IntRange(min=2), default=50, show_default=True)
 @click.option("--cap", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--limit", type=click.IntRange(min=1), default=100_000, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--json", "as_json", is_flag=True)
-@domain_errors
-def verify_run(claims, truncation, cap, limit, seed, report_path, as_json):
+def verify_run(claims, truncation, cap, limit, seed, report_path):
     ids = "all" if claims == "all" else tuple(p for p in claims.split(",") if p)
     params = ClaimParameters(
         truncation=truncation,
@@ -635,15 +524,11 @@ def verify_run(claims, truncation, cap, limit, seed, report_path, as_json):
     )
     outcomes = run_claims(ids, params)
     payload = [o.as_mapping() for o in outcomes]
+    lines = [f"{o.claim_id} {o.status}" for o in outcomes]
     if report_path is not None:
         Path(report_path).write_text(json.dumps(payload, sort_keys=True) + "\n")
-    if as_json:
-        _emit(payload)
-        return
-    for o in outcomes:
-        click.echo(f"{o.claim_id} {o.status}")
-    if report_path is not None:
-        click.echo(f"report written to {report_path}")
+        lines.append(f"report written to {report_path}")
+    return payload, lines
 
 
 if __name__ == "__main__":

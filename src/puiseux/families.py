@@ -16,6 +16,7 @@ list. Any family/field pair the table cannot justify stays "unknown".
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -38,50 +39,13 @@ from .monoid import FgMonoid
 
 
 @dataclass(frozen=True)
-class ConstantSeq:
-    """The constant sequence c, c, c, ..."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise NonPositive(f"sequence values must be >= 1, got {self.value}")
-
-    def value_at(self, n: int) -> int:
-        _check_index(n)
-        return self.value
-
-    def tends_to_infinity(self) -> bool:
-        return False
-
-    def is_strictly_increasing(self) -> bool:
-        return False
-
-    def min_from(self, n: int) -> int:
-        return self.value
-
-    def ratio_upper_bound_from(self, n: int) -> Fraction:
-        return Fraction(1)
-
-    def step_lower_bound_from(self, n: int) -> int:
-        return 0
-
-    def settle_index(self) -> int:
-        return 1
-
-    def prime_power_base(self) -> int | None:
-        return _prime_power_base_int(self.value)
-
-    def coprime_to(self, p: int) -> bool:
-        return self.value % p != 0
-
-    def as_mapping(self) -> dict:
-        return {"kind": "constant", "value": self.value}
-
-
-@dataclass(frozen=True)
 class GeometricSeq:
-    """c * q^n for n = 1, 2, ... with integers c >= 1, q >= 1."""
+    """c * q^n for n = 1, 2, ... with integers c >= 1, q >= 1.
+
+    The constant sequence c, c, ... is GeometricSeq(c, 1) and the powers
+    q, q^2, ... are GeometricSeq(1, q); their JSON kinds `constant` and
+    `power` are read and written as shorthands.
+    """
 
     scale: int
     ratio: int
@@ -121,49 +85,11 @@ class GeometricSeq:
         return self.scale % p != 0 and self.ratio % p != 0
 
     def as_mapping(self) -> dict:
+        if self.ratio == 1:
+            return {"kind": "constant", "value": self.scale}
+        if self.scale == 1:
+            return {"kind": "power", "base": self.ratio}
         return {"kind": "geometric", "scale": self.scale, "ratio": self.ratio}
-
-
-@dataclass(frozen=True)
-class PowerSeq:
-    """q^n for n = 1, 2, ..."""
-
-    base: int
-
-    def __post_init__(self) -> None:
-        if self.base < 1:
-            raise NonPositive("power sequences need base >= 1")
-
-    def value_at(self, n: int) -> int:
-        _check_index(n)
-        return self.base**n
-
-    def tends_to_infinity(self) -> bool:
-        return self.base >= 2
-
-    def is_strictly_increasing(self) -> bool:
-        return self.base >= 2
-
-    def min_from(self, n: int) -> int:
-        return self.value_at(n)
-
-    def ratio_upper_bound_from(self, n: int) -> Fraction:
-        return Fraction(self.base)
-
-    def step_lower_bound_from(self, n: int) -> int:
-        return self.value_at(n + 1) - self.value_at(n)
-
-    def settle_index(self) -> int:
-        return 1
-
-    def prime_power_base(self) -> int | None:
-        return _prime_power_base_int(self.base)
-
-    def coprime_to(self, p: int) -> bool:
-        return self.base % p != 0
-
-    def as_mapping(self) -> dict:
-        return {"kind": "power", "base": self.base}
 
 
 @dataclass(frozen=True)
@@ -218,7 +144,7 @@ class ExplicitSeq:
     """A finite prefix of listed values, optionally continued by a tail.
 
     The tail, when present, is evaluated at the original index, so an
-    ExplicitSeq((9, 3), PowerSeq(3)) takes the values 9, 3, 27, 81, ...
+    ExplicitSeq((9, 3), GeometricSeq(1, 3)) takes the values 9, 3, 27, 81, ...
     Without a tail the sequence is finite and indexing past the end
     raises BadIndex.
     """
@@ -319,7 +245,7 @@ class ExplicitSeq:
         return out
 
 
-IntSeq = Union[ConstantSeq, GeometricSeq, PowerSeq, AffineSeq, ExplicitSeq]
+IntSeq = Union[GeometricSeq, AffineSeq, ExplicitSeq]
 
 
 def _check_index(n: int) -> None:
@@ -347,29 +273,63 @@ def _combine_bases(a: int | None, b: int | None) -> int | None:
     return None
 
 
+def json_int(value) -> int:
+    """A JSON integer, or a string of decimal digits with an optional
+    minus sign. Booleans and floats are refused, never truncated."""
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"expected an integer, got {value!r}")
+
+
+def json_rational(value) -> Fraction:
+    """A positive rational written as an 'n/d' or integer string, or as
+    a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ParseError(f"expected a rational as 'n/d' or an integer, got {value!r}")
+    return parse_rational(str(value))
+
+
+def json_list(value) -> list:
+    """A JSON list; a string is not read as a list of characters."""
+    if not isinstance(value, list):
+        raise ParseError(f"expected a JSON list, got {value!r}")
+    return value
+
+
+def _parse(obj, tag: str, what: str, table: dict):
+    """Build what a JSON object describes: table[obj[tag]](obj).
+
+    The builders read obj's fields with json_int, json_rational and
+    json_list; a field they find missing is reported as a ParseError.
+    """
+    if not isinstance(obj, dict) or tag not in obj:
+        raise ParseError(f"a {what} must be an object with a {tag!r}, got {obj!r}")
+    name = obj[tag]
+    if not isinstance(name, str) or name not in table:
+        raise ParseError(f"unknown {what} {name!r}")
+    try:
+        return table[name](obj)
+    except KeyError as missing:
+        raise ParseError(f"{what} {name!r} is missing field {missing}") from None
+
+
+_SEQUENCES = {
+    "constant": lambda o: GeometricSeq(json_int(o["value"]), 1),
+    "power": lambda o: GeometricSeq(1, json_int(o["base"])),
+    "geometric": lambda o: GeometricSeq(json_int(o["scale"]), json_int(o["ratio"])),
+    "affine-exponent": lambda o: AffineSeq(json_int(o["a"]), json_int(o["b"])),
+    "explicit": lambda o: ExplicitSeq(
+        tuple(json_int(v) for v in json_list(o["values"])),
+        None if o.get("then") is None else sequence_from_mapping(o["then"]),
+    ),
+}
+
+
 def sequence_from_mapping(obj) -> IntSeq:
     """Parse the JSON form of a closed-form integer sequence."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"a sequence must be an object with a 'kind', got {obj!r}")
-    kind = obj["kind"]
-    try:
-        if kind == "constant":
-            return ConstantSeq(int(obj["value"]))
-        if kind == "geometric":
-            return GeometricSeq(int(obj["scale"]), int(obj["ratio"]))
-        if kind == "power":
-            return PowerSeq(int(obj["base"]))
-        if kind == "affine-exponent":
-            return AffineSeq(int(obj["a"]), int(obj["b"]))
-        if kind == "explicit":
-            then = obj.get("then")
-            return ExplicitSeq(
-                tuple(int(v) for v in obj["values"]),
-                sequence_from_mapping(then) if then is not None else None,
-            )
-    except KeyError as missing:
-        raise ParseError(f"sequence kind {kind!r} is missing field {missing}") from None
-    raise ParseError(f"unknown sequence kind {kind!r}")
+    return _parse(obj, "kind", "sequence", _SEQUENCES)
 
 
 # ---------------------------------------------------------------------------
@@ -473,20 +433,15 @@ class PartitionClassPrimes:
 PrimeStream = Union[AllPrimes, CongruencePrimes, PartitionClassPrimes]
 
 
+_STREAMS = {
+    "all": lambda o: AllPrimes(),
+    "congruence": lambda o: CongruencePrimes(json_int(o["residue"]), json_int(o["modulus"])),
+    "partition-class": lambda o: PartitionClassPrimes(json_int(o["index"])),
+}
+
+
 def stream_from_mapping(obj) -> PrimeStream:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"a prime stream must be an object with a 'kind', got {obj!r}")
-    kind = obj["kind"]
-    try:
-        if kind == "all":
-            return AllPrimes()
-        if kind == "congruence":
-            return CongruencePrimes(int(obj["residue"]), int(obj["modulus"]))
-        if kind == "partition-class":
-            return PartitionClassPrimes(int(obj["index"]))
-    except KeyError as missing:
-        raise ParseError(f"stream kind {kind!r} is missing field {missing}") from None
-    raise ParseError(f"unknown prime stream kind {kind!r}")
+    return _parse(obj, "kind", "prime stream", _STREAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -576,17 +531,16 @@ class ExplicitTargets:
 TargetSeq = Union[CalkinWilfTargets, ExplicitTargets]
 
 
+_TARGETS = {
+    "calkin-wilf": lambda o: CalkinWilfTargets(),
+    "explicit": lambda o: ExplicitTargets(
+        tuple(json_rational(v) for v in json_list(o["values"]))
+    ),
+}
+
+
 def targets_from_mapping(obj) -> TargetSeq:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"a target sequence must be an object with a 'kind', got {obj!r}")
-    kind = obj["kind"]
-    if kind == "calkin-wilf":
-        return CalkinWilfTargets()
-    if kind == "explicit":
-        if "values" not in obj:
-            raise ParseError("explicit targets need a 'values' list")
-        return ExplicitTargets(tuple(parse_rational(v) for v in obj["values"]))
-    raise ParseError(f"unknown target sequence kind {kind!r}")
+    return _parse(obj, "kind", "target sequence", _TARGETS)
 
 
 # ---------------------------------------------------------------------------
@@ -876,46 +830,36 @@ FamilySpec = Union[
 ]
 
 
+_FAMILIES = {
+    "power-denominator": lambda o: PowerDenominator(json_int(o["q"])),
+    "half-prime": lambda o: HalfPrime(),
+    "two-adic-odd-prime": lambda o: TwoAdicOddPrime(),
+    "elementary-primary": lambda o: ElementaryPrimary(
+        stream_from_mapping(o.get("primes", {"kind": "all"}))
+    ),
+    "elementary-k-primary": lambda o: ElementaryKPrimary(json_int(o["k"])),
+    "partitioned-k-primary": lambda o: PartitionedKPrimary(json_int(o["k"])),
+    "sum-k-primary": lambda o: SumKPrimary(json_int(o["k"])),
+    "p-adic": lambda o: PAdic(
+        json_int(o["p"]),
+        sequence_from_mapping(o["numerators"]),
+        sequence_from_mapping(o["exponents"]),
+    ),
+    "plus-minus-powers": lambda o: PlusMinusPowers(json_int(o["p"])),
+    "cyclic": lambda o: Cyclic(json_rational(o["r"])),
+    "generalized-cyclic": lambda o: GeneralizedCyclic(
+        tuple(json_rational(r) for r in json_list(o["ratios"]))
+    ),
+    "bf-not-ff": lambda o: BfNotFf(),
+    "explicit": lambda o: ExplicitList(
+        tuple(json_rational(g) for g in json_list(o["generators"]))
+    ),
+}
+
+
 def family_from_mapping(obj) -> FamilySpec:
     """Parse the JSON form of a family spec."""
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ParseError(f"a family spec must be an object with a 'family', got {obj!r}")
-    name = obj["family"]
-    try:
-        if name == "power-denominator":
-            return PowerDenominator(int(obj["q"]))
-        if name == "half-prime":
-            return HalfPrime()
-        if name == "two-adic-odd-prime":
-            return TwoAdicOddPrime()
-        if name == "elementary-primary":
-            stream = obj.get("primes", {"kind": "all"})
-            return ElementaryPrimary(stream_from_mapping(stream))
-        if name == "elementary-k-primary":
-            return ElementaryKPrimary(int(obj["k"]))
-        if name == "partitioned-k-primary":
-            return PartitionedKPrimary(int(obj["k"]))
-        if name == "sum-k-primary":
-            return SumKPrimary(int(obj["k"]))
-        if name == "p-adic":
-            return PAdic(
-                int(obj["p"]),
-                sequence_from_mapping(obj["numerators"]),
-                sequence_from_mapping(obj["exponents"]),
-            )
-        if name == "plus-minus-powers":
-            return PlusMinusPowers(int(obj["p"]))
-        if name == "cyclic":
-            return Cyclic(parse_rational(str(obj["r"])))
-        if name == "generalized-cyclic":
-            return GeneralizedCyclic(tuple(parse_rational(str(r)) for r in obj["ratios"]))
-        if name == "bf-not-ff":
-            return BfNotFf()
-        if name == "explicit":
-            return ExplicitList(tuple(parse_rational(str(g)) for g in obj["generators"]))
-    except KeyError as missing:
-        raise ParseError(f"family {name!r} is missing field {missing}") from None
-    raise ParseError(f"unknown family {name!r}")
+    return _parse(obj, "family", "family", _FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,15 +974,10 @@ class ClassificationReport:
     justification: tuple[str, ...]
 
     def as_mapping(self) -> dict:
-        return {
-            "dense": self.dense,
-            "atomic": self.atomic,
-            "antimatter": self.antimatter,
-            "strongly_bounded": self.strongly_bounded,
-            "finite_puiseux": self.finite_puiseux,
-            "hereditarily_atomic": self.hereditarily_atomic,
-            "justification": list(self.justification),
-        }
+        """The six verdicts in _FIELDS order, then the justification."""
+        out = {field: getattr(self, field) for field in _FIELDS}
+        out["justification"] = list(self.justification)
+        return out
 
 
 class _Report:

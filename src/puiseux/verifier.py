@@ -22,18 +22,17 @@ from .errors import GcdOne, HypothesisViolated, PuiseuxError, UnknownClaim
 from .families import (
     AffineSeq,
     BfNotFf,
-    ConstantSeq,
     Cyclic,
     CongruencePrimes,
     ElementaryKPrimary,
     ElementaryPrimary,
     ExplicitSeq,
+    GeometricSeq,
     PAdic,
     PartitionClassPrimes,
     PartitionedKPrimary,
     PlusMinusPowers,
     PowerDenominator,
-    PowerSeq,
     TwoAdicOddPrime,
     classify,
     generator_at,
@@ -201,7 +200,7 @@ def _c3(params: ClaimParameters):
         (PowerDenominator(7), ElementaryPrimary(CongruencePrimes(1, 4))),
     ]
     overlapping = [
-        (PowerDenominator(2), PAdic(2, PowerSeq(3), AffineSeq(2, 0))),
+        (PowerDenominator(2), PAdic(2, GeometricSeq(1, 3), AffineSeq(2, 0))),
         (Cyclic(Fraction(2, 3)), ElementaryPrimary()),
     ]
     witnesses = []
@@ -325,7 +324,7 @@ def _c8(params: ClaimParameters):
     """Bounded numerators leave a single atom in every truncation."""
     specs = [
         PowerDenominator(3),
-        PAdic(2, ExplicitSeq((3, 1), ConstantSeq(1)), AffineSeq(1, 0)),
+        PAdic(2, ExplicitSeq((3, 1), GeometricSeq(1, 1)), AffineSeq(1, 0)),
     ]
     counts = []
     for spec in specs:
@@ -371,12 +370,12 @@ def _c9(params: ClaimParameters):
 def _c10(params: ClaimParameters):
     """Numerator-minimal generators are the candidate atoms, with exact
     multiples for everything discarded."""
-    growing = PAdic(2, PowerSeq(3), AffineSeq(2, 0))
+    growing = PAdic(2, GeometricSeq(1, 3), AffineSeq(2, 0))
     report = padic_candidate_atoms(growing, 5)
     _check(report.kept == (1, 2, 3, 4, 5), report.as_mapping())
     _check(report.exclusions == (), report.as_mapping())
 
-    dipping = PAdic(2, ExplicitSeq((9, 3), PowerSeq(3)), AffineSeq(1, 0))
+    dipping = PAdic(2, ExplicitSeq((9, 3), GeometricSeq(1, 3)), AffineSeq(1, 0))
     report2 = padic_candidate_atoms(dipping, 4)
     _check(report2.kept == (2, 3, 4), report2.as_mapping())
     _check(len(report2.exclusions) == 1, report2.as_mapping())
@@ -399,7 +398,7 @@ def _c10(params: ClaimParameters):
             )
 
     try:
-        padic_candidate_atoms(PAdic(2, ConstantSeq(3), AffineSeq(1, 0)), 3)
+        padic_candidate_atoms(PAdic(2, GeometricSeq(3, 1), AffineSeq(1, 0)), 3)
     except HypothesisViolated as stop:
         refusal = str(stop)
     else:

@@ -20,15 +20,14 @@ from puiseux.cyclic import cyclic_factorizations, cyclic_trade
 from puiseux.errors import HypothesisViolated
 from puiseux.families import (
     AffineSeq,
-    ConstantSeq,
     Cyclic,
     ElementaryKPrimary,
     ElementaryPrimary,
     ExplicitSeq,
+    GeometricSeq,
     PAdic,
     PlusMinusPowers,
     PowerDenominator,
-    PowerSeq,
     TwoAdicOddPrime,
     generator_at,
 )
@@ -211,12 +210,12 @@ def test_criterion_06_power_level_identities():
 
 def test_criterion_07_padic_atom_extraction():
     t0 = time.monotonic()
-    naming = PAdic(2, PowerSeq(3), AffineSeq(2, 0))
+    naming = PAdic(2, GeometricSeq(1, 3), AffineSeq(2, 0))
     report = padic_candidate_atoms(naming, 5)
     assert report.kept == (1, 2, 3, 4, 5)
     assert report.exclusions == ()
 
-    dipping = PAdic(2, ExplicitSeq((9, 3), PowerSeq(3)), AffineSeq(1, 0))
+    dipping = PAdic(2, ExplicitSeq((9, 3), GeometricSeq(1, 3)), AffineSeq(1, 0))
     report2 = padic_candidate_atoms(dipping, 4)
     assert report2.kept == (2, 3, 4)
     exc = report2.exclusions[0]
@@ -237,7 +236,7 @@ def test_criterion_07_padic_atom_extraction():
         )
 
     try:
-        padic_candidate_atoms(PAdic(2, ConstantSeq(3), AffineSeq(1, 0)), 3)
+        padic_candidate_atoms(PAdic(2, GeometricSeq(3, 1), AffineSeq(1, 0)), 3)
     except HypothesisViolated:
         pass
     else:

@@ -1,5 +1,7 @@
 import json
 
+import click
+import pytest
 from click.testing import CliRunner
 
 from puiseux.cli import main
@@ -112,6 +114,17 @@ def test_cyclic_member_and_trade():
         "cyclic", "trade", "--r", "3/2", "--z", z, "--t", "2", "--direction", "down"
     )
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("exponent", [1.7, "x", True, None])
+def test_cyclic_trade_rejects_non_integer_exponents(exponent):
+    z = json.dumps({"terms": [{"exponent": exponent, "mult": 3}]})
+    result = invoke(
+        "cyclic", "trade", "--r", "3/2", "--z", z, "--t", "1", "--direction", "up"
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr.startswith("error: ")
 
 
 def test_cyclic_embed():
@@ -329,3 +342,18 @@ def test_byte_identical_reruns():
         ("verify", "run", "--claims", "C9", "--json"),
     ):
         assert invoke(*argv).output == invoke(*argv).output
+
+
+def test_every_command_accepts_json():
+    def leaves(cmd):
+        if isinstance(cmd, click.Group):
+            for sub in cmd.commands.values():
+                yield from leaves(sub)
+        else:
+            yield cmd
+
+    commands = list(leaves(main))
+    assert len(commands) >= 24
+    for cmd in commands:
+        flags = [p for p in cmd.params if "--json" in p.opts]
+        assert len(flags) == 1 and flags[0].is_flag, cmd.name

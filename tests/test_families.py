@@ -1,19 +1,21 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from puiseux import families
 from puiseux.arith import is_prime, nth_prime
-from puiseux.errors import BadIndex, BadProgression, NonPositive, NotPrime
+from puiseux.cli import main
+from puiseux.errors import BadIndex, BadProgression, NonPositive, NotPrime, ParseError
 from puiseux.families import (
     AffineSeq,
     AllPrimes,
     BfNotFf,
     CalkinWilfTargets,
-    ConstantSeq,
     CongruencePrimes,
     Cyclic,
     ElementaryKPrimary,
@@ -29,7 +31,6 @@ from puiseux.families import (
     PartitionedKPrimary,
     PlusMinusPowers,
     PowerDenominator,
-    PowerSeq,
     SumKPrimary,
     TwoAdicOddPrime,
     classify,
@@ -55,7 +56,7 @@ F = Fraction
 
 
 def test_constant_sequence():
-    s = ConstantSeq(3)
+    s = GeometricSeq(3, 1)
     assert [s.value_at(n) for n in (1, 5, 100)] == [3, 3, 3]
     assert not s.tends_to_infinity()
     assert s.prime_power_base() == 3
@@ -63,7 +64,7 @@ def test_constant_sequence():
 
 
 def test_power_and_geometric_sequences():
-    s = PowerSeq(3)
+    s = GeometricSeq(1, 3)
     assert [s.value_at(n) for n in (1, 2, 3)] == [3, 9, 27]
     assert s.tends_to_infinity() and s.is_strictly_increasing()
     assert s.prime_power_base() == 3
@@ -84,7 +85,7 @@ def test_affine_sequence():
 
 
 def test_explicit_sequence_with_tail():
-    s = ExplicitSeq((9, 3), PowerSeq(3))
+    s = ExplicitSeq((9, 3), GeometricSeq(1, 3))
     assert [s.value_at(n) for n in (1, 2, 3, 4)] == [9, 3, 27, 81]
     assert s.tends_to_infinity()
     assert not s.is_strictly_increasing()
@@ -102,14 +103,17 @@ def test_explicit_sequence_without_tail_is_finite():
 
 def test_sequence_mappings_round_trip():
     for s in (
-        ConstantSeq(4),
-        PowerSeq(3),
+        GeometricSeq(4, 1),
+        GeometricSeq(1, 3),
         GeometricSeq(2, 5),
         AffineSeq(2, 1),
-        ExplicitSeq((9, 3), PowerSeq(3)),
+        ExplicitSeq((9, 3), GeometricSeq(1, 3)),
         ExplicitSeq((5, 8)),
     ):
         assert sequence_from_mapping(s.as_mapping()) == s
+    # constant and power are the shorthands GeometricSeq writes when they fit.
+    assert GeometricSeq(4, 1).as_mapping() == {"kind": "constant", "value": 4}
+    assert GeometricSeq(1, 3).as_mapping() == {"kind": "power", "base": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +293,14 @@ def test_sum_k_primary_generators():
 
 
 def test_padic_generators():
-    spec = PAdic(2, PowerSeq(3), AffineSeq(2, 0))
+    spec = PAdic(2, GeometricSeq(1, 3), AffineSeq(2, 0))
     assert [generator_at(spec, n) for n in (1, 2, 3)] == [
         F(3, 4),
         F(9, 16),
         F(27, 64),
     ]
     with pytest.raises(NotPrime):
-        PAdic(6, PowerSeq(3), AffineSeq(2, 0))
+        PAdic(6, GeometricSeq(1, 3), AffineSeq(2, 0))
 
 
 def test_plus_minus_generators_and_identities():
@@ -373,8 +377,8 @@ def test_family_mappings_round_trip():
         ElementaryKPrimary(2),
         PartitionedKPrimary(3),
         SumKPrimary(2),
-        PAdic(2, PowerSeq(3), AffineSeq(2, 0)),
-        PAdic(5, ExplicitSeq((9, 3), PowerSeq(3)), AffineSeq(1, 0)),
+        PAdic(2, GeometricSeq(1, 3), AffineSeq(2, 0)),
+        PAdic(5, ExplicitSeq((9, 3), GeometricSeq(1, 3)), AffineSeq(1, 0)),
         PlusMinusPowers(3),
         Cyclic(F(2, 3)),
         GeneralizedCyclic((F(2, 5), F(4, 7))),
@@ -392,6 +396,78 @@ def test_family_mappings_print_integers_bare():
     assert Cyclic(2).as_mapping() == {"family": "cyclic", "r": "2"}
     assert GeneralizedCyclic((F(2), F(4, 7))).as_mapping()["ratios"] == ["2", "4/7"]
     assert ExplicitList((F(1), F(3, 4))).as_mapping()["generators"] == ["1", "3/4"]
+
+
+PADIC_EXPONENTS = {"kind": "affine-exponent", "a": 1, "b": 0}
+
+MALFORMED_FAMILIES = {
+    "float-q": {"family": "power-denominator", "q": 3.9},
+    "bool-k": {"family": "sum-k-primary", "k": True},
+    "text-q": {"family": "power-denominator", "q": "abc"},
+    "string-generators": {"family": "explicit", "generators": "12"},
+    "string-sequence-values": {
+        "family": "p-adic",
+        "p": 2,
+        "numerators": {"kind": "explicit", "values": "93", "then": {"kind": "power", "base": 3}},
+        "exponents": PADIC_EXPONENTS,
+    },
+    "null-r": {"family": "cyclic", "r": None},
+    "unknown-family": {"family": "no-such"},
+    "unknown-sequence-kind": {
+        "family": "p-adic",
+        "p": 2,
+        "numerators": {"kind": "fibonacci"},
+        "exponents": PADIC_EXPONENTS,
+    },
+    "missing-field": {"family": "power-denominator"},
+    "missing-sequence-field": {
+        "family": "p-adic",
+        "p": 2,
+        "numerators": {"kind": "power"},
+        "exponents": PADIC_EXPONENTS,
+    },
+    "non-object-stream": {"family": "elementary-primary", "primes": 3},
+    "non-object": [1],
+}
+
+MALFORMED_TARGETS = {
+    "string-values": {"kind": "explicit", "values": "93"},
+    "float-value": {"kind": "explicit", "values": [1.5]},
+    "unknown-kind": {"kind": "stern"},
+    "missing-field": {"kind": "explicit"},
+    "non-object": "calkin-wilf",
+}
+
+
+@pytest.mark.parametrize(
+    ("parse", "obj"),
+    [pytest.param(family_from_mapping, o, id=f"family-{k}") for k, o in MALFORMED_FAMILIES.items()]
+    + [pytest.param(targets_from_mapping, o, id=f"targets-{k}") for k, o in MALFORMED_TARGETS.items()],
+)
+def test_malformed_specs_are_parse_errors(parse, obj):
+    with pytest.raises(ParseError):
+        parse(obj)
+    spec = json.dumps(obj)
+    if parse is family_from_mapping:
+        argv = ["family", "gen", "--spec", spec, "--n", "1"]
+    else:
+        argv = ["family", "dense-atoms", "--class-index", "1", "--count", "1", "--spec", spec]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr.startswith("error: ")
+
+
+def test_integer_fields_accept_integer_strings_and_targets_accept_integers():
+    assert family_from_mapping({"family": "power-denominator", "q": "3"}) == PowerDenominator(3)
+    got = targets_from_mapping({"kind": "explicit", "values": [1, 2, "1/2"]})
+    assert got == ExplicitTargets((F(1), F(2), F(1, 2)))
+    spec = json.dumps({"kind": "explicit", "values": [1, 2]})
+    result = CliRunner().invoke(
+        main, ["family", "dense-atoms", "--class-index", "1", "--count", "2", "--spec", spec]
+    )
+    assert result.exit_code == 0
+    assert result.stdout.startswith("1: target 1 atom ")
 
 
 def test_truncate_sorts_ascending():
@@ -419,11 +495,11 @@ TABLE = {
     "part-k2": (PartitionedKPrimary(2), "yes", "yes", "no", "yes", "no", "unknown"),
     "sum-k2": (SumKPrimary(2), "yes", "yes", "no", "no", "no", "unknown"),
     "padic-decreasing": (
-        PAdic(2, PowerSeq(3), AffineSeq(2, 0)),
+        PAdic(2, GeometricSeq(1, 3), AffineSeq(2, 0)),
         "yes", "yes", "no", "no", "yes", "unknown",
     ),
     "padic-constant": (
-        PAdic(2, ConstantSeq(3), AffineSeq(1, 0)),
+        PAdic(2, GeometricSeq(3, 1), AffineSeq(1, 0)),
         "yes", "no", "unknown", "yes", "yes", "no",
     ),
     "plus-minus": (PlusMinusPowers(3), "yes", "no", "yes", "unknown", "yes", "no"),
@@ -510,7 +586,7 @@ def test_rule_statements_exist_for_cited_rules():
 
 def test_denominator_support_descriptors():
     assert denominator_support(PowerDenominator(2)) == ("finite", (2,))
-    assert denominator_support(PAdic(3, PowerSeq(2), AffineSeq(1, 0))) == (
+    assert denominator_support(PAdic(3, GeometricSeq(1, 2), AffineSeq(1, 0))) == (
         "finite",
         (3,),
     )

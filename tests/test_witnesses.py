@@ -14,18 +14,17 @@ from puiseux.errors import (
 )
 from puiseux.families import (
     AffineSeq,
-    ConstantSeq,
     CongruencePrimes,
     Cyclic,
     ElementaryPrimary,
     ExplicitSeq,
     ExplicitTargets,
+    GeometricSeq,
     HalfPrime,
     PAdic,
     PartitionClassPrimes,
     PartitionedKPrimary,
     PowerDenominator,
-    PowerSeq,
     TwoAdicOddPrime,
     generator_at,
     partition_class_of_index,
@@ -265,14 +264,14 @@ def test_partitioned_blocks_stay_atoms():
 
 
 def test_padic_atoms_strictly_decreasing_example():
-    spec = PAdic(2, PowerSeq(3), AffineSeq(2, 0))
+    spec = PAdic(2, GeometricSeq(1, 3), AffineSeq(2, 0))
     report = padic_candidate_atoms(spec, 5)
     assert report.kept == (1, 2, 3, 4, 5)
     assert report.exclusions == ()
 
 
 def test_padic_atoms_with_an_excluded_index():
-    spec = PAdic(2, ExplicitSeq((9, 3), PowerSeq(3)), AffineSeq(1, 0))
+    spec = PAdic(2, ExplicitSeq((9, 3), GeometricSeq(1, 3)), AffineSeq(1, 0))
     report = padic_candidate_atoms(spec, 4)
     assert report.kept == (2, 3, 4)
     assert len(report.exclusions) == 1
@@ -284,19 +283,19 @@ def test_padic_atoms_with_an_excluded_index():
 
 
 def test_padic_atoms_rejects_bounded_numerators():
-    spec = PAdic(2, ConstantSeq(3), AffineSeq(1, 0))
+    spec = PAdic(2, GeometricSeq(3, 1), AffineSeq(1, 0))
     with pytest.raises(HypothesisViolated):
         padic_candidate_atoms(spec, 3)
 
 
 def test_padic_atoms_rejects_base_clash_with_denominator():
-    spec = PAdic(3, PowerSeq(3), AffineSeq(2, 0))
+    spec = PAdic(3, GeometricSeq(1, 3), AffineSeq(2, 0))
     with pytest.raises(HypothesisViolated):
         padic_candidate_atoms(spec, 3)
 
 
 def test_padic_kept_indices_resist_truncation_membership():
-    spec = PAdic(2, ExplicitSeq((9, 3), PowerSeq(3)), AffineSeq(1, 0))
+    spec = PAdic(2, ExplicitSeq((9, 3), GeometricSeq(1, 3)), AffineSeq(1, 0))
     report = padic_candidate_atoms(spec, 4)
     gens = [generator_at(spec, n) for n in range(1, 5)]
     for i in report.kept:
