@@ -100,17 +100,17 @@ INTS = IntListType()
 
 
 def _load_mapping(token: str) -> dict:
-    """A ``--spec`` value is a JSON file path, or inline JSON starting
-    with a brace."""
-    text = token
-    if not token.lstrip().startswith("{"):
-        path = Path(token)
-        if not path.is_file():
-            raise ParseError(f"spec file not found: {token}")
-        text = path.read_text()
+    """A ``--spec`` or ``--z`` value: the JSON in the file it names, if
+    there is one, else the token itself read as JSON."""
+    try:
+        text, is_file = Path(token).read_text(), True
+    except (OSError, ValueError):
+        text, is_file = token, False
     try:
         data = json.loads(text)
     except json.JSONDecodeError as bad:
+        if not (is_file or token.lstrip().startswith("{")):
+            raise ParseError(f"spec file not found: {token}") from None
         raise ParseError(f"spec is not valid JSON: {bad}") from bad
     if not isinstance(data, dict):
         raise ParseError("spec must be a JSON object")

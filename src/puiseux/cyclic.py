@@ -1,16 +1,13 @@
 """Membership, factorizations, and trades in power monoids of one ratio.
 
-The monoid of a positive rational r is generated by r, r^2, r^3, ...
-Clearing denominators turns every question about sums of powers into a
-question about a numerical semigroup: a sum using exponents up to T
-equals x exactly when x * b^T is represented by the integer weights
-a^t * b^(T-t), where r = a/b in lowest terms.
-
-For r > 1 the exponents usable for a given x are intrinsically bounded
-(r^t <= x), so membership is decidable outright whenever that bound
-stays within the caller's cap. For r < 1 arbitrarily large exponents
-can contribute and the cap is a genuine search horizon: failure to find
-a representation is reported as unknown, never as a refusal.
+The monoid of r = a/b (lowest terms) is generated by r, r^2, r^3, ...
+For r < 1 the trade b * r^(t+1) -> a * r^t shortens a factorization,
+so each member has one shortest factorization, with fewer than b copies
+of every power past r^1. Its multiplicities are forced digits, peeled
+off from the top exponent down; this decides membership exactly, and
+every other factorization adds trade counts from a box. For r > 1 the
+powers r^t <= x, t <= top, are r^(top + 1) times powers of 1/r with
+exponents read backwards, so the same routine serves.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from .errors import (
     ParseError,
 )
 from .monoid import Factorization
-from .semigroup import NumericalSemigroup
 
 DEFAULT_EXPONENT_CAP = 8
 
@@ -87,11 +83,11 @@ class CyclicFactorization:
 
 @dataclass(frozen=True)
 class CyclicMembership:
-    """Outcome of a membership test: member, non-member, or unknown.
+    """Outcome of a membership test: member or non-member, always exact.
 
-    Member outcomes carry a witness; definitive refusals carry a one
-    line certificate naming the obstruction. Unknown means the search
-    horizon was exhausted without a verdict.
+    A member carries its shortest factorization as the witness; a
+    non-member carries a one line certificate naming the obstruction.
+    The cap is recorded as given; it does not bound the decision.
     """
 
     status: str
@@ -108,23 +104,6 @@ class CyclicMembership:
         }
 
 
-def _weights(a: int, b: int, horizon: int) -> dict[int, int]:
-    return {t: a**t * b ** (horizon - t) for t in range(1, horizon + 1)}
-
-
-def _solve_one(a: int, b: int, horizon: int, target: int) -> CyclicFactorization | None:
-    weights = _weights(a, b, horizon)
-    by_weight = {w: t for t, w in weights.items()}
-    ns = NumericalSemigroup(tuple(weights.values()))
-    rep = ns.any_representation(target)
-    if rep is None:
-        return None
-    terms = tuple(
-        (by_weight[g], c) for g, c in zip(ns.generators, rep) if c > 0
-    )
-    return CyclicFactorization(Fraction(a, b), terms)
-
-
 def _intrinsic_horizon(r: Fraction, x: Fraction) -> int:
     """Largest t >= 1 with r^t <= x, for r > 1 and x >= r."""
     t = 1
@@ -135,8 +114,33 @@ def _intrinsic_horizon(r: Fraction, x: Fraction) -> int:
     return t
 
 
+def _shortest(a: int, b: int, y: Fraction) -> tuple[list[int], int | None]:
+    """The shortest factorization of y > 0 over the powers of a/b < 1.
+
+    y's denominator must divide a power of b. With T least such that
+    s = y * b^T is an integer, for t = T down to 2 the multiplicity of
+    (a/b)^t is c_t = s * a^(-t) mod b and s becomes (s - c_t * a^t) / b;
+    last, c_1 = s / a. Returns [c_1, ..., c_T] and None for a member;
+    otherwise also the t where c_t overshoots y or is not whole (t = 1).
+    """
+    top = 1
+    while b**top % y.denominator:
+        top += 1
+    s = y.numerator * b**top // y.denominator
+    digits = [0] * top
+    for t in range(top, 1, -1):
+        digits[t - 1] = c = s * pow(a, -t, b) % b
+        s -= c * a**t
+        if s < 0:
+            return digits, t
+        s //= b
+    digits[0], rest = divmod(s, a)
+    return digits, 1 if rest else None
+
+
 def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -> CyclicMembership:
-    """Decide, up to the exponent cap, whether x is a sum of powers of r."""
+    """Decide exactly whether x is a sum of powers of r; a member's
+    witness is its shortest factorization. The cap is only recorded."""
     r = Fraction(r)
     x = Fraction(x)
     if r <= 0:
@@ -175,62 +179,45 @@ def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -
             "member", cap, witness=CyclicFactorization(r, ((1, x.numerator),))
         )
 
+    # Routine exponent u is r's exponent |flip - u|; the screens keep u <= top.
+    flip = 0
     if r > 1:
         if x < r:
             return CyclicMembership(
                 "non-member", cap, certificate=f"{x} is below the smallest generator {r}"
             )
-        reach = _intrinsic_horizon(r, x)
-        if (x * b**reach).denominator != 1:
+        top = _intrinsic_horizon(r, x)
+        if (x * b**top).denominator != 1:
             return CyclicMembership(
                 "non-member",
                 cap,
                 certificate="the denominator needs higher exponents than any generator fitting under the target",
             )
-        horizon = min(reach, cap)
-        scaled = x * b**horizon
-        if scaled.denominator != 1:
-            return CyclicMembership(
-                "unknown",
-                cap,
-                certificate=f"the denominator needs exponents beyond the cap {cap}",
-            )
-        witness = _solve_one(a, b, horizon, scaled.numerator)
-        if witness is not None:
-            return CyclicMembership("member", cap, witness=witness)
-        if reach <= cap:
-            return CyclicMembership(
-                "non-member",
-                cap,
-                certificate=f"exhaustive search over exponents 1..{reach} found no representation",
-            )
+        flip, a, b, x = top + 1, b, a, x / r ** (top + 1)
+    digits, stuck = _shortest(a, b, x)
+    if stuck is not None:
+        # Past the screens s stays a multiple of a: only an overshoot fails.
         return CyclicMembership(
-            "unknown", cap, certificate=f"no representation with exponents up to {cap}"
+            "non-member",
+            cap,
+            certificate=f"no representation: the shortest factorization would need "
+            f"{digits[stuck - 1]}*r^{abs(flip - stuck)}, more than is left of the target",
         )
-
-    scaled = x * b**cap
-    if scaled.denominator != 1:
-        return CyclicMembership(
-            "unknown", cap, certificate=f"the denominator needs exponents beyond the cap {cap}"
-        )
-    witness = _solve_one(a, b, cap, scaled.numerator)
-    if witness is not None:
-        return CyclicMembership("member", cap, witness=witness)
-    return CyclicMembership(
-        "unknown", cap, certificate=f"no representation with exponents up to {cap}"
-    )
+    terms = tuple((abs(flip - t), c) for t, c in enumerate(digits, start=1) if c)
+    return CyclicMembership("member", cap, witness=CyclicFactorization(r, terms))
 
 
 def cyclic_factorizations(
     r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP
 ) -> list[CyclicFactorization]:
-    """All factorizations of x into atom powers with exponents up to cap.
+    """All factorizations of x into powers r^1 .. r^cap, in ascending
+    lexicographic order of their multiplicity vectors.
 
-    For r > 1 the list is complete whenever the intrinsic exponent bound
-    fits under the cap; for r < 1 it is the complete list of
-    factorizations supported on exponents 1..cap. Raises NotAtomic for
-    ratios with numerator 1 and denominator at least 2, whose power
-    monoids have no atoms at all.
+    For r > 1 the list is complete once every r^t <= x has t <= cap.
+    Over a/b < 1 (r or 1/r), each factorization is the shortest one
+    plus k_t trades a * (a/b)^t -> b * (a/b)^(t+1), t < cap, and every
+    0 <= k_t <= (c_t + b * k_(t-1)) / a is one. Raises NotAtomic for
+    ratios 1/b with b >= 2, whose power monoids have no atoms at all.
     """
     r = Fraction(r)
     x = Fraction(x)
@@ -253,23 +240,28 @@ def cyclic_factorizations(
             return []
         return [CyclicFactorization(r, ((1, quotient.numerator),))]
 
-    horizon = cap if r < 1 else min(cap, _intrinsic_horizon(r, x) if x >= r else 0)
-    if horizon < 1:
+    top = cap if r < 1 else min(cap, _intrinsic_horizon(r, x) if x >= r else 0)
+    if top < 1:
         return []
-    scaled = x * b**horizon
-    if scaled.denominator != 1:
+    a, b, y = (a, b, x) if r < 1 else (b, a, x / r ** (top + 1))
+    if (y * b**top).denominator != 1:
         return []
-    weights = _weights(a, b, horizon)
-    ns = NumericalSemigroup(tuple(weights.values()))
-    # ns orders its generators by weight, which falls with the exponent
-    # when r < 1 and rises with it when r > 1; read coefficients by exponent.
-    slot = {g: i for i, g in enumerate(ns.generators)}
-    order = [slot[weights[t]] for t in range(1, horizon + 1)]
-    vectors = sorted(
-        tuple(rep[i] for i in order) for rep in ns.representations(scaled.numerator)
-    )
+    c, stuck = _shortest(a, b, y)
+    if stuck is not None:
+        return []
+    c += [0] * (top - len(c))
+    # Rows are (multiplicities at exponents 1..t, trades k_t into t + 1).
+    rows: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for ct in c[:-1]:
+        grown = []
+        for prefix, k in rows:
+            have = ct + b * k
+            grown.extend((prefix + (have - a * j,), j) for j in range(have // a + 1))
+        rows = grown
+    vectors = [prefix + (c[-1] + b * k,) for prefix, k in rows]
+    vectors = sorted(v[::-1] if r > 1 else v for v in vectors)
     return [
-        CyclicFactorization(r, tuple((t, c) for t, c in enumerate(v, start=1) if c))
+        CyclicFactorization(r, tuple((t, m) for t, m in enumerate(v, start=1) if m))
         for v in vectors
     ]
 

@@ -34,6 +34,15 @@ from .errors import BadIndex, BadProgression, NonPositive, NotPrime, ParseError
 from .monoid import FgMonoid
 
 
+def _exact(value, kind: type = int):
+    """value as an int, or as a Fraction when kind is Fraction. Floats and
+    bools are refused, never rounded or read as 0 and 1."""
+    if isinstance(value, (bool, float)) or (kind is int and not isinstance(value, int)):
+        what = "an integer" if kind is int else "an exact rational"
+        raise ParseError(f"expected {what}, got {value!r}")
+    return kind(value)
+
+
 # ---------------------------------------------------------------------------
 # closed-form integer sequences (1-indexed)
 
@@ -51,7 +60,7 @@ class GeometricSeq:
     ratio: int
 
     def __post_init__(self) -> None:
-        if self.scale < 1 or self.ratio < 1:
+        if _exact(self.scale) < 1 or _exact(self.ratio) < 1:
             raise NonPositive("geometric sequences need scale >= 1 and ratio >= 1")
 
     def value_at(self, n: int) -> int:
@@ -100,7 +109,7 @@ class AffineSeq:
     b: int
 
     def __post_init__(self) -> None:
-        if self.a < 0 or self.b < 0 or self.a + self.b < 1:
+        if _exact(self.a) < 0 or _exact(self.b) < 0 or self.a + self.b < 1:
             raise NonPositive("affine sequences need a, b >= 0 with a + b >= 1")
 
     def value_at(self, n: int) -> int:
@@ -153,7 +162,7 @@ class ExplicitSeq:
     then: "IntSeq | None" = None
 
     def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(_exact(v) for v in self.values)
         if not vals:
             raise NonPositive("an explicit sequence needs at least one value")
         if min(vals) < 1:
@@ -278,9 +287,7 @@ def json_int(value) -> int:
     minus sign. Booleans and floats are refused, never truncated."""
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ParseError(f"expected an integer, got {value!r}")
+    return _exact(value)
 
 
 def json_rational(value) -> Fraction:
@@ -389,9 +396,9 @@ class CongruencePrimes:
     modulus: int
 
     def __post_init__(self) -> None:
-        if self.modulus < 2:
+        if _exact(self.modulus) < 2:
             raise NonPositive(f"modulus must be >= 2, got {self.modulus}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+        object.__setattr__(self, "residue", _exact(self.residue) % self.modulus)
         if math.gcd(self.residue, self.modulus) != 1:
             raise BadProgression(
                 f"gcd({self.residue}, {self.modulus}) > 1, the class holds at most one prime"
@@ -419,7 +426,7 @@ class PartitionClassPrimes:
     index: int
 
     def __post_init__(self) -> None:
-        if self.index < 1:
+        if _exact(self.index) < 1:
             raise BadIndex(f"partition classes start at 1, got {self.index}")
 
     def prime_at(self, n: int) -> int:
@@ -510,7 +517,7 @@ class ExplicitTargets:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(_exact(v, Fraction) for v in self.values)
         if any(v <= 0 for v in vals):
             raise NonPositive("targets must be positive rationals")
         object.__setattr__(self, "values", vals)
@@ -554,7 +561,7 @@ class PowerDenominator:
     q: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.q):
+        if not is_prime(_exact(self.q)):
             raise NotPrime(f"{self.q} is not prime")
 
     def generator(self, n: int) -> Fraction:
@@ -607,7 +614,7 @@ class ElementaryKPrimary:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
+        if _exact(self.k) < 1:
             raise NonPositive(f"k must be >= 1, got {self.k}")
 
     def generator(self, n: int) -> Fraction:
@@ -628,7 +635,7 @@ class PartitionedKPrimary:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
+        if _exact(self.k) < 1:
             raise NonPositive(f"k must be >= 1, got {self.k}")
 
     def generator(self, n: int) -> Fraction:
@@ -648,7 +655,7 @@ class SumKPrimary:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
+        if _exact(self.k) < 1:
             raise NonPositive(f"k must be >= 1, got {self.k}")
 
     def generator(self, n: int) -> Fraction:
@@ -675,7 +682,7 @@ class PAdic:
     exponents: IntSeq
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
+        if not is_prime(_exact(self.p)):
             raise NotPrime(f"{self.p} is not prime")
         for name, seq in (("numerator", self.numerators), ("exponent", self.exponents)):
             if isinstance(seq, ExplicitSeq) and seq.then is None:
@@ -708,7 +715,7 @@ class PlusMinusPowers:
     p: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p) or self.p == 2:
+        if not is_prime(_exact(self.p)) or self.p == 2:
             raise NotPrime(f"{self.p} is not an odd prime")
 
     def generator(self, n: int) -> Fraction:
@@ -727,7 +734,7 @@ class Cyclic:
     r: Fraction
 
     def __post_init__(self) -> None:
-        r = Fraction(self.r)
+        r = _exact(self.r, Fraction)
         if r <= 0:
             raise NonPositive(f"the ratio must be positive, got {r}")
         object.__setattr__(self, "r", r)
@@ -750,7 +757,7 @@ class GeneralizedCyclic:
     ratios: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        rs = tuple(Fraction(r) for r in self.ratios)
+        rs = tuple(_exact(r, Fraction) for r in self.ratios)
         if not rs:
             raise NonPositive("at least one ratio is required")
         if any(r <= 0 for r in rs):
@@ -792,7 +799,7 @@ class ExplicitList:
     generators: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        gens = tuple(Fraction(g) for g in self.generators)
+        gens = tuple(_exact(g, Fraction) for g in self.generators)
         if not gens:
             raise NonPositive("an explicit family needs at least one generator")
         if any(g <= 0 for g in gens):

@@ -321,6 +321,31 @@ def test_usage_errors_exit_two():
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    ("token", "message"),
+    [
+        ("[1]", "spec must be a JSON object"),
+        ('"calkin-wilf"', "spec must be a JSON object"),
+        ("3", "spec must be a JSON object"),
+        ("no-such-spec.json", "spec file not found: no-such-spec.json"),
+    ],
+)
+def test_spec_tokens_that_are_not_objects(token, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = invoke("family", "gen", "--spec", token, "--n", "1")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_spec_token_naming_a_file_is_read_as_the_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "3").write_text('{"family": "half-prime"}')
+    result = invoke("family", "gen", "--spec", "3", "--n", "1")
+    assert result.exit_code == 0
+    assert result.stdout == "1/2\n"
+
+
 def test_json_outputs_are_single_documents():
     for argv in (
         ("ns", "frobenius", "--gens", "4,9", "--json"),

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from puiseux.cyclic import (
     CyclicFactorization,
@@ -69,6 +71,11 @@ def test_pinned_factorization_sets():
         ((2, 1), (3, 3)),
     }
     assert sorted(z.length for z in found) == [2, 3, 4]
+
+    # Peeling ends on a remainder that is not a whole number of r^1.
+    assert cyclic_factorizations(F(2, 3), F(1, 3), 4) == []
+    # 9/4 = r^2 needs an exponent past the cap.
+    assert cyclic_factorizations(F(3, 2), F(9, 4), 1) == []
 
 
 def test_factorizations_against_oracle_randomized():
@@ -153,20 +160,57 @@ def test_membership_exhaustive_refusal_above_one():
     assert "divisible" in got.certificate
 
 
-def test_membership_unknown_at_cap():
-    # The denominator exponent exceeds the cap: honest unknown.
+def test_membership_decides_past_cap():
+    # The denominator needs exponent 12, past the cap: still a member,
+    # found by peeling digits rather than by a capped search.
     got = cyclic_contains(F(2, 3), F(2, 3) ** 12, 8)
-    assert got.status == "unknown"
+    assert got.status == "member"
+    assert got.witness.terms == ((12, 1),)
 
-    # Deep search space under the cap without a hit: also unknown.
+    # 2/9 forces two copies of r^2 = 4/9, more than 2/9: refuted exactly.
     got = cyclic_contains(F(2, 3), F(2, 9), 8)
-    assert got.status == "unknown"
+    assert got.status == "non-member"
+    assert "no representation" in got.certificate and "2*r^2" in got.certificate
 
 
-def test_membership_unknown_resolves_with_higher_cap():
+def test_membership_verdict_ignores_cap():
     x = F(2, 3) ** 12
-    assert cyclic_contains(F(2, 3), x, 8).status == "unknown"
-    assert cyclic_contains(F(2, 3), x, 12).status == "member"
+    for cap in (8, 12):
+        got = cyclic_contains(F(2, 3), x, cap)
+        assert got.status == "member" and got.witness.terms == ((12, 1),)
+        assert got.cap == cap
+        assert cyclic_contains(F(2, 3), F(2, 9), cap).status == "non-member"
+
+
+@given(
+    a=st.integers(2, 5),
+    b=st.integers(2, 5),
+    cap=st.integers(1, 4),
+    mults=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    shift=st.integers(-3, 3),
+    depth=st.integers(0, 5),
+)
+def test_cyclic_against_brute_force(a, b, cap, mults, shift, depth):
+    # x is a sum of powers of r shifted by a multiple of a/b^depth (of
+    # a/7 at depth 5). The shift keeps the numerator screen quiet, so
+    # non-members reach the digit routine as well as the other screens.
+    assume(math.gcd(a, b) == 1)
+    r = F(a, b)
+    x = sum((m * r**e for e, m in enumerate(mults[:cap], start=1)), F(0))
+    x += F(shift * a, b**depth if depth < 5 else 7)
+    want = brute_cyclic_factorizations(r, x, cap)
+
+    found = cyclic_factorizations(r, x, cap)
+    assert {z.terms for z in found} == want
+    vectors = [tuple(z.multiplicity(e) for e in range(1, cap + 1)) for z in found]
+    assert vectors == sorted(vectors)
+
+    got = cyclic_contains(r, x, cap)
+    assert got.status in ("member", "non-member")
+    if got.status == "member":
+        assert got.witness.value() == x
+    else:
+        assert not want and got.certificate
 
 
 def test_trade_moves():

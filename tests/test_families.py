@@ -458,6 +458,31 @@ def test_malformed_specs_are_parse_errors(parse, obj):
     assert result.stderr.startswith("error: ")
 
 
+INEXACT_CONSTRUCTIONS = {
+    "explicit-seq-float": lambda: ExplicitSeq((1.5, 2)),
+    "explicit-seq-bool": lambda: ExplicitSeq((True, 2)),
+    "explicit-targets-float": lambda: ExplicitTargets((0.1,)),
+    "power-denominator-bool": lambda: PowerDenominator(True),
+    "power-denominator-float": lambda: PowerDenominator(3.0),
+    "geometric-float": lambda: GeometricSeq(2, 3.0),
+    "affine-bool": lambda: AffineSeq(True, 0),
+    "congruence-float": lambda: CongruencePrimes(1.0, 4),
+    "partition-class-bool": lambda: PartitionClassPrimes(True),
+    "k-primary-float": lambda: SumKPrimary(2.0),
+    "p-adic-bool": lambda: PAdic(True, GeometricSeq(1, 3), AffineSeq(2, 0)),
+    "plus-minus-float": lambda: PlusMinusPowers(3.0),
+    "cyclic-float": lambda: Cyclic(0.5),
+    "generalized-cyclic-bool": lambda: GeneralizedCyclic((F(2, 3), True)),
+    "explicit-list-float": lambda: ExplicitList((0.25,)),
+}
+
+
+@pytest.mark.parametrize("make", INEXACT_CONSTRUCTIONS.values(), ids=INEXACT_CONSTRUCTIONS)
+def test_constructors_refuse_floats_and_bools(make):
+    with pytest.raises(ParseError, match="^expected an (integer|exact rational), got "):
+        make()
+
+
 def test_integer_fields_accept_integer_strings_and_targets_accept_integers():
     assert family_from_mapping({"family": "power-denominator", "q": "3"}) == PowerDenominator(3)
     got = targets_from_mapping({"kind": "explicit", "values": [1, 2, "1/2"]})

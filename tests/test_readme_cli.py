@@ -1,12 +1,16 @@
-"""README's CLI examples, replayed byte for byte.
+"""README's examples, replayed.
 
 Every `$ puiseux ...` line in the README's CLI block must print exactly
 the lines that follow it there. The same command with `--json` must
-print the document pinned in `fixtures/readme_cli_json.json`.
+print the document pinned in `fixtures/readme_cli_json.json`. Every
+line of the Python quick-start block whose comment is a literal must
+evaluate to that literal.
 """
 
+import ast
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,33 @@ def test_json_output_matches_pinned(cmd):
     result = run(cmd + " --json")
     assert result.exit_code == 0, result.output
     assert result.stdout == PINNED_JSON[cmd]
+
+
+def readme_python_block() -> list[str]:
+    return README.read_text().split("```python\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def comment_literal(comment: str):
+    """The value a comment like `23`, `"yes"` or `13/8` shows; None for prose."""
+    try:
+        return ast.literal_eval(comment)
+    except (ValueError, SyntaxError):
+        pass
+    try:
+        return Fraction(comment)
+    except ValueError:
+        return None
+
+
+def test_python_quick_start_matches_its_comments():
+    namespace: dict = {}
+    checked = []
+    for line in readme_python_block():
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        expected = comment_literal(comment) if comment else None
+        if expected is None:
+            exec(code, namespace)
+        else:
+            assert eval(code, namespace) == expected, line
+            checked.append(comment)
+    assert checked == ["23", "True", '"yes"', "13/8", '["confirmed"]']
