@@ -32,6 +32,18 @@ INFINITY = math.inf
 _RATIONAL_RE = re.compile(r"^\s*(\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 
+def _exact(value, kind: type = int):
+    """value as an int, or as a Fraction when kind is Fraction. Floats and
+    bools are refused with ParseError, never rounded or read as 0 and 1;
+    so is anything but an int where an int is due."""
+    if type(value) is kind:
+        return value
+    if isinstance(value, (bool, float)) or (kind is int and not isinstance(value, int)):
+        what = "an integer" if kind is int else "an exact rational"
+        raise ParseError(f"expected {what}, got {value!r}")
+    return kind(value)
+
+
 def make_rational(n: int, d: int) -> Fraction:
     """Build the reduced positive fraction n/d.
 

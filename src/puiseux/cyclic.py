@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import format_rational, prime_factors
+from .arith import _exact, format_rational, prime_factors
 from .errors import (
     BadIndex,
     InsufficientMultiplicity,
@@ -33,7 +33,13 @@ DEFAULT_EXPONENT_CAP = 8
 
 @dataclass(frozen=True)
 class CyclicFactorization:
-    """A formal sum of powers of one ratio, keyed by exponent."""
+    """A formal sum of powers of one ratio, keyed by exponent.
+
+    The constructor checks the ratio (an exact positive rational) and
+    every term (int exponents >= 1, int multiplicities >= 1; floats and
+    bools refused), then merges and sorts. cyclic_factorizations checks
+    the ratio once per call instead and builds its results with _sorted.
+    """
 
     ratio: Fraction
     terms: tuple[tuple[int, int], ...]
@@ -41,15 +47,20 @@ class CyclicFactorization:
     def __post_init__(self) -> None:
         ratio = self.ratio
         if type(ratio) is not Fraction:
-            ratio = Fraction(ratio)
+            ratio = _exact(ratio, Fraction)
         if ratio.numerator <= 0:
             raise NonPositive(f"the ratio must be positive, got {ratio}")
-        terms = tuple(self.terms)
-        for exponent, mult in terms:
+        terms = []
+        for exponent, mult in self.terms:
+            if type(exponent) is not int:
+                exponent = _exact(exponent)
+            if type(mult) is not int:
+                mult = _exact(mult)
             if exponent < 1:
                 raise BadIndex(f"exponents start at 1, got {exponent}")
             if mult < 1:
                 raise NonPositive(f"multiplicities must be >= 1, got {mult}")
+            terms.append((exponent, mult))
         if any(e >= f for (e, _), (f, _) in zip(terms, terms[1:])):
             merged: dict[int, int] = {}
             for exponent, mult in terms:
@@ -57,6 +68,17 @@ class CyclicFactorization:
             terms = sorted(merged.items())
         object.__setattr__(self, "ratio", ratio)
         object.__setattr__(self, "terms", tuple(terms))
+
+    @classmethod
+    def _sorted(cls, ratio: Fraction, terms: tuple[tuple[int, int], ...]) -> "CyclicFactorization":
+        """Store ratio and terms as given, unchecked. The caller
+        guarantees what the constructor would establish: a positive
+        Fraction ratio, and int exponents >= 1, strictly increasing,
+        each with an int multiplicity >= 1."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "ratio", ratio)
+        object.__setattr__(z, "terms", terms)
+        return z
 
     @property
     def length(self) -> int:
@@ -141,11 +163,11 @@ def _shortest(a: int, b: int, y: Fraction) -> tuple[list[int], int | None]:
 def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -> CyclicMembership:
     """Decide exactly whether x is a sum of powers of r; a member's
     witness is its shortest factorization. The cap is only recorded."""
-    r = Fraction(r)
-    x = Fraction(x)
+    r = _exact(r, Fraction)
+    x = _exact(x, Fraction)
     if r <= 0:
         raise NonPositive(f"the ratio must be positive, got {r}")
-    if cap < 1:
+    if _exact(cap) < 1:
         raise NonPositive(f"the exponent cap must be >= 1, got {cap}")
     if x < 0:
         return CyclicMembership("non-member", cap, certificate="negative rationals never belong")
@@ -219,11 +241,11 @@ def cyclic_factorizations(
     0 <= k_t <= (c_t + b * k_(t-1)) / a is one. Raises NotAtomic for
     ratios 1/b with b >= 2, whose power monoids have no atoms at all.
     """
-    r = Fraction(r)
-    x = Fraction(x)
+    r = _exact(r, Fraction)
+    x = _exact(x, Fraction)
     if r <= 0:
         raise NonPositive(f"the ratio must be positive, got {r}")
-    if cap < 1:
+    if _exact(cap) < 1:
         raise NonPositive(f"the exponent cap must be >= 1, got {cap}")
     a, b = r.numerator, r.denominator
     if a == 1 and b >= 2:
@@ -259,9 +281,12 @@ def cyclic_factorizations(
             grown.extend((prefix + (have - a * j,), j) for j in range(have // a + 1))
         rows = grown
     vectors = [prefix + (c[-1] + b * k,) for prefix, k in rows]
-    vectors = sorted(v[::-1] if r > 1 else v for v in vectors)
+    # The walk lists vectors in descending order; for r > 1 they are
+    # read backwards, which needs a sort.
+    vectors = sorted(v[::-1] for v in vectors) if r > 1 else vectors[::-1]
+    # r is a positive Fraction, exponents increase from 1, every kept m >= 1.
     return [
-        CyclicFactorization(r, tuple((t, m) for t, m in enumerate(v, start=1) if m))
+        CyclicFactorization._sorted(r, tuple((t, m) for t, m in enumerate(v, start=1) if m))
         for v in vectors
     ]
 
@@ -275,10 +300,10 @@ def cyclic_trade(
     "down" is the inverse. The value is unchanged and the length moves
     by b - a (up) or a - b (down).
     """
-    r = Fraction(r)
+    r = _exact(r, Fraction)
     if z.ratio != r:
         raise ParseError(f"the factorization is over ratio {z.ratio}, not {r}")
-    if t < 1:
+    if _exact(t) < 1:
         raise BadIndex(f"exponents start at 1, got {t}")
     a, b = r.numerator, r.denominator
     counts = dict(z.terms)
@@ -334,7 +359,7 @@ def generalized_cyclic_embed(
     ratios: tuple[Fraction, ...], i: int, m: int
 ) -> EmbeddingWitness:
     """Embed the i-th ratio's m-th power through a shared numerator prime."""
-    rs = tuple(Fraction(r) for r in ratios)
+    rs = tuple(_exact(r, Fraction) for r in ratios)
     if not rs or any(r <= 0 for r in rs):
         raise NonPositive("ratios must be a nonempty list of positive rationals")
     if not 1 <= i <= len(rs):

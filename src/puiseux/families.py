@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from .arith import (
+    _exact,
     format_rational,
     is_prime,
     nth_odd_prime,
@@ -32,15 +33,6 @@ from .arith import (
 )
 from .errors import BadIndex, BadProgression, NonPositive, NotPrime, ParseError
 from .monoid import FgMonoid
-
-
-def _exact(value, kind: type = int):
-    """value as an int, or as a Fraction when kind is Fraction. Floats and
-    bools are refused, never rounded or read as 0 and 1."""
-    if isinstance(value, (bool, float)) or (kind is int and not isinstance(value, int)):
-        what = "an integer" if kind is int else "an exact rational"
-        raise ParseError(f"expected {what}, got {value!r}")
-    return kind(value)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import format_rational
+from .arith import _exact, format_rational
 from .errors import NonPositive
 from .semigroup import NumericalSemigroup
 
@@ -37,7 +37,10 @@ class Factorization:
     """A finite multiset of atoms with positive multiplicities.
 
     Terms are kept sorted by atom; duplicate atoms passed to the
-    constructor are merged.
+    constructor are merged. The constructor checks every term: atoms
+    must be exact positive rationals and multiplicities positive ints,
+    floats and bools refused. FgMonoid.factorizations checks its atoms
+    once per call instead and builds its results with _sorted.
     """
 
     terms: tuple[tuple[Fraction, int], ...]
@@ -46,8 +49,9 @@ class Factorization:
         terms = []
         for atom, mult in self.terms:
             if type(atom) is not Fraction:
-                atom = Fraction(atom)
-            mult = int(mult)
+                atom = _exact(atom, Fraction)
+            if type(mult) is not int:
+                mult = _exact(mult)
             # A Fraction's denominator is positive, so its sign is the numerator's.
             if atom.numerator <= 0:
                 raise NonPositive(f"atoms must be positive, got {atom}")
@@ -63,6 +67,15 @@ class Factorization:
                 merged[atom] = merged.get(atom, 0) + mult
             terms = sorted(merged.items(), key=lambda term: _order_key(term[0]))
         object.__setattr__(self, "terms", tuple(terms))
+
+    @classmethod
+    def _sorted(cls, terms: tuple[tuple[Fraction, int], ...]) -> "Factorization":
+        """Store terms as given, unchecked. The caller guarantees what
+        the constructor would establish: Fraction atoms, strictly
+        increasing and positive, each with an int multiplicity >= 1."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "terms", terms)
+        return f
 
     @property
     def length(self) -> int:
@@ -92,10 +105,11 @@ class FgMonoid:
     """The additive closure of finitely many positive rationals.
 
     Generators are normalized to a strictly increasing tuple of reduced
-    fractions. An empty tuple gives the trivial monoid. The atoms and
-    the reduction to a numerical semigroup are computed once per
-    instance and cached outside the dataclass fields, so equality,
-    hashing and repr see the generators only.
+    fractions; floats and bools are refused. An empty tuple gives the
+    trivial monoid. The atoms and the reduction to a numerical
+    semigroup are computed once per instance and cached outside the
+    dataclass fields, so equality, hashing and repr see the generators
+    only.
     """
 
     generators: tuple[Fraction, ...]
@@ -104,7 +118,7 @@ class FgMonoid:
         unique: dict[tuple[int, int], Fraction] = {}
         for g in self.generators:
             if type(g) is not Fraction:
-                g = Fraction(g)
+                g = _exact(g, Fraction)
             unique[g.numerator, g.denominator] = g
         gens = tuple(sorted(unique.values(), key=_order_key))
         if gens and gens[0].numerator <= 0:
@@ -213,9 +227,11 @@ class FgMonoid:
         canonical order varies the largest generator slowest; both
         orders are deterministic, they just serve different readers.
         """
+        # The atoms are increasing positive Fractions (normalized with
+        # the generators) and every kept c is an int >= 1.
         ats, reps = self._representations(x)
         return [
-            Factorization(tuple((a, c) for a, c in zip(ats, rep) if c))
+            Factorization._sorted(tuple((a, c) for a, c in zip(ats, rep) if c))
             for rep in sorted(reps)
         ]
 

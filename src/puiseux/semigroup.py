@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .arith import _exact
 from .errors import NonPositive, NotCofinite
 
 
@@ -58,14 +59,14 @@ class NumericalSemigroup:
     """The additive closure of a nonempty finite set of positive integers.
 
     Generators are normalized to a strictly increasing tuple on
-    construction; duplicates are dropped. The zero element is always a
-    member.
+    construction; duplicates are dropped, and floats and bools are
+    refused. The zero element is always a member.
     """
 
     generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        gens = tuple(sorted(set(int(g) for g in self.generators)))
+        gens = tuple(sorted({g if type(g) is int else _exact(g) for g in self.generators}))
         if not gens:
             raise NonPositive("a numerical semigroup needs at least one generator")
         if gens[0] < 1:

@@ -20,6 +20,7 @@ from puiseux.errors import (
     NotAtomic,
     ParseError,
 )
+from puiseux.monoid import Factorization, FgMonoid
 
 from oracles import brute_cyclic_factorizations
 
@@ -201,9 +202,13 @@ def test_cyclic_against_brute_force(a, b, cap, mults, shift, depth):
     want = brute_cyclic_factorizations(r, x, cap)
 
     found = cyclic_factorizations(r, x, cap)
-    assert {z.terms for z in found} == want
+    assert {z.terms for z in found} == want and len(found) == len(want)
     vectors = [tuple(z.multiplicity(e) for e in range(1, cap + 1)) for z in found]
     assert vectors == sorted(vectors)
+    # Listed results are built unchecked; the public constructor agrees.
+    for z in found:
+        again = CyclicFactorization(r, z.terms)
+        assert z == again and hash(z) == hash(again) and repr(z) == repr(again)
 
     got = cyclic_contains(r, x, cap)
     assert got.status in ("member", "non-member")
@@ -211,6 +216,28 @@ def test_cyclic_against_brute_force(a, b, cap, mults, shift, depth):
         assert got.witness.value() == x
     else:
         assert not want and got.certificate
+
+
+def test_listings_skip_the_checking_constructors(monkeypatch):
+    # A clock-free guard on the listings' speed: they build results
+    # without running the public constructors' per-term checks.
+    calls = []
+    for cls in (Factorization, CyclicFactorization):
+        checked = cls.__post_init__
+
+        def counting(self, checked=checked):
+            calls.append(type(self).__name__)
+            checked(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    assert len(FgMonoid((F(1, 2), F(1, 3))).factorizations(10)) == 11
+    assert len(cyclic_factorizations(F(2, 3), F(16, 9), 8)) == 433
+    assert len(cyclic_factorizations(F(3, 2), F(60), 8)) == 300
+    assert calls == []
+    # The counter does see the public constructors.
+    CyclicFactorization(F(2, 3), ((1, 1),))
+    Factorization(((F(1, 2), 1),))
+    assert calls == ["CyclicFactorization", "Factorization"]
 
 
 def test_trade_moves():

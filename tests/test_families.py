@@ -10,6 +10,13 @@ from click.testing import CliRunner
 from puiseux import families
 from puiseux.arith import is_prime, nth_prime
 from puiseux.cli import main
+from puiseux.cyclic import (
+    CyclicFactorization,
+    cyclic_contains,
+    cyclic_factorizations,
+    cyclic_trade,
+    generalized_cyclic_embed,
+)
 from puiseux.errors import BadIndex, BadProgression, NonPositive, NotPrime, ParseError
 from puiseux.families import (
     AffineSeq,
@@ -45,6 +52,8 @@ from puiseux.families import (
     targets_from_mapping,
     truncate,
 )
+from puiseux.monoid import Factorization, FgMonoid
+from puiseux.semigroup import NumericalSemigroup
 
 from oracles import sieve_primes, subset_in_colex
 
@@ -458,6 +467,7 @@ def test_malformed_specs_are_parse_errors(parse, obj):
     assert result.stderr.startswith("error: ")
 
 
+# Every public constructor and cyclic entry point shares arith._exact.
 INEXACT_CONSTRUCTIONS = {
     "explicit-seq-float": lambda: ExplicitSeq((1.5, 2)),
     "explicit-seq-bool": lambda: ExplicitSeq((True, 2)),
@@ -474,6 +484,23 @@ INEXACT_CONSTRUCTIONS = {
     "cyclic-float": lambda: Cyclic(0.5),
     "generalized-cyclic-bool": lambda: GeneralizedCyclic((F(2, 3), True)),
     "explicit-list-float": lambda: ExplicitList((0.25,)),
+    "fg-monoid-float": lambda: FgMonoid((0.1, 0.5)),
+    "numerical-semigroup-float": lambda: NumericalSemigroup((4.0, 9)),
+    "numerical-semigroup-bool": lambda: NumericalSemigroup((True, 9)),
+    "factorization-float-atom": lambda: Factorization(((0.5, 1),)),
+    "factorization-float-mult": lambda: Factorization(((F(1, 2), 2.5),)),
+    "cyclic-factorization-float-ratio": lambda: CyclicFactorization(0.5, ((1, 1),)),
+    "cyclic-factorization-float-exponent": lambda: CyclicFactorization(F(2, 3), ((1.5, 1),)),
+    "cyclic-factorization-float-mult": lambda: CyclicFactorization(F(2, 3), ((1, 2.5),)),
+    "cyclic-factorization-bool-exponent": lambda: CyclicFactorization(F(2, 3), ((True, 1),)),
+    "cyclic-contains-float": lambda: cyclic_contains(0.5, 0.25),
+    "cyclic-contains-float-target": lambda: cyclic_contains(F(2, 3), 0.25),
+    "cyclic-contains-float-cap": lambda: cyclic_contains(F(2, 3), F(4, 3), 8.0),
+    "cyclic-factorizations-float": lambda: cyclic_factorizations(F(2, 3), 4 / 3),
+    "cyclic-factorizations-bool-cap": lambda: cyclic_factorizations(F(2, 3), F(4, 3), True),
+    "cyclic-trade-float-ratio": lambda: cyclic_trade(1.5, CyclicFactorization(F(3, 2), ((1, 3),)), 1, "up"),
+    "cyclic-trade-float-exponent": lambda: cyclic_trade(F(3, 2), CyclicFactorization(F(3, 2), ((1, 3),)), 1.5, "up"),
+    "cyclic-embed-float": lambda: generalized_cyclic_embed((0.4, F(4, 7)), 1, 2),
 }
 
 

@@ -218,20 +218,25 @@ def test_factorizations_example():
     assert m.lengths(F(1)) == (2, 3)
 
 
-def test_factorizations_match_brute_force():
-    rng = random.Random(53)
-    for _ in range(40):
-        m = random_monoid(rng, max_gens=3, bound=9)
-        atoms = m.atoms()
-        x = sum(
-            (rng.randint(0, 2) * a for a in atoms),
-            F(rng.randint(0, 1)),
-        )
-        got = {f.terms for f in m.factorizations(x)}
-        want = brute_rational_factorizations(atoms, x)
-        assert got == want, (m.generators, x)
-        want_lengths = sorted({sum(k for _, k in terms) for terms in want})
-        assert m.lengths(x) == tuple(want_lengths), (m.generators, x)
+@given(
+    gens=st.lists(st.builds(F, st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=3),
+    mults=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    offset=st.integers(0, 1),
+)
+def test_factorizations_match_brute_force(gens, mults, offset):
+    m = FgMonoid(tuple(gens))
+    atoms = m.atoms()
+    x = sum((c * a for c, a in zip(mults, atoms)), F(offset))
+    found = m.factorizations(x)
+    want = brute_rational_factorizations(atoms, x)
+    assert {f.terms for f in found} == want and len(found) == len(want)
+    vectors = [tuple(f.multiplicity(a) for a in atoms) for f in found]
+    assert vectors == sorted(vectors)
+    # Listed results are built unchecked; the public constructor agrees.
+    for f in found:
+        again = Factorization(f.terms)
+        assert f == again and hash(f) == hash(again) and repr(f) == repr(again)
+    assert m.lengths(x) == tuple(sorted({sum(k for _, k in terms) for terms in want}))
 
 
 def test_factorizations_order_and_degenerates():

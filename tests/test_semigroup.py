@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from puiseux.errors import NonPositive, NotCofinite
 from puiseux.semigroup import NumericalSemigroup
@@ -30,14 +31,12 @@ def test_contains_small_cases():
     assert not sg.contains(-3)
 
 
-def test_contains_matches_closure_randomized():
-    rng = random.Random(2)
-    for _ in range(40):
-        gens = tuple(sorted({rng.randint(2, 25) for _ in range(rng.randint(1, 4))}))
-        sg = NumericalSemigroup(gens)
-        hit = reachable_integers(gens, 120)
-        for x in range(121):
-            assert sg.contains(x) == (x in hit), (gens, x)
+@given(st.lists(st.integers(2, 25), min_size=1, max_size=4))
+def test_contains_matches_closure_randomized(gens):
+    sg = NumericalSemigroup(tuple(gens))
+    hit = reachable_integers(tuple(gens), 120)
+    for x in range(121):
+        assert sg.contains(x) == (x in hit), x
 
 
 def test_representations_canonical_example():
@@ -93,15 +92,11 @@ def test_frobenius_two_generator_closed_form():
         assert NumericalSemigroup((a, b)).frobenius() == a * b - a - b
 
 
-def test_frobenius_matches_brute_scan():
-    rng = random.Random(23)
-    seen = 0
-    while seen < 40:
-        gens = tuple(sorted({rng.randint(2, 40) for _ in range(rng.randint(2, 4))}))
-        if math.gcd(*gens) != 1:
-            continue
-        seen += 1
-        assert NumericalSemigroup(gens).frobenius() == brute_frobenius(gens), gens
+@given(st.lists(st.integers(2, 40), min_size=2, max_size=4))
+def test_frobenius_matches_brute_scan(gens):
+    gens = tuple(sorted(set(gens)))
+    assume(math.gcd(*gens) == 1)
+    assert NumericalSemigroup(gens).frobenius() == brute_frobenius(gens)
 
 
 def test_frobenius_with_one_is_minus_one():
