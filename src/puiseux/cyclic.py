@@ -238,8 +238,11 @@ def cyclic_factorizations(
     For r > 1 the list is complete once every r^t <= x has t <= cap.
     Over a/b < 1 (r or 1/r), each factorization is the shortest one
     plus k_t trades a * (a/b)^t -> b * (a/b)^(t+1), t < cap, and every
-    0 <= k_t <= (c_t + b * k_(t-1)) / a is one. Raises NotAtomic for
-    ratios 1/b with b >= 2, whose power monoids have no atoms at all.
+    0 <= k_t <= (c_t + b * k_(t-1)) / a is one. One depth-first walk
+    of that box builds each result's terms once; for r < 1 it emits
+    them in order, and for r > 1, whose exponents it reads backwards,
+    one sort of the vectors orders them. Raises NotAtomic for ratios
+    1/b with b >= 2, whose power monoids have no atoms at all.
     """
     r = _exact(r, Fraction)
     x = _exact(x, Fraction)
@@ -272,23 +275,43 @@ def cyclic_factorizations(
     if stuck is not None:
         return []
     c += [0] * (top - len(c))
-    # Rows are (multiplicities at exponents 1..t, trades k_t into t + 1).
-    rows: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for ct in c[:-1]:
-        grown = []
-        for prefix, k in rows:
-            have = ct + b * k
-            grown.extend((prefix + (have - a * j,), j) for j in range(have // a + 1))
-        rows = grown
-    vectors = [prefix + (c[-1] + b * k,) for prefix, k in rows]
-    # The walk lists vectors in descending order; for r > 1 they are
-    # read backwards, which needs a sort.
-    vectors = sorted(v[::-1] for v in vectors) if r > 1 else vectors[::-1]
+    out: list = []
+
+    def walk(t: int, k: int, terms: tuple) -> None:
+        # k trades arrived from exponent t - 1; j trades on to t + 1
+        # leave m = have - a * j copies of exponent t.
+        have = c[t - 1] + b * k
+        if t == top:
+            out.append(terms + ((t, have),) if have else terms)
+            return
+        for j in range(have // a, -1, -1):
+            m = have - a * j
+            walk(t + 1, j, terms + ((t, m),) if m else terms)
+
+    def walk_back(t: int, k: int, vector: tuple, terms: tuple) -> None:
+        # As walk, for r > 1, where routine exponent t is r's exponent
+        # top + 1 - t: multiplicities and terms are prepended.
+        have = c[t - 1] + b * k
+        if t == top:
+            out.append(((have,) + vector, ((1, have),) + terms if have else terms))
+            return
+        for j in range(have // a + 1):
+            m = have - a * j
+            walk_back(t + 1, j, (m,) + vector, ((top + 1 - t, m),) + terms if m else terms)
+
+    if r < 1:
+        # Trades into t + 1 fall, so m rises: vectors come out ascending.
+        walk(1, 0, ())
+        listed = out
+    else:
+        walk_back(1, 0, (), ())
+        out.sort()
+        listed = [terms for _, terms in out]
+    # Each walk refers to itself through its closure; breaking those
+    # cycles lets reference counting free out as soon as it is done.
+    del walk, walk_back
     # r is a positive Fraction, exponents increase from 1, every kept m >= 1.
-    return [
-        CyclicFactorization._sorted(r, tuple((t, m) for t, m in enumerate(v, start=1) if m))
-        for v in vectors
-    ]
+    return [CyclicFactorization._sorted(r, terms) for terms in listed]
 
 
 def cyclic_trade(

@@ -145,7 +145,7 @@ class FgMonoid:
 
     def contains(self, x: Fraction | int) -> bool:
         """Whether x is a finite sum of generators (0 always is)."""
-        x = Fraction(x)
+        x = x if type(x) is Fraction else _exact(x, Fraction)
         if x < 0:
             return False
         if x == 0:
@@ -207,7 +207,7 @@ class FgMonoid:
         Vectors are in NumericalSemigroup.representations order. For
         x = 0 the only vector is the empty one, over no atoms.
         """
-        x = Fraction(x)
+        x = x if type(x) is Fraction else _exact(x, Fraction)
         if x <= 0:
             return (), ([()] if x == 0 else [])
         ats = self.atoms()
@@ -231,7 +231,7 @@ class FgMonoid:
         # the generators) and every kept c is an int >= 1.
         ats, reps = self._representations(x)
         return [
-            Factorization._sorted(tuple((a, c) for a, c in zip(ats, rep) if c))
+            Factorization._sorted(tuple([(a, c) for a, c in zip(ats, rep) if c]))
             for rep in sorted(reps)
         ]
 
@@ -247,7 +247,7 @@ class FgMonoid:
         is tested against one reduction to a numerical semigroup (whose
         contains rejects the negative x - a of atoms above x).
         """
-        x = Fraction(x)
+        x = x if type(x) is Fraction else _exact(x, Fraction)
         ats = self.atoms()
         if not ats:
             return ()
@@ -257,7 +257,7 @@ class FgMonoid:
 
     def scale(self, c: Fraction | int) -> "FgMonoid":
         """The monoid c * self for a positive rational c."""
-        c = Fraction(c)
+        c = c if type(c) is Fraction else _exact(c, Fraction)
         if c <= 0:
             raise NonPositive(f"scale factor must be positive, got {c}")
         return FgMonoid(tuple(g * c for g in self.generators))

@@ -6,10 +6,10 @@ integers is finite and the largest missing value is the Frobenius
 number; when gcd(G) = d > 1 the semigroup lives inside the multiples
 of d and has no Frobenius number.
 
-Membership and representation counting both reduce, one generator at a
-time, to the two generator case, which is solved exactly with modular
-arithmetic instead of search: c0*g0 + c1*g1 = x constrains c0 to a
-single residue class mod g1/gcd, so the solutions can be walked
+Membership and the listing of representations both reduce, one
+generator at a time, to the two generator case, which is solved exactly
+with modular arithmetic instead of search: c0*g0 + c1*g1 = x constrains
+c0 to a single residue class mod g1/gcd, so the solutions can be walked
 directly.
 """
 
@@ -22,26 +22,22 @@ from .arith import _exact
 from .errors import NonPositive, NotCofinite
 
 
-def _two_gen_solutions(g0: int, g1: int, x: int) -> list[tuple[int, int]]:
-    """All (c0, c1) with c0*g0 + c1*g1 == x, listed with c1 increasing."""
+def _two_gen_first(g0: int, g1: int, x: int) -> tuple[int, int] | None:
+    """The (c0, c1) with c0*g0 + c1*g1 == x and c0 largest, or None."""
     if x < 0:
-        return []
+        return None
     d = math.gcd(g0, g1)
     if x % d:
-        return []
+        return None
     g0, g1, x = g0 // d, g1 // d, x // d
     # c0 must lie in one residue class mod g1; pow(v, -1, 1) == 0 keeps
     # the degenerate g1 == 1 case uniform.
     c0_low = (x * pow(g0, -1, g1)) % g1
     cap = x // g0
     if c0_low > cap:
-        return []
+        return None
     c0 = c0_low + (cap - c0_low) // g1 * g1
-    out = []
-    while c0 >= c0_low:
-        out.append((c0, (x - c0 * g0) // g1))
-        c0 -= g1
-    return out
+    return c0, (x - c0 * g0) // g1
 
 
 def _two_gen_member(g0: int, g1: int, x: int) -> bool:
@@ -80,6 +76,7 @@ class NumericalSemigroup:
 
     def contains(self, x: int) -> bool:
         """Whether x is a nonnegative integer combination of the generators."""
+        x = x if type(x) is int else _exact(x)
         if x < 0:
             return False
         return _member(self.generators, _prefix_gcds(self.generators), x, {})
@@ -91,7 +88,17 @@ class NumericalSemigroup:
         increasing order. Tuples are ordered so that the coefficient of
         the largest generator varies slowest, increasing, then the next
         largest, and so on.
+
+        One depth-first walk fixes the coefficients from the largest
+        generator down, each increasing, and passes the fixed suffix
+        down. A coefficient must leave a remainder divisible by the gcd
+        of the smaller generators, which confines it to one residue
+        class. The two smallest generators are solved in closed form
+        (see the module docstring), with their gcd and modular inverse
+        computed once per call, and each finished tuple is appended to
+        one output list.
         """
+        x = x if type(x) is int else _exact(x)
         if x < 0:
             return []
         gens = self.generators
@@ -100,23 +107,47 @@ class NumericalSemigroup:
                 return [(x // gens[0],)]
             return []
         pg = _prefix_gcds(gens)
+        if x % pg[-1]:
+            return []
+        # For k >= 3, rem is a multiple of h = pg[k], and c * gens[k - 1]
+        # must match rem mod pg[k - 1]: c = (rem / h) * inverse mod step.
+        levels = {}
+        for k in range(3, len(gens) + 1):
+            g, h = gens[k - 1], pg[k]
+            step = pg[k - 1] // h
+            levels[k] = g, h, step, pow(g // h, -1, step)
+        d = pg[2]
+        g0, g1 = gens[0] // d, gens[1] // d
+        inv = pow(g0, -1, g1)
+        out: list[tuple[int, ...]] = []
 
-        def rec(k: int, rem: int) -> list[tuple[int, ...]]:
+        def walk(k: int, rem: int, suffix: tuple[int, ...]) -> None:
             if k == 2:
-                return [t for t in _two_gen_solutions(gens[0], gens[1], rem)]
-            g = gens[k - 1]
-            out = []
-            for c in range(rem // g + 1):
-                inner = rem - c * g
-                if inner % pg[k - 1]:
-                    continue
-                out.extend(t + (c,) for t in rec(k - 1, inner))
-            return out
+                rem //= d
+                low = rem * inv % g1
+                cap = rem // g0
+                if low <= cap:
+                    # c0 falls by g1 from its largest value as c1 rises by g0.
+                    high = cap - (cap - low) % g1
+                    c1 = (rem - high * g0) // g1
+                    out.extend([
+                        (c0, c1 + i * g0) + suffix
+                        for i, c0 in enumerate(range(high, low - 1, -g1))
+                    ])
+                return
+            g, h, step, inverse = levels[k]
+            for c in range(rem // h * inverse % step, rem // g + 1, step):
+                walk(k - 1, rem - c * g, (c,) + suffix)
 
-        return rec(len(gens), x)
+        walk(len(gens), x, ())
+        # walk refers to itself through its closure; breaking that cycle
+        # lets reference counting free the list as soon as callers drop it.
+        del walk
+        return out
 
     def any_representation(self, x: int) -> tuple[int, ...] | None:
         """One representation of x, or None; cheaper than enumerating all."""
+        x = x if type(x) is int else _exact(x)
         if x < 0:
             return None
         gens = self.generators
@@ -126,8 +157,7 @@ class NumericalSemigroup:
             if k == 1:
                 return (rem // gens[0],) if rem % gens[0] == 0 else None
             if k == 2:
-                sols = _two_gen_solutions(gens[0], gens[1], rem)
-                return sols[0] if sols else None
+                return _two_gen_first(gens[0], gens[1], rem)
             g = gens[k - 1]
             for c in range(rem // g, -1, -1):
                 inner = rem - c * g

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from puiseux import families
 from puiseux.arith import is_prime, nth_prime
@@ -49,6 +50,7 @@ from puiseux.families import (
     partition_class_of_index,
     rule_statement,
     sequence_from_mapping,
+    stream_from_mapping,
     targets_from_mapping,
     truncate,
 )
@@ -401,6 +403,84 @@ def test_family_mappings_round_trip():
         assert family_from_mapping(spec.as_mapping()) == spec
 
 
+# Drawn specs of every kind in the spec tables, keyed by kind.
+_PRIMES = st.sampled_from((2, 3, 5, 7, 11, 13))
+_RATIONAL = st.builds(F, st.integers(1, 60), st.integers(1, 60))
+_RATIONALS = st.lists(_RATIONAL, min_size=1, max_size=4).map(tuple)
+_VALUES = st.lists(st.integers(1, 99), min_size=1, max_size=4).map(tuple)
+SEQUENCE_KINDS = {
+    "constant": st.builds(GeometricSeq, st.integers(1, 9), st.just(1)),
+    "power": st.builds(GeometricSeq, st.just(1), st.integers(2, 9)),
+    "geometric": st.builds(GeometricSeq, st.integers(2, 9), st.integers(2, 9)),
+    "affine-exponent": st.tuples(st.integers(0, 5), st.integers(0, 5))
+    .filter(lambda ab: sum(ab) >= 1)
+    .map(lambda ab: AffineSeq(*ab)),
+}
+_CLOSED_FORMS = st.one_of(*SEQUENCE_KINDS.values())
+_SEQUENCES = st.recursive(_CLOSED_FORMS, lambda tails: st.builds(ExplicitSeq, _VALUES, st.none() | tails))
+SEQUENCE_KINDS["explicit"] = st.builds(ExplicitSeq, _VALUES, st.none() | _SEQUENCES)
+# PAdic needs infinite sequences (every explicit prefix has a tail),
+# the exponents strictly increasing.
+_INFINITE = st.recursive(_CLOSED_FORMS, lambda tails: st.builds(ExplicitSeq, _VALUES, tails))
+_INCREASING = st.recursive(
+    st.one_of(
+        SEQUENCE_KINDS["power"],
+        SEQUENCE_KINDS["geometric"],
+        st.builds(AffineSeq, st.integers(1, 5), st.integers(0, 5)),
+    ),
+    lambda tails: st.builds(ExplicitSeq, st.sets(st.integers(1, 4), min_size=1).map(sorted).map(tuple), tails),
+).filter(lambda s: s.is_strictly_increasing())
+STREAM_KINDS = {
+    "all": st.just(AllPrimes()),
+    "congruence": st.tuples(st.integers(-40, 40), st.integers(2, 30))
+    .filter(lambda rm: math.gcd(*rm) == 1)
+    .map(lambda rm: CongruencePrimes(*rm)),
+    "partition-class": st.builds(PartitionClassPrimes, st.integers(1, 6)),
+}
+TARGET_KINDS = {
+    "calkin-wilf": st.just(CalkinWilfTargets()),
+    "explicit": st.builds(ExplicitTargets, _RATIONALS),
+}
+FAMILY_KINDS = {
+    "power-denominator": st.builds(PowerDenominator, _PRIMES),
+    "half-prime": st.just(HalfPrime()),
+    "two-adic-odd-prime": st.just(TwoAdicOddPrime()),
+    "elementary-primary": st.builds(ElementaryPrimary, st.one_of(*STREAM_KINDS.values())),
+    "elementary-k-primary": st.builds(ElementaryKPrimary, st.integers(1, 6)),
+    "partitioned-k-primary": st.builds(PartitionedKPrimary, st.integers(1, 6)),
+    "sum-k-primary": st.builds(SumKPrimary, st.integers(1, 6)),
+    "p-adic": st.builds(PAdic, _PRIMES, _INFINITE, _INCREASING),
+    "plus-minus-powers": st.builds(PlusMinusPowers, _PRIMES.filter(lambda p: p != 2)),
+    "cyclic": st.builds(Cyclic, _RATIONAL),
+    "generalized-cyclic": st.builds(GeneralizedCyclic, _RATIONALS),
+    "bf-not-ff": st.just(BfNotFf()),
+    "explicit": st.builds(ExplicitList, _RATIONALS),
+}
+
+
+@pytest.mark.parametrize(
+    ("parse", "tag", "kind", "drawn"),
+    [
+        # A kind missing from the strategies fails collection with a KeyError.
+        pytest.param(parse, tag, kind, strategies[kind], id=f"{what}-{kind}")
+        for parse, tag, what, table, strategies in (
+            (family_from_mapping, "family", "family", families._FAMILIES, FAMILY_KINDS),
+            (sequence_from_mapping, "kind", "sequence", families._SEQUENCES, SEQUENCE_KINDS),
+            (stream_from_mapping, "kind", "stream", families._STREAMS, STREAM_KINDS),
+            (targets_from_mapping, "kind", "targets", families._TARGETS, TARGET_KINDS),
+        )
+        for kind in table
+    ],
+)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_mappings_round_trip_for_drawn_parameters(parse, tag, kind, drawn, data):
+    spec = data.draw(drawn)
+    mapping = spec.as_mapping()
+    assert mapping[tag] == kind
+    assert parse(json.loads(json.dumps(mapping))) == spec
+
+
 def test_family_mappings_print_integers_bare():
     assert Cyclic(2).as_mapping() == {"family": "cyclic", "r": "2"}
     assert GeneralizedCyclic((F(2), F(4, 7))).as_mapping()["ratios"] == ["2", "4/7"]
@@ -467,7 +547,8 @@ def test_malformed_specs_are_parse_errors(parse, obj):
     assert result.stderr.startswith("error: ")
 
 
-# Every public constructor and cyclic entry point shares arith._exact.
+# Every public constructor, cyclic entry point and semigroup or monoid
+# query shares arith._exact.
 INEXACT_CONSTRUCTIONS = {
     "explicit-seq-float": lambda: ExplicitSeq((1.5, 2)),
     "explicit-seq-bool": lambda: ExplicitSeq((True, 2)),
@@ -501,6 +582,18 @@ INEXACT_CONSTRUCTIONS = {
     "cyclic-trade-float-ratio": lambda: cyclic_trade(1.5, CyclicFactorization(F(3, 2), ((1, 3),)), 1, "up"),
     "cyclic-trade-float-exponent": lambda: cyclic_trade(F(3, 2), CyclicFactorization(F(3, 2), ((1, 3),)), 1.5, "up"),
     "cyclic-embed-float": lambda: generalized_cyclic_embed((0.4, F(4, 7)), 1, 2),
+    "ns-contains-float": lambda: NumericalSemigroup((4, 9)).contains(13.0),
+    "ns-contains-bool": lambda: NumericalSemigroup((4, 9)).contains(True),
+    "ns-representations-float": lambda: NumericalSemigroup((4, 9)).representations(13.0),
+    "ns-representations-fraction": lambda: NumericalSemigroup((4, 9)).representations(F(13)),
+    "ns-any-representation-float": lambda: NumericalSemigroup((4, 9)).any_representation(13.0),
+    "fg-contains-float": lambda: FgMonoid((F(1, 2), F(1, 3))).contains(0.5),
+    "fg-contains-bool": lambda: FgMonoid((F(1, 2), F(1, 3))).contains(True),
+    "fg-factorizations-float": lambda: FgMonoid((F(1, 2), F(1, 3))).factorizations(0.5),
+    "fg-lengths-float": lambda: FgMonoid((F(1, 2), F(1, 3))).lengths(1.0),
+    "fg-atom-support-float": lambda: FgMonoid((F(1, 2), F(1, 3))).atom_support(0.5),
+    "fg-scale-float": lambda: FgMonoid((F(1, 2), F(1, 3))).scale(0.1),
+    "fg-scale-bool": lambda: FgMonoid((F(1, 2), F(1, 3))).scale(True),
 }
 
 

@@ -259,17 +259,20 @@ def test_lengths_and_support():
     assert m.atom_support(F(1, 5)) == ()
 
 
-def test_scaling_transports_factorizations():
-    rng = random.Random(59)
-    for _ in range(30):
-        m = random_monoid(rng, max_gens=3, bound=9)
-        c = F(rng.randint(1, 8), rng.randint(1, 8))
-        scaled = m.scale(c)
-        assert scaled.generators == tuple(sorted(c * g for g in set(m.generators)))
-        x = sum((rng.randint(0, 2) * a for a in m.atoms()), F(0))
-        before = {tuple((c * a, k) for a, k in f.terms) for f in m.factorizations(x)}
-        after = {f.terms for f in scaled.factorizations(c * x)}
-        assert before == after
+@given(
+    gens=st.lists(st.builds(F, st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=4),
+    mults=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    c=st.builds(F, st.integers(1, 8), st.integers(1, 8)),
+)
+def test_scaling_transports_factorizations(gens, mults, c):
+    m = FgMonoid(tuple(gens))
+    scaled = m.scale(c)
+    assert scaled.generators == tuple(sorted(c * g for g in set(m.generators)))
+    assert scaled.atoms() == tuple(c * a for a in m.atoms())
+    x = sum((k * a for k, a in zip(mults, m.atoms())), F(0))
+    # Scaling keeps the atoms' order, so the listing maps term by term.
+    image = [tuple((c * a, k) for a, k in f.terms) for f in m.factorizations(x)]
+    assert [f.terms for f in scaled.factorizations(c * x)] == image
 
 
 def test_isomorphism_witness_examples():

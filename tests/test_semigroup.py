@@ -1,13 +1,20 @@
 import math
 import random
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from puiseux.errors import NonPositive, NotCofinite
+from puiseux.monoid import FgMonoid
 from puiseux.semigroup import NumericalSemigroup
 
-from oracles import brute_frobenius, brute_representations, reachable_integers
+from oracles import (
+    brute_frobenius,
+    brute_rational_factorizations,
+    brute_representations,
+    reachable_integers,
+)
 
 
 def test_generators_sorted_and_deduplicated():
@@ -46,17 +53,30 @@ def test_representations_canonical_example():
     assert sg.representations(121) == [(28, 1), (19, 5), (10, 9), (1, 13)]
 
 
-def test_representations_match_oracle_randomized():
-    rng = random.Random(9)
-    for _ in range(40):
-        gens = tuple(sorted({rng.randint(2, 15) for _ in range(rng.randint(1, 3))}))
-        sg = NumericalSemigroup(gens)
-        x = rng.randint(0, 50)
-        got = sg.representations(x)
-        assert set(got) == brute_representations(sg.generators, x), (gens, x)
-        assert len(set(got)) == len(got)
-        for rep in got:
-            assert sum(c * g for c, g in zip(rep, sg.generators)) == x
+@st.composite
+def semigroup_targets(draw):
+    """1 to 5 generators, the smallest ones often sharing a factor, as in
+    (4, 6, 9, 15), and a target from 0 up that may be a gap."""
+    gens = sorted(draw(st.sets(st.integers(1, 16), min_size=1, max_size=5)))
+    shared, factor = draw(st.integers(0, len(gens))), draw(st.integers(1, 4))
+    gens = [g * factor if i < shared else g for i, g in enumerate(gens)]
+    return tuple(gens), draw(st.integers(0, 48))
+
+
+@given(semigroup_targets(), st.sets(st.integers(5, 9), min_size=4, max_size=5), st.integers(1, 6))
+def test_representations_match_oracle_randomized(case, numerators, denominator):
+    gens, x = case
+    sg = NumericalSemigroup(gens)
+    # Canonical order: the largest generator's coefficient varies slowest.
+    want = sorted(brute_representations(sg.generators, x), key=lambda t: t[::-1])
+    assert sg.representations(x) == want
+    assert sg.representations(0) == [(0,) * len(sg.generators)]
+    # Lengths over 4 or 5 atoms: no two numerators in 5..9 sum to a third.
+    m = FgMonoid(tuple(F(n, denominator) for n in numerators))
+    assert len(m.atoms()) == len(numerators)
+    X = F(x, denominator)
+    lengths = {sum(k for _, k in terms) for terms in brute_rational_factorizations(m.atoms(), X)}
+    assert m.lengths(X) == tuple(sorted(lengths))
 
 
 def test_representations_of_zero_and_gaps():
