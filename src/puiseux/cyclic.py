@@ -76,8 +76,9 @@ class CyclicFactorization:
         Fraction ratio, and int exponents >= 1, strictly increasing,
         each with an int multiplicity >= 1."""
         z = object.__new__(cls)
-        object.__setattr__(z, "ratio", ratio)
-        object.__setattr__(z, "terms", terms)
+        fields = z.__dict__
+        fields["ratio"] = ratio
+        fields["terms"] = terms
         return z
 
     @property

@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .arith import _exact, format_rational
 from .errors import NonPositive
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _levels
 
 
 def _order_key(q: Fraction) -> tuple[int, Fraction]:
@@ -74,7 +74,7 @@ class Factorization:
         the constructor would establish: Fraction atoms, strictly
         increasing and positive, each with an int multiplicity >= 1."""
         f = object.__new__(cls)
-        object.__setattr__(f, "terms", terms)
+        f.__dict__["terms"] = terms
         return f
 
     @property
@@ -201,22 +201,16 @@ class FgMonoid:
             tuple(a.numerator * q.denominator // (a.denominator * q.numerator) for a in self._atoms)
         )
 
-    def _representations(self, x: Fraction | int) -> tuple[tuple[Fraction, ...], list[tuple[int, ...]]]:
-        """The atoms and every coefficient vector over them summing to x.
-
-        Vectors are in NumericalSemigroup.representations order. For
-        x = 0 the only vector is the empty one, over no atoms.
-        """
+    def _target(self, x: Fraction | int) -> int | None:
+        """x / q, with q the scale of to_scaled_integer, when that is a
+        nonnegative integer; 0 for x = 0 (also in the trivial monoid)
+        and None otherwise. Members of self are among the integers."""
         x = x if type(x) is Fraction else _exact(x, Fraction)
-        if x <= 0:
-            return (), ([()] if x == 0 else [])
-        ats = self.atoms()
-        if not ats:
-            return ats, []
-        t = x / self._reduction[0]
-        if t.denominator != 1:
-            return ats, []
-        return ats, self._atom_semigroup.representations(t.numerator)
+        if x <= 0 or not self.generators:
+            return 0 if x == 0 else None
+        q = self._reduction[0]
+        t, r = divmod(x.numerator * q.denominator, x.denominator * q.numerator)
+        return None if r else t
 
     def factorizations(self, x: Fraction | int) -> list[Factorization]:
         """All factorizations of x into atoms.
@@ -226,34 +220,136 @@ class FgMonoid:
         difference from NumericalSemigroup.representations, whose
         canonical order varies the largest generator slowest; both
         orders are deterministic, they just serve different readers.
+
+        The listing is representations' walk over the scaled atoms in
+        reverse: the smallest atom's coefficient is fixed first,
+        increasing, and the three largest are solved in closed form
+        (semigroup._levels), so results come out in order. Each result
+        extends the terms its walk has fixed so far.
         """
+        t = self._target(x)
+        if not t:
+            return [] if t is None else [Factorization._sorted(())]
         # The atoms are increasing positive Fractions (normalized with
         # the generators) and every kept c is an int >= 1.
-        ats, reps = self._representations(x)
-        return [
-            Factorization._sorted(tuple([(a, c) for a, c in zip(ats, rep) if c]))
-            for rep in sorted(reps)
-        ]
+        ats = self._atoms
+        n = len(ats)
+        if n == 1:
+            # One atom generates q * N, so it is q itself.
+            return [Factorization._sorted(((ats[0], t),))]
+        # The scaled atoms have gcd 1, so every t is a possible target.
+        _, levels, tail, pair = _levels(self._atom_semigroup.generators[::-1])
+        a1, a0 = ats[-2:]
+        a2 = ats[-3] if n > 2 else None  # n == 2 passes c = 0 only
+        new = Factorization._sorted
+
+        def finish(prefix: tuple, solved) -> list[Factorization]:
+            # solved holds (c, c0s, c1s): c for a2, the third largest
+            # atom, then the ranges of a1 and a0, the largest. c1 = 0
+            # can only come first, and c0 = 0 last.
+            return [
+                new(p + ((a1, c1), (a0, c0)) if c1 and c0 else p + ((a1, c1),) if c1
+                    else p + ((a0, c0),) if c0 else p)
+                for c, c0s, c1s in solved
+                for p in (prefix + ((a2, c),) if c else prefix,)
+                for c0, c1 in zip(c0s, c1s)
+            ]
+
+        if n == 2:
+            return finish((), [(0, *pair(t))])
+        # Level k >= 4 fixes the coefficient of atom n - k, and tail
+        # that of a2.
+        steps = [None] * 4 + [levels[k] + (ats[n - k],) for k in range(4, n + 1)]
+        out: list[Factorization] = []
+
+        def walk(k: int, rem: int, prefix: tuple) -> None:
+            g, h, step, inverse, atom = steps[k]
+            for c in range(rem // h * inverse % step, rem // g + 1, step):
+                if k > 4:
+                    walk(k - 1, rem - c * g, prefix + ((atom, c),) if c else prefix)
+                elif solved := tail(rem - c * g):
+                    # Terms are built only for remainders that the three
+                    # largest atoms can sum to.
+                    out.extend(finish(prefix + ((atom, c),) if c else prefix, solved))
+
+        if n == 3:
+            return finish((), tail(t))
+        walk(n, t, ())
+        # walk refers to itself through its closure; breaking that cycle
+        # lets reference counting free out as soon as callers drop it.
+        del walk
+        return out
 
     def lengths(self, x: Fraction | int) -> tuple[int, ...]:
-        """The set of factorization lengths of x, sorted increasing."""
-        _, reps = self._representations(x)
-        return tuple(sorted({sum(rep) for rep in reps}))
+        """The set of factorization lengths of x, sorted increasing.
+
+        Computed without listing, over representations' walk of the
+        scaled atoms: bit L of mask(k, rem) says whether some
+        representation of rem over the k smallest scaled atoms has
+        length L, and mask(k, rem) is the union of mask(k - 1, rem - c *
+        g) << c over the coefficients c of the k-th atom g, memoized per
+        call. Over the two smallest atoms the lengths of rem are an
+        arithmetic progression, so that mask is one closed-form integer.
+        """
+        t = self._target(x)
+        if not t:
+            return () if t is None else (0,)
+        gens = self._atom_semigroup.generators
+        if len(gens) == 1:
+            return (t,)
+        _, levels, tail, pair = _levels(gens)
+        # Each step along a pair's solutions trades g1 copies of the
+        # smallest atom for g0 of the next (both over their gcd), so the
+        # lengths c0 + c1 fall by delta = g1 - g0.
+        delta = (gens[1] - gens[0]) // math.gcd(gens[0], gens[1])
+        unit = (1 << delta) - 1
+        memo: dict[tuple[int, int], int] = {}
+
+        def union(solved) -> int:
+            # solved holds (c, c0s, c1s) as tail gives them.
+            hit = 0
+            for c, c0s, c1s in solved:
+                hit |= ((1 << len(c0s) * delta) - 1) // unit << c0s[-1] + c1s[-1] + c
+            return hit
+
+        def mask(k: int, rem: int) -> int:
+            hit = memo.get((k, rem))
+            if hit is None:
+                if k == 3:
+                    hit = union(tail(rem))
+                else:
+                    hit = 0
+                    g, h, step, inverse = levels[k]
+                    for c in range(rem // h * inverse % step, rem // g + 1, step):
+                        hit |= mask(k - 1, rem - c * g) << c
+                memo[k, rem] = hit
+            return hit
+
+        if len(gens) > 2:
+            found = mask(len(gens), t)
+        else:
+            c0s, c1s = pair(t)
+            found = union([(0, c0s, c1s)]) if c0s else 0
+        # As in factorizations, break mask's reference to itself.
+        del mask
+        bits = bin(found)[:1:-1]
+        # Reading the bits off the string is linear in their number;
+        # testing mask >> i & 1 for each i would be quadratic.
+        return tuple(i for i, bit in enumerate(bits) if bit == "1")
 
     def atom_support(self, x: Fraction | int) -> tuple[Fraction, ...]:
         """Atoms that appear in at least one factorization of x.
 
-        An atom a qualifies exactly when x - a is still a member, which
-        is tested against one reduction to a numerical semigroup (whose
-        contains rejects the negative x - a of atoms above x).
+        An atom a qualifies exactly when x - a is still a member. With
+        x = q * t and a = q * s in to_scaled_integer's terms, that is
+        one integer membership test of t - s in the semigroup of the
+        scaled atoms (whose contains rejects negative t - s).
         """
-        x = x if type(x) is Fraction else _exact(x, Fraction)
-        ats = self.atoms()
-        if not ats:
+        t = self._target(x)
+        if not t:
             return ()
-        q, ns = self.to_scaled_integer()
-        ts = ((x - a) / q for a in ats)
-        return tuple(a for a, t in zip(ats, ts) if t.denominator == 1 and ns.contains(t.numerator))
+        ns = self._atom_semigroup
+        return tuple(a for a, s in zip(self._atoms, ns.generators) if ns.contains(t - s))
 
     def scale(self, c: Fraction | int) -> "FgMonoid":
         """The monoid c * self for a positive rational c."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .arith import _exact
 from .errors import NonPositive, NotCofinite
@@ -89,14 +90,11 @@ class NumericalSemigroup:
         the largest generator varies slowest, increasing, then the next
         largest, and so on.
 
-        One depth-first walk fixes the coefficients from the largest
-        generator down, each increasing, and passes the fixed suffix
-        down. A coefficient must leave a remainder divisible by the gcd
-        of the smaller generators, which confines it to one residue
-        class. The two smallest generators are solved in closed form
-        (see the module docstring), with their gcd and modular inverse
-        computed once per call, and each finished tuple is appended to
-        one output list.
+        One depth-first walk (see _levels) fixes the coefficients from
+        the largest generator down, each increasing, and passes the
+        fixed suffix down; the three smallest generators are solved in
+        closed form, and each finished tuple is appended to one output
+        list.
         """
         x = x if type(x) is int else _exact(x)
         if x < 0:
@@ -106,34 +104,18 @@ class NumericalSemigroup:
             if x % gens[0] == 0:
                 return [(x // gens[0],)]
             return []
-        pg = _prefix_gcds(gens)
-        if x % pg[-1]:
+        whole, levels, tail, pair = _levels(gens)
+        if x % whole:
             return []
-        # For k >= 3, rem is a multiple of h = pg[k], and c * gens[k - 1]
-        # must match rem mod pg[k - 1]: c = (rem / h) * inverse mod step.
-        levels = {}
-        for k in range(3, len(gens) + 1):
-            g, h = gens[k - 1], pg[k]
-            step = pg[k - 1] // h
-            levels[k] = g, h, step, pow(g // h, -1, step)
-        d = pg[2]
-        g0, g1 = gens[0] // d, gens[1] // d
-        inv = pow(g0, -1, g1)
+        if len(gens) == 2:
+            return list(zip(*pair(x)))
         out: list[tuple[int, ...]] = []
 
         def walk(k: int, rem: int, suffix: tuple[int, ...]) -> None:
-            if k == 2:
-                rem //= d
-                low = rem * inv % g1
-                cap = rem // g0
-                if low <= cap:
-                    # c0 falls by g1 from its largest value as c1 rises by g0.
-                    high = cap - (cap - low) % g1
-                    c1 = (rem - high * g0) // g1
-                    out.extend([
-                        (c0, c1 + i * g0) + suffix
-                        for i, c0 in enumerate(range(high, low - 1, -g1))
-                    ])
+            if k == 3:
+                out.extend([
+                    (c0, c1, c) + suffix for c, c0s, c1s in tail(rem) for c0, c1 in zip(c0s, c1s)
+                ])
                 return
             g, h, step, inverse = levels[k]
             for c in range(rem // h * inverse % step, rem // g + 1, step):
@@ -217,6 +199,79 @@ class NumericalSemigroup:
             if largest_gap + gmin < bound:
                 return largest_gap
             bound *= 2
+
+
+# pair's answer for a remainder without a representation.
+_NONE = range(0), range(0)
+
+
+def _levels(gens: tuple[int, ...]) -> tuple[int, list, Callable, Callable]:
+    """The set-up of the depth-first walk over two or more generators.
+
+    The walk takes gens in the order given (any order, no repeats). It
+    fixes the coefficient of gens[k - 1] for k = len(gens) down to 4,
+    and solves the first three generators, or the first two, in closed
+    form. Returns (whole, levels, tail, pair):
+
+    - whole is the gcd of all of gens; the walk starts from a multiple
+      of it, and no other target has a representation.
+    - levels[k] = (g, h, step, inverse) for k >= 3: g = gens[k - 1] and
+      h the gcd of gens[:k]. The remainder rem reaching level k is a
+      multiple of h, and what c * g leaves must be a multiple of the
+      gcd of gens[:k - 1], so c runs over
+      range(rem // h * inverse % step, rem // g + 1, step).
+    - pair(rem), for rem a multiple of gcd(gens[0], gens[1]), gives the
+      coefficient ranges (c0s, c1s) of gens[0] and gens[1], zipped
+      pairwise: c0 falls and c1 rises. Both are empty when rem has no
+      representation. (See the module docstring.)
+    - tail(rem), for rem reaching level 3, lists (c, c0s, c1s) for each
+      coefficient c of gens[2], increasing, whose remainder has a
+      representation over gens[0] and gens[1], with pair's ranges for
+      it. Along the loop over c the remainder falls by a constant, so
+      the least admissible c0 moves by a constant mod g1, and no c
+      costs a call to pair.
+    """
+    pg = _prefix_gcds(gens)
+    levels: list = [None] * (len(gens) + 1)
+    for k in range(3, len(gens) + 1):
+        g, h = gens[k - 1], pg[k]
+        step = pg[k - 1] // h
+        levels[k] = g, h, step, pow(g // h, -1, step)
+    d = pg[2]
+    g0, g1 = gens[0] // d, gens[1] // d
+    # c0 * g0 + c1 * g1 = r puts c0 in the class of r * inv mod g1, and
+    # low, the least c0 in it, must satisfy low * g0 <= r. pow(v, -1, 1)
+    # == 0 keeps the degenerate g1 == 1 case uniform.
+    inv = pow(g0, -1, g1)
+
+    def ranges(r: int, low: int) -> tuple[range, range]:
+        high = low + (r // g0 - low) // g1 * g1
+        c1 = (r - high * g0) // g1
+        return range(high, low - 1, -g1), range(c1, c1 + (high - low) // g1 * g0 + 1, g0)
+
+    def pair(rem: int) -> tuple[range, range]:
+        r = rem // d
+        low = r * inv % g1
+        return ranges(r, low) if low * g0 <= r else _NONE
+
+    def tail(rem: int) -> list[tuple[int, range, range]]:
+        g, h, step, inverse = levels[3]
+        c = rem // h * inverse % step
+        r = (rem - c * g) // d
+        low = r * inv % g1
+        # One step of c lowers r by g / h, and low by (g / h) * inv.
+        fall = g // h
+        shift = fall * inv % g1
+        out = []
+        while r >= 0:
+            if low * g0 <= r:
+                out.append((c, *ranges(r, low)))
+            c += step
+            r -= fall
+            low = (low - shift) % g1
+        return out
+
+    return pg[-1], levels, tail, pair
 
 
 def _prefix_gcds(gens: tuple[int, ...]) -> tuple[int, ...]:

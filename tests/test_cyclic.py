@@ -21,6 +21,7 @@ from puiseux.errors import (
     ParseError,
 )
 from puiseux.monoid import Factorization, FgMonoid
+from puiseux.semigroup import NumericalSemigroup
 
 from oracles import brute_cyclic_factorizations
 
@@ -238,6 +239,31 @@ def test_listings_skip_the_checking_constructors(monkeypatch):
     CyclicFactorization(F(2, 3), ((1, 1),))
     Factorization(((F(1, 2), 1),))
     assert calls == ["CyclicFactorization", "Factorization"]
+
+
+def test_fg_listing_and_lengths_skip_representations(monkeypatch):
+    # factorizations and lengths walk the scaled atoms themselves; no
+    # call goes through NumericalSemigroup.representations.
+    calls = []
+    listing = NumericalSemigroup.representations
+
+    def counting(self, x):
+        calls.append(x)
+        return listing(self, x)
+
+    monkeypatch.setattr(NumericalSemigroup, "representations", counting)
+    for gens, x in (
+        ((F(1, 2), F(1, 3)), F(10)),
+        ((F(1, 6), F(1, 10), F(1, 15)), F(3)),
+        ((F(1, 6), F(1, 10), F(1, 15), F(7, 30)), F(3)),
+        ((F(7, 12), F(11, 12), F(13, 12), F(17, 12), F(19, 12)), F(9)),
+    ):
+        m = FgMonoid(gens)
+        assert m.factorizations(x) and m.lengths(x) and m.atom_support(x)
+    assert calls == []
+    # The counter does see a direct call.
+    NumericalSemigroup((2, 3)).representations(6)
+    assert calls == [6]
 
 
 def test_trade_moves():

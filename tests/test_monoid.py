@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from puiseux import arith
 from puiseux.errors import NonPositive
 from puiseux.monoid import Factorization, FgMonoid, isomorphism_witness
+from puiseux.semigroup import NumericalSemigroup
 
 from oracles import (
     brute_atoms,
@@ -218,9 +219,32 @@ def test_factorizations_example():
     assert m.lengths(F(1)) == (2, 3)
 
 
+# Denominators sharing factors, so the listing's residue levels step by
+# more than 1.
+SHARED_DENOMINATORS = (
+    (F(1, 6), F(1, 10), F(1, 15), F(7, 30)),
+    (F(1, 12), F(1, 18), F(5, 36)),
+    (F(2, 15), F(1, 10), F(1, 6), F(1, 2)),
+)
+
+
+def listed_generators(max_size=5):
+    """1 to max_size generators: small ones, shared-factor sets, or up
+    to 5 over one denominator D in [D / 2, 2 D], which keeps the
+    brute force small."""
+    over_one_denominator = st.sampled_from((6, 10, 12, 15, 30)).flatmap(
+        lambda d: st.lists(st.builds(F, st.integers(d // 2, 2 * d), st.just(d)), min_size=2, max_size=max_size)
+    )
+    return st.one_of(
+        st.lists(st.builds(F, st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=3),
+        st.sampled_from(SHARED_DENOMINATORS).map(list),
+        over_one_denominator,
+    )
+
+
 @given(
-    gens=st.lists(st.builds(F, st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=3),
-    mults=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    gens=listed_generators(),
+    mults=st.lists(st.integers(0, 2), min_size=5, max_size=5),
     offset=st.integers(0, 1),
 )
 def test_factorizations_match_brute_force(gens, mults, offset):
@@ -229,14 +253,43 @@ def test_factorizations_match_brute_force(gens, mults, offset):
     x = sum((c * a for c, a in zip(mults, atoms)), F(offset))
     found = m.factorizations(x)
     want = brute_rational_factorizations(atoms, x)
-    assert {f.terms for f in found} == want and len(found) == len(want)
-    vectors = [tuple(f.multiplicity(a) for a in atoms) for f in found]
-    assert vectors == sorted(vectors)
+
+    def vector(terms):
+        return tuple(dict(terms).get(a, 0) for a in atoms)
+
+    # Exactly the brute force's set, in ascending lexicographic order.
+    assert [f.terms for f in found] == sorted(want, key=vector)
     # Listed results are built unchecked; the public constructor agrees.
     for f in found:
         again = Factorization(f.terms)
         assert f == again and hash(f) == hash(again) and repr(f) == repr(again)
     assert m.lengths(x) == tuple(sorted({sum(k for _, k in terms) for terms in want}))
+
+
+@given(gens=listed_generators(max_size=4), mults=st.lists(st.integers(0, 2), min_size=4, max_size=4))
+def test_atom_support_matches_brute_force(gens, mults):
+    m = FgMonoid(tuple(gens))
+    atoms = m.atoms()
+    q, _ = m.to_scaled_integer()
+    x = sum((c * a for c, a in zip(mults, atoms)), F(0))
+    # x itself and its neighbours on q's lattice (among them gaps of the
+    # monoid and negative values), 0, and points off the lattice.
+    for y in [x + k * q for k in range(-2, 4)] + [F(0), -q, x + q / 2, q / 3]:
+        used = {a for terms in brute_rational_factorizations(atoms, y) for a, _ in terms}
+        assert m.atom_support(y) == tuple(sorted(used)), (m.generators, y)
+
+
+def test_lengths_beyond_brute_force():
+    # Lengths come without listing; the listing still pins them.
+    ns = NumericalSemigroup((6, 9, 20, 31))
+    listed = ns.representations(3000)
+    assert len(listed) == 138932
+    assert FgMonoid((6, 9, 20, 31)).lengths(3000) == tuple(sorted({sum(r) for r in listed}))
+    # Over 1/2 and 1/3 the scale is 1/6, so 10**5 becomes 6 * 10**5 over 2 and 3.
+    listed = NumericalSemigroup((2, 3)).representations(6 * 10**5)
+    assert len(listed) == 10**5 + 1
+    lengths = FgMonoid((F(1, 2), F(1, 3))).lengths(10**5)
+    assert lengths == tuple(sorted({sum(r) for r in listed})) == tuple(range(2 * 10**5, 3 * 10**5 + 1))
 
 
 def test_factorizations_order_and_degenerates():
