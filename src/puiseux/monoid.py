@@ -145,16 +145,8 @@ class FgMonoid:
 
     def contains(self, x: Fraction | int) -> bool:
         """Whether x is a finite sum of generators (0 always is)."""
-        x = x if type(x) is Fraction else _exact(x, Fraction)
-        if x < 0:
-            return False
-        if x == 0:
-            return True
-        if not self.generators:
-            return False
-        q, ns = self.to_scaled_integer()
-        t = x / q
-        return t.denominator == 1 and ns.contains(t.numerator)
+        t = self._target(x)
+        return t == 0 or t is not None and self._reduction[1].contains(t)
 
     def atoms(self) -> tuple[Fraction, ...]:
         """The atoms, i.e. the minimal generating set, increasing.
@@ -170,7 +162,9 @@ class FgMonoid:
         lcm. The smallest generator is always an atom; any other
         generator whose denominator divides L falls back to membership
         in the monoid of the smaller generators, tested on the integer
-        generators of to_scaled_integer.
+        generators of to_scaled_integer: the semigroup's cached walk
+        set-up is walked from the candidate's level, which reaches the
+        smaller generators only.
         """
         return self._atoms
 
@@ -186,9 +180,10 @@ class FgMonoid:
                 seen *= d // math.gcd(d, r)
             elif out:
                 # Ask in the integers of self's reduction, where g and
-                # the smaller generators keep their indices.
-                scaled = self._reduction[1].generators
-                if NumericalSemigroup(scaled[:i]).contains(scaled[i]):
+                # the smaller generators keep their indices: its walk
+                # started at level i stays within the i smallest.
+                ns = self._reduction[1]
+                if ns._find(i, ns.generators[i], True) is not None:
                     continue
             out.append(g)
         return tuple(out)
@@ -238,7 +233,7 @@ class FgMonoid:
             # One atom generates q * N, so it is q itself.
             return [Factorization._sorted(((ats[0], t),))]
         # The scaled atoms have gcd 1, so every t is a possible target.
-        _, levels, tail, pair = _levels(self._atom_semigroup.generators[::-1])
+        levels, tail, pair, _ = _levels(self._atom_semigroup.generators[::-1])
         a1, a0 = ats[-2:]
         a2 = ats[-3] if n > 2 else None  # n == 2 passes c = 0 only
         new = Factorization._sorted
@@ -297,7 +292,7 @@ class FgMonoid:
         gens = self._atom_semigroup.generators
         if len(gens) == 1:
             return (t,)
-        _, levels, tail, pair = _levels(gens)
+        levels, tail, pair, _ = self._atom_semigroup._walk
         # Each step along a pair's solutions trades g1 copies of the
         # smallest atom for g0 of the next (both over their gcd), so the
         # lengths c0 + c1 fall by delta = g1 - g0.

@@ -6,49 +6,23 @@ integers is finite and the largest missing value is the Frobenius
 number; when gcd(G) = d > 1 the semigroup lives inside the multiples
 of d and has no Frobenius number.
 
-Membership and the listing of representations both reduce, one
-generator at a time, to the two generator case, which is solved exactly
-with modular arithmetic instead of search: c0*g0 + c1*g1 = x constrains
-c0 to a single residue class mod g1/gcd, so the solutions can be walked
-directly.
+Membership, minimal generators, any_representation and the listing of
+representations share one depth-first walk, whose set-up (_levels) is
+built once per semigroup. It fixes one coefficient per generator from
+the largest down, and solves the two smallest exactly with modular
+arithmetic instead of search: c0*g0 + c1*g1 = x constrains c0 to a
+single residue class mod g1/gcd, so the solutions can be walked directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Iterator
 
 from .arith import _exact
 from .errors import NonPositive, NotCofinite
-
-
-def _two_gen_first(g0: int, g1: int, x: int) -> tuple[int, int] | None:
-    """The (c0, c1) with c0*g0 + c1*g1 == x and c0 largest, or None."""
-    if x < 0:
-        return None
-    d = math.gcd(g0, g1)
-    if x % d:
-        return None
-    g0, g1, x = g0 // d, g1 // d, x // d
-    # c0 must lie in one residue class mod g1; pow(v, -1, 1) == 0 keeps
-    # the degenerate g1 == 1 case uniform.
-    c0_low = (x * pow(g0, -1, g1)) % g1
-    cap = x // g0
-    if c0_low > cap:
-        return None
-    c0 = c0_low + (cap - c0_low) // g1 * g1
-    return c0, (x - c0 * g0) // g1
-
-
-def _two_gen_member(g0: int, g1: int, x: int) -> bool:
-    if x < 0:
-        return False
-    d = math.gcd(g0, g1)
-    if x % d:
-        return False
-    g0, g1, x = g0 // d, g1 // d, x // d
-    return (x * pow(g0, -1, g1)) % g1 * g0 <= x
 
 
 @dataclass(frozen=True)
@@ -75,12 +49,21 @@ class NumericalSemigroup:
         """True when gcd of the generators is 1, i.e. the gap set is finite."""
         return math.gcd(*self.generators) == 1
 
+    @cached_property
+    def _walk(self) -> tuple[list, Callable, Callable, Callable]:
+        # Kept in the instance __dict__, outside the dataclass fields, so
+        # ==, hash and repr see the generators only.
+        return _levels(self.generators)
+
+    def __getstate__(self) -> dict:
+        # _walk holds closures, which pickle cannot store; a copy builds
+        # its own on first use.
+        return {"generators": self.generators}
+
     def contains(self, x: int) -> bool:
         """Whether x is a nonnegative integer combination of the generators."""
         x = x if type(x) is int else _exact(x)
-        if x < 0:
-            return False
-        return _member(self.generators, _prefix_gcds(self.generators), x, {})
+        return x == 0 or x > 0 and self._find(len(self.generators), x, True) is not None
 
     def representations(self, x: int) -> list[tuple[int, ...]]:
         """Every coefficient tuple representing x, in canonical order.
@@ -90,22 +73,17 @@ class NumericalSemigroup:
         the largest generator varies slowest, increasing, then the next
         largest, and so on.
 
-        One depth-first walk (see _levels) fixes the coefficients from
-        the largest generator down, each increasing, and passes the
-        fixed suffix down; the three smallest generators are solved in
-        closed form, and each finished tuple is appended to one output
-        list.
+        The walk of _levels, each coefficient increasing, passes the
+        fixed suffix down and appends each finished tuple to one list.
         """
         x = x if type(x) is int else _exact(x)
         if x < 0:
             return []
         gens = self.generators
         if len(gens) == 1:
-            if x % gens[0] == 0:
-                return [(x // gens[0],)]
-            return []
-        whole, levels, tail, pair = _levels(gens)
-        if x % whole:
+            return [] if x % gens[0] else [(x // gens[0],)]
+        levels, tail, pair, _ = self._walk
+        if x % levels[-1][1]:
             return []
         if len(gens) == 2:
             return list(zip(*pair(x)))
@@ -117,8 +95,8 @@ class NumericalSemigroup:
                     (c0, c1, c) + suffix for c, c0s, c1s in tail(rem) for c0, c1 in zip(c0s, c1s)
                 ])
                 return
-            g, h, step, inverse = levels[k]
-            for c in range(rem // h * inverse % step, rem // g + 1, step):
+            g = levels[k][0]
+            for c in _coefficients(levels[k], rem, True):
                 walk(k - 1, rem - c * g, (c,) + suffix)
 
         walk(len(gens), x, ())
@@ -128,41 +106,67 @@ class NumericalSemigroup:
         return out
 
     def any_representation(self, x: int) -> tuple[int, ...] | None:
-        """One representation of x, or None; cheaper than enumerating all."""
+        """One representation of x, or None; cheaper than enumerating all.
+
+        It has the largest coefficient on the largest generator, then on
+        the next largest, down to the third smallest; over the two
+        smallest, the largest coefficient on the smallest.
+        """
         x = x if type(x) is int else _exact(x)
-        if x < 0:
-            return None
-        gens = self.generators
-        pg = _prefix_gcds(gens)
-
-        def rec(k: int, rem: int) -> tuple[int, ...] | None:
-            if k == 1:
-                return (rem // gens[0],) if rem % gens[0] == 0 else None
-            if k == 2:
-                return _two_gen_first(gens[0], gens[1], rem)
-            g = gens[k - 1]
-            for c in range(rem // g, -1, -1):
-                inner = rem - c * g
-                if inner % pg[k - 1]:
-                    continue
-                sub = rec(k - 1, inner)
-                if sub is not None:
-                    return sub + (c,)
-            return None
-
-        return rec(len(gens), x)
+        return None if x < 0 else self._find(len(self.generators), x, False)
 
     def minimal_generators(self) -> tuple[int, ...]:
-        """The unique inclusion-minimal generating set, increasing."""
+        """The unique inclusion-minimal generating set, increasing: a
+        generator drops out exactly when the smaller ones represent it."""
+        return tuple(g for k, g in enumerate(self.generators) if not k or self._find(k, g, True) is None)
+
+    def _find(self, k: int, x: int, up: bool) -> tuple[int, ...] | None:
+        """The first representation of x >= 0 over gens[:k] reached by the
+        walk of _levels, iterative and depth first, each coefficient
+        increasing when up, else decreasing; None if there is none. A
+        per-call set holds the (level, remainder) pairs found to have none,
+        and a nonzero remainder below the smallest generator has none."""
         gens = self.generators
-        if len(gens) == 1:
-            return gens
-        kept = []
-        for g in gens:
-            others = tuple(h for h in gens if h != g)
-            if not _member(others, _prefix_gcds(others), g, {}):
-                kept.append(g)
-        return tuple(kept)
+        if x == 0 or k == 1:
+            return None if x % gens[0] else (x // gens[0],) + (0,) * (k - 1)
+        levels, _, pair, first = self._walk
+        if x % levels[k][1]:
+            return None
+        if k == 2:
+            c0s, c1s = pair(x)
+            return (c0s[0], c1s[0]) if c0s else None
+        if k == 3:
+            return first(x, up)
+        g0 = gens[0]
+        dead: set[tuple[int, int]] = set()
+        # (base, cs, c) of each open level above the current one, from
+        # level k down: its remainder, coefficients left and the one taken.
+        above: list[tuple[int, Iterator[int], int]] = []
+        level, base, cs = k, x, iter(_coefficients(levels[k], x, up))
+        while True:
+            g = levels[level][0]
+            for c in cs:
+                rem = base - c * g
+                if rem < g0:
+                    if rem:
+                        continue
+                    return (0,) * (level - 1) + (c, *[a[2] for a in reversed(above)])
+                if (level - 1, rem) in dead:
+                    continue
+                if level > 4:
+                    above.append((base, cs, c))
+                    level, base, cs = level - 1, rem, iter(_coefficients(levels[level - 1], rem, up))
+                    break
+                found = first(rem, up)
+                if found:
+                    return found + (c, *[a[2] for a in reversed(above)])
+                dead.add((3, rem))
+            else:
+                dead.add((level, base))
+                if not above:
+                    return None
+                base, cs, _ = above.pop()
+                level += 1
 
     def frobenius(self) -> int:
         """Largest integer not in the semigroup, -1 when there are no gaps.
@@ -201,25 +205,27 @@ class NumericalSemigroup:
             bound *= 2
 
 
-# pair's answer for a remainder without a representation.
-_NONE = range(0), range(0)
+def _coefficients(level: tuple[int, int, int, int], rem: int, up: bool) -> range:
+    """The coefficients of level's generator for rem, increasing when up."""
+    g, h, step, inverse = level
+    cs = range(rem // h * inverse % step, rem // g + 1, step)
+    return cs if up else cs[::-1]
 
 
-def _levels(gens: tuple[int, ...]) -> tuple[int, list, Callable, Callable]:
+def _levels(gens: tuple[int, ...]) -> tuple[list, Callable, Callable, Callable]:
     """The set-up of the depth-first walk over two or more generators.
 
     The walk takes gens in the order given (any order, no repeats). It
     fixes the coefficient of gens[k - 1] for k = len(gens) down to 4,
     and solves the first three generators, or the first two, in closed
-    form. Returns (whole, levels, tail, pair):
+    form; started at level k, it stays within gens[:k]. Returns (levels,
+    tail, pair, first):
 
-    - whole is the gcd of all of gens; the walk starts from a multiple
-      of it, and no other target has a representation.
-    - levels[k] = (g, h, step, inverse) for k >= 3: g = gens[k - 1] and
+    - levels[k] = (g, h, step, inverse) for k >= 2: g = gens[k - 1] and
       h the gcd of gens[:k]. The remainder rem reaching level k is a
       multiple of h, and what c * g leaves must be a multiple of the
-      gcd of gens[:k - 1], so c runs over
-      range(rem // h * inverse % step, rem // g + 1, step).
+      gcd of gens[:k - 1], so c runs over _coefficients(levels[k], rem,
+      up).
     - pair(rem), for rem a multiple of gcd(gens[0], gens[1]), gives the
       coefficient ranges (c0s, c1s) of gens[0] and gens[1], zipped
       pairwise: c0 falls and c1 rises. Both are empty when rem has no
@@ -230,19 +236,28 @@ def _levels(gens: tuple[int, ...]) -> tuple[int, list, Callable, Callable]:
       it. Along the loop over c the remainder falls by a constant, so
       the least admissible c0 moves by a constant mod g1, and no c
       costs a call to pair.
+    - first(rem, up) runs tail's loop with c increasing when up, else
+      decreasing, and stops at the first c with a representation: it
+      returns (c0, c1, c) with c0 largest, or None.
     """
-    pg = _prefix_gcds(gens)
     levels: list = [None] * (len(gens) + 1)
-    for k in range(3, len(gens) + 1):
-        g, h = gens[k - 1], pg[k]
-        step = pg[k - 1] // h
-        levels[k] = g, h, step, pow(g // h, -1, step)
-    d = pg[2]
+    h = gens[0]
+    for k in range(2, len(gens) + 1):
+        g, prev = gens[k - 1], h
+        h = math.gcd(prev, g)
+        levels[k] = g, h, prev // h, pow(g // h, -1, prev // h)
+    d = levels[2][1]
     g0, g1 = gens[0] // d, gens[1] // d
     # c0 * g0 + c1 * g1 = r puts c0 in the class of r * inv mod g1, and
     # low, the least c0 in it, must satisfy low * g0 <= r. pow(v, -1, 1)
     # == 0 keeps the degenerate g1 == 1 case uniform.
     inv = pow(g0, -1, g1)
+    if len(gens) > 2:
+        # One step up of gens[2]'s coefficient lowers r = (rem - c *
+        # gens[2]) / d by fall, and low by shift mod g1.
+        g2, h2, step2, inverse2 = levels[3]
+        fall = g2 // h2
+        shift = fall * inv % g1
 
     def ranges(r: int, low: int) -> tuple[range, range]:
         high = low + (r // g0 - low) // g1 * g1
@@ -252,54 +267,34 @@ def _levels(gens: tuple[int, ...]) -> tuple[int, list, Callable, Callable]:
     def pair(rem: int) -> tuple[range, range]:
         r = rem // d
         low = r * inv % g1
-        return ranges(r, low) if low * g0 <= r else _NONE
+        return ranges(r, low) if low * g0 <= r else (range(0), range(0))
 
     def tail(rem: int) -> list[tuple[int, range, range]]:
-        g, h, step, inverse = levels[3]
-        c = rem // h * inverse % step
-        r = (rem - c * g) // d
+        c = rem // h2 * inverse2 % step2
+        r = (rem - c * g2) // d
         low = r * inv % g1
-        # One step of c lowers r by g / h, and low by (g / h) * inv.
-        fall = g // h
-        shift = fall * inv % g1
         out = []
-        while r >= 0:
+        for c in range(c, rem // g2 + 1, step2):
             if low * g0 <= r:
                 out.append((c, *ranges(r, low)))
-            c += step
             r -= fall
             low = (low - shift) % g1
         return out
 
-    return pg[-1], levels, tail, pair
+    def first(rem: int, up: bool) -> tuple[int, int, int] | None:
+        # _coefficients inlined, as in tail: both run per level-3 remainder.
+        top = rem // g2
+        c = rem // h2 * inverse2 % step2
+        cs = range(c, top + 1, step2) if up else range(top - (top - c) % step2, -1, -step2)
+        dr, dlow = (fall, shift) if up else (-fall, -shift)
+        r = (rem - cs.start * g2) // d
+        low = r * inv % g1
+        for c in cs:
+            if low * g0 <= r:
+                c0s, c1s = ranges(r, low)
+                return c0s[0], c1s[0], c
+            r -= dr
+            low = (low - dlow) % g1
+        return None
 
-
-def _prefix_gcds(gens: tuple[int, ...]) -> tuple[int, ...]:
-    """pg[k] = gcd of the first k generators (pg[0] unused)."""
-    pg = [0] * (len(gens) + 1)
-    for k, g in enumerate(gens, start=1):
-        pg[k] = math.gcd(pg[k - 1], g)
-    return tuple(pg)
-
-
-def _member(gens, pg, x: int, memo) -> bool:
-    if x == 0:
-        return True
-    k = len(gens)
-    if k == 1:
-        return x % gens[0] == 0
-    if k == 2:
-        return _two_gen_member(gens[0], gens[1], x)
-    key = (k, x)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    g = gens[-1]
-    res = False
-    for c in range(x // g, -1, -1):
-        rem = x - c * g
-        if rem % pg[k - 1] == 0 and _member(gens[:-1], pg, rem, memo):
-            res = True
-            break
-    memo[key] = res
-    return res
+    return levels, tail, pair, first

@@ -291,9 +291,9 @@ def sum_kprimary_atom_check(k: int, indices: tuple[int, ...], max_index: int) ->
     """Whether the sum over the given prime indices stays an atom in the
     truncation holding every k-subset drawn from the first max_index primes.
 
-    True means the only factorization found is the generator itself.
-    The verdict is about the truncation; it can only gain factorizations
-    as max_index grows.
+    True means the sum is an atom of the truncation: no sum of the
+    truncation's other generators equals it. The verdict is about the
+    truncation; more generators can only turn it False.
     """
     subset = tuple(sorted(indices))
     if k < 1:
@@ -308,7 +308,7 @@ def sum_kprimary_atom_check(k: int, indices: tuple[int, ...], max_index: int) ->
         )
     value = sum((Fraction(1, nth_prime(i)) for i in subset), Fraction(0))
     monoid = truncate(SumKPrimary(k), math.comb(max_index, k))
-    return len(monoid.factorizations(value)) == 1
+    return value in monoid.atoms()
 
 
 # ---------------------------------------------------------------------------

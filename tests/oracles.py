@@ -8,6 +8,7 @@ code paths they check. Slow on purpose; the tests keep inputs small.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -74,6 +75,35 @@ def brute_representations(gens: tuple[int, ...], x: int) -> set[tuple[int, ...]]
 
     walk(0, x, ())
     return found
+
+
+def old_any_representation(gens: tuple[int, ...], x: int) -> tuple[int, ...] | None:
+    """The recursion NumericalSemigroup.any_representation ran before
+    its walk became iterative, kept as the reference for which
+    representation it returns: gens increasing, the largest coefficient
+    on the largest generator first, then the next, down to the third;
+    over the two smallest, the largest coefficient on the smallest. One
+    level of recursion per generator, scanning every coefficient."""
+
+    def rec(k: int, rem: int) -> tuple[int, ...] | None:
+        if k == 1:
+            return (rem // gens[0],) if rem % gens[0] == 0 else None
+        if k == 2:
+            for c1 in range(rem // gens[1] + 1):
+                if (rem - c1 * gens[1]) % gens[0] == 0:
+                    return (rem - c1 * gens[1]) // gens[0], c1
+            return None
+        g = gens[k - 1]
+        for c in range(rem // g, -1, -1):
+            # What the smaller generators cannot reach by divisibility
+            # is skipped without recursing, as the old code did.
+            if (rem - c * g) % math.gcd(*gens[: k - 1]) == 0:
+                sub = rec(k - 1, rem - c * g)
+                if sub is not None:
+                    return sub + (c,)
+        return None
+
+    return None if x < 0 else rec(len(gens), x)
 
 
 def brute_rational_member(gens: tuple[Fraction, ...], x: Fraction) -> bool:

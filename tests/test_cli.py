@@ -1,4 +1,5 @@
 import json
+import time
 
 import click
 import pytest
@@ -249,6 +250,18 @@ def test_witness_sumk_atom():
     result = invoke(
         "witness", "sumk-atom", "--k", "2", "--indices", "1,2", "--max-index", "4"
     )
+    assert result.exit_code == 0
+    assert result.output == "true\n"
+
+
+def test_witness_sumk_atom_asks_atoms_not_factorizations():
+    # 120 generators: listing the sum's factorizations took about 18 s;
+    # asking whether it is among the atoms takes milliseconds.
+    start = time.perf_counter()
+    result = invoke(
+        "witness", "sumk-atom", "--k", "3", "--indices", "1,2,3", "--max-index", "10"
+    )
+    assert time.perf_counter() - start < 5
     assert result.exit_code == 0
     assert result.output == "true\n"
 

@@ -1,5 +1,8 @@
 import math
+import pickle
 import random
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +16,7 @@ from oracles import (
     brute_frobenius,
     brute_rational_factorizations,
     brute_representations,
+    old_any_representation,
     reachable_integers,
 )
 
@@ -38,7 +42,7 @@ def test_contains_small_cases():
     assert not sg.contains(-3)
 
 
-@given(st.lists(st.integers(2, 25), min_size=1, max_size=4))
+@given(st.lists(st.integers(2, 25), min_size=1, max_size=6))
 def test_contains_matches_closure_randomized(gens):
     sg = NumericalSemigroup(tuple(gens))
     hit = reachable_integers(tuple(gens), 120)
@@ -54,10 +58,11 @@ def test_representations_canonical_example():
 
 
 @st.composite
-def semigroup_targets(draw):
-    """1 to 5 generators, the smallest ones often sharing a factor, as in
-    (4, 6, 9, 15), and a target from 0 up that may be a gap."""
-    gens = sorted(draw(st.sets(st.integers(1, 16), min_size=1, max_size=5)))
+def semigroup_targets(draw, max_size=5):
+    """1 to max_size generators, the smallest ones often sharing a
+    factor, as in (4, 6, 9, 15), and a target from 0 up that may be a
+    gap."""
+    gens = sorted(draw(st.sets(st.integers(1, 16), min_size=1, max_size=max_size)))
     shared, factor = draw(st.integers(0, len(gens))), draw(st.integers(1, 4))
     gens = [g * factor if i < shared else g for i, g in enumerate(gens)]
     return tuple(gens), draw(st.integers(0, 48))
@@ -87,12 +92,59 @@ def test_representations_of_zero_and_gaps():
     assert sg.any_representation(13) is not None
 
 
+@given(semigroup_targets(max_size=6), st.integers(0, 3))
+def test_any_representation_matches_old_recursion(case, spread):
+    gens, x = case
+    sg = NumericalSemigroup(gens)
+    # Targets past 48 too, where most of the walk's levels are reached.
+    for y in (x, x + 37 * spread):
+        got = sg.any_representation(y)
+        assert got == old_any_representation(sg.generators, y), (gens, y)
+        assert (got is None) == (y not in reachable_integers(sg.generators, y))
+        assert sg.contains(y) == (got is not None)
+
+
+def test_walk_is_iterative_past_the_recursion_limit():
+    # The walk has one level per generator; with more generators than
+    # the recursion limit allows frames, a recursion per level fails.
+    n = sys.getrecursionlimit() + 200
+    sg = NumericalSemigroup(tuple(range(n, 2 * n)))
+    x = 2 * n + 1  # n + (n + 1), and no other pair or single generator
+    for call, want in (
+        (lambda: sg.contains(x), True),
+        (lambda: sg.any_representation(x), (1, 1) + (0,) * (n - 2)),
+        (sg.minimal_generators, sg.generators),
+    ):
+        start = time.perf_counter()
+        assert call() == want
+        assert time.perf_counter() - start < 2
+
+
+def test_pickle_round_trip_after_queries():
+    # The cached walk set-up is left out of the pickled state.
+    sg = NumericalSemigroup((4, 6, 9))
+    m = FgMonoid((F(1, 2), F(1, 3), F(5, 6)))
+    assert sg.contains(13) and m.contains(F(7, 6)) and m.lengths(2)
+    sg2, m2 = pickle.loads(pickle.dumps((sg, m)))
+    assert (sg2, m2) == (sg, m)
+    assert sg2.any_representation(13) == sg.any_representation(13)
+    assert m2.lengths(2) == m.lengths(2)
+
+
 def test_minimal_generators():
     # 8 = 4 + 4 and 13 = 4 + 9 drop out; 11 cannot be assembled.
     assert NumericalSemigroup((4, 6, 9, 13, 8)).minimal_generators() == (4, 6, 9)
     assert NumericalSemigroup((4, 6, 9, 11, 8)).minimal_generators() == (4, 6, 9, 11)
     assert NumericalSemigroup((2, 4, 6)).minimal_generators() == (2,)
     assert NumericalSemigroup((1, 5)).minimal_generators() == (1,)
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=6), st.integers(1, 4))
+def test_minimal_generators_match_closure(gens, factor):
+    gens = tuple(sorted({g * factor if g % 3 else g for g in gens}))
+    # A generator is minimal exactly when the others do not reach it.
+    want = tuple(g for g in gens if g not in reachable_integers(tuple(h for h in gens if h != g), g))
+    assert NumericalSemigroup(gens).minimal_generators() == want
 
 
 def test_minimal_generators_regenerate_membership():

@@ -243,6 +243,21 @@ def test_sum_atom_check_agrees_with_brute_count():
         )
 
 
+def test_sum_atom_check_is_atom_membership():
+    from math import comb
+
+    from puiseux.families import SumKPrimary
+    from oracles import brute_atoms
+
+    cases = [(2, (1, 2), 4), (2, (2, 4), 5), (3, (1, 2, 3), 5), (3, (2, 4, 5), 5)]
+    for k, indices, max_index in cases:
+        value = sum(F(1, nth_prime(i)) for i in indices)
+        monoid = truncate(SumKPrimary(k), comb(max_index, k))
+        assert sum_kprimary_atom_check(k, indices, max_index) == (
+            value in brute_atoms(monoid.generators)
+        ), (k, indices, max_index)
+
+
 def test_sum_atom_check_validation():
     with pytest.raises(NonPositive):
         sum_kprimary_atom_check(0, (), 3)
