@@ -77,6 +77,14 @@ def parse_rational(text: str, allow_zero: bool = False) -> Fraction:
     return value
 
 
+def json_int(value) -> int:
+    """A JSON integer, or a string of decimal digits with an optional
+    minus sign. Booleans and floats are refused, never truncated."""
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    return _exact(value)
+
+
 def format_rational(r: Fraction | int) -> str:
     """Serialize a nonnegative rational as 'n/d' in lowest terms,
     integers without the unit denominator."""

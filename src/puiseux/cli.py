@@ -18,34 +18,10 @@ from pathlib import Path
 
 import click
 
-from .arith import format_rational, parse_rational
-from .cyclic import (
-    CyclicFactorization,
-    cyclic_contains,
-    cyclic_factorizations,
-    cyclic_trade,
-    generalized_cyclic_embed,
-)
+import puiseux as P
+
+from .arith import format_rational, json_int, parse_rational
 from .errors import ParseError, PuiseuxError
-from .families import (
-    classify,
-    family_from_mapping,
-    generator_at,
-    json_int,
-    targets_from_mapping,
-    truncate,
-)
-from .monoid import FgMonoid, isomorphism_witness
-from .semigroup import NumericalSemigroup
-from .verifier import ClaimParameters, run_claims
-from .witnesses import (
-    approximate,
-    dense_atom_monoid,
-    disjoint_prime_noniso,
-    kprimary_antimatter_witness,
-    padic_candidate_atoms,
-    sum_kprimary_atom_check,
-)
 
 
 class RationalType(click.ParamType):
@@ -118,7 +94,7 @@ def _load_mapping(token: str) -> dict:
 
 
 def _load_family(token: str):
-    return family_from_mapping(_load_mapping(token))
+    return P.family_from_mapping(_load_mapping(token))
 
 
 def command(group: click.Group, name: str):
@@ -163,7 +139,7 @@ def _format_factorization(f) -> str:
     return _format_terms(f.terms, format_rational)
 
 
-def _format_cyclic(f: CyclicFactorization) -> str:
+def _format_cyclic(f: P.CyclicFactorization) -> str:
     return _format_terms(f.terms, lambda e: f"r^{e}")
 
 
@@ -179,7 +155,7 @@ def _membership(member: bool, witness, label):
     return {"member": member, "witness": shown}, lines
 
 
-def _member_witness(monoid: FgMonoid, x: Fraction):
+def _member_witness(monoid: P.FgMonoid, x: Fraction):
     """A generator combination reaching x, or None."""
     if x == 0:
         return []
@@ -215,14 +191,14 @@ def ns():
 @command(ns, "mingens")
 @click.option("--gens", type=INTS, required=True)
 def ns_mingens(gens):
-    minimal = list(NumericalSemigroup(gens).minimal_generators())
+    minimal = list(P.NumericalSemigroup(gens).minimal_generators())
     return minimal, [" ".join(str(g) for g in minimal)]
 
 
 @command(ns, "frobenius")
 @click.option("--gens", type=INTS, required=True)
 def ns_frobenius(gens):
-    value = NumericalSemigroup(gens).frobenius()
+    value = P.NumericalSemigroup(gens).frobenius()
     return value, [str(value)]
 
 
@@ -230,7 +206,7 @@ def ns_frobenius(gens):
 @click.option("--gens", type=INTS, required=True)
 @click.option("--x", type=int, required=True)
 def ns_member(gens, x):
-    sg = NumericalSemigroup(gens)
+    sg = P.NumericalSemigroup(gens)
     rep = sg.any_representation(x) if x > 0 else None
     witness = None
     if rep is not None:
@@ -242,7 +218,7 @@ def ns_member(gens, x):
 @click.option("--gens", type=INTS, required=True)
 @click.option("--x", type=int, required=True)
 def ns_factorize(gens, x):
-    sg = NumericalSemigroup(gens)
+    sg = P.NumericalSemigroup(gens)
     reps = sg.representations(x) if x >= 0 else []
     lines = [
         _format_terms([(g, c) for g, c in zip(sg.generators, rep) if c > 0], str)
@@ -263,7 +239,7 @@ def fg():
 @command(fg, "atoms")
 @click.option("--gens", type=RATIONALS, required=True)
 def fg_atoms(gens):
-    atoms = [format_rational(a) for a in FgMonoid(gens).atoms()]
+    atoms = [format_rational(a) for a in P.FgMonoid(gens).atoms()]
     return atoms, atoms
 
 
@@ -271,7 +247,7 @@ def fg_atoms(gens):
 @click.option("--gens", type=RATIONALS, required=True)
 @click.option("--x", type=RATIONAL_OR_ZERO, required=True)
 def fg_member(gens, x):
-    witness = _member_witness(FgMonoid(gens), x)
+    witness = _member_witness(P.FgMonoid(gens), x)
     return _membership(witness is not None, witness, format_rational)
 
 
@@ -279,7 +255,7 @@ def fg_member(gens, x):
 @click.option("--gens", type=RATIONALS, required=True)
 @click.option("--x", type=RATIONAL_OR_ZERO, required=True)
 def fg_factorize(gens, x):
-    found = FgMonoid(gens).factorizations(x)
+    found = P.FgMonoid(gens).factorizations(x)
     lines = [_format_factorization(f) for f in found]
     return [f.as_mapping() for f in found], lines or ["none"]
 
@@ -288,7 +264,7 @@ def fg_factorize(gens, x):
 @click.option("--gens", type=RATIONALS, required=True)
 @click.option("--x", type=RATIONAL_OR_ZERO, required=True)
 def fg_lengths(gens, x):
-    lengths = list(FgMonoid(gens).lengths(x))
+    lengths = list(P.FgMonoid(gens).lengths(x))
     return lengths, [" ".join(str(n) for n in lengths) if lengths else "none"]
 
 
@@ -296,7 +272,7 @@ def fg_lengths(gens, x):
 @click.option("--gens", type=RATIONALS, required=True)
 @click.option("--x", type=RATIONAL_OR_ZERO, required=True)
 def fg_support(gens, x):
-    support = [format_rational(a) for a in FgMonoid(gens).atom_support(x)]
+    support = [format_rational(a) for a in P.FgMonoid(gens).atom_support(x)]
     return support, support or ["none"]
 
 
@@ -305,7 +281,7 @@ def fg_support(gens, x):
 def fg_iso(gens):
     if len(gens) != 2:
         raise click.UsageError("fg iso needs --gens twice, one list per monoid")
-    witness = isomorphism_witness(FgMonoid(gens[0]), FgMonoid(gens[1]))
+    witness = P.isomorphism_witness(P.FgMonoid(gens[0]), P.FgMonoid(gens[1]))
     shown = format_rational(witness) if witness else None
     return {"witness": shown}, [shown or "none"]
 
@@ -323,7 +299,7 @@ def family():
 @click.option("--spec", required=True)
 @click.option("--n", type=click.IntRange(min=1), required=True)
 def family_gen(spec, n):
-    value = format_rational(generator_at(_load_family(spec), n))
+    value = format_rational(P.generator_at(_load_family(spec), n))
     return value, [value]
 
 
@@ -331,14 +307,14 @@ def family_gen(spec, n):
 @click.option("--spec", required=True)
 @click.option("--n", type=click.IntRange(min=0), required=True)
 def family_truncate(spec, n):
-    gens = [format_rational(g) for g in truncate(_load_family(spec), n).generators]
+    gens = [format_rational(g) for g in P.truncate(_load_family(spec), n).generators]
     return gens, gens
 
 
 @command(family, "classify")
 @click.option("--spec", required=True)
 def family_classify(spec):
-    report = classify(_load_family(spec))
+    report = P.classify(_load_family(spec))
     payload = report.as_mapping()
     lines = [f"{k}: {v}" for k, v in payload.items() if k != "justification"]
     lines += [f"  {line}" for line in report.justification]
@@ -352,7 +328,7 @@ def family_classify(spec):
 @click.option("--limit", type=click.IntRange(min=1), default=None)
 def family_approx(spec, target, eps, limit):
     kwargs = {} if limit is None else {"scan_limit": limit}
-    got = approximate(_load_family(spec), target, eps, **kwargs)
+    got = P.approximate(_load_family(spec), target, eps, **kwargs)
     return got.as_mapping(), [
         f"{format_rational(got.value)} = {got.multiplier}"
         f"*{format_rational(got.generator)} (generator {got.generator_index})"
@@ -366,8 +342,8 @@ def family_approx(spec, target, eps, limit):
 def family_dense_atoms(class_index, count, spec):
     targets = None
     if spec is not None:
-        targets = targets_from_mapping(_load_mapping(spec))
-    made = dense_atom_monoid(class_index, count, targets)
+        targets = P.families.targets_from_mapping(_load_mapping(spec))
+    made = P.dense_atom_monoid(class_index, count, targets)
     return made.as_mapping(), [
         f"{e.k}: target {format_rational(e.target)} atom "
         f"{format_rational(e.atom)} = {e.numerator}/{e.prime}^{e.exponent}"
@@ -380,7 +356,7 @@ def family_dense_atoms(class_index, count, spec):
 def family_noniso(spec):
     if len(spec) != 2:
         raise click.UsageError("family noniso needs --spec twice")
-    cert = disjoint_prime_noniso(_load_family(spec[0]), _load_family(spec[1]))
+    cert = P.disjoint_prime_noniso(_load_family(spec[0]), _load_family(spec[1]))
     if cert is None:
         return {"certificate": None}, ["no certificate"]
     return {"certificate": cert.as_mapping()}, [f"not isomorphic: {cert.reason}"]
@@ -400,7 +376,7 @@ def cyclic():
 @click.option("--x", type=RATIONAL_OR_ZERO, required=True)
 @click.option("--cap", type=click.IntRange(min=1), default=8, show_default=True)
 def cyclic_member(r, x, cap):
-    got = cyclic_contains(r, x, cap)
+    got = P.cyclic_contains(r, x, cap)
     lines = [got.status]
     if got.witness is not None:
         lines.append("witness: " + _format_cyclic(got.witness))
@@ -414,7 +390,7 @@ def cyclic_member(r, x, cap):
 @click.option("--x", type=RATIONAL_OR_ZERO, required=True)
 @click.option("--cap", type=click.IntRange(min=1), default=8, show_default=True)
 def cyclic_factorize(r, x, cap):
-    found = cyclic_factorizations(r, x, cap)
+    found = P.cyclic_factorizations(r, x, cap)
     lines = [_format_cyclic(f) for f in found]
     return [f.as_mapping() for f in found], lines or ["none"]
 
@@ -437,7 +413,7 @@ def cyclic_trade_cmd(r, z, t, direction):
         raise ParseError(
             'factorization JSON needs "terms": [{"exponent": e, "mult": m}, ...]'
         ) from bad
-    moved = cyclic_trade(r, CyclicFactorization(r, terms), t, direction)
+    moved = P.cyclic_trade(r, P.CyclicFactorization(r, terms), t, direction)
     return moved.as_mapping(), [_format_cyclic(moved)]
 
 
@@ -446,7 +422,7 @@ def cyclic_trade_cmd(r, z, t, direction):
 @click.option("--i", type=click.IntRange(min=1), required=True)
 @click.option("--m", type=click.IntRange(min=1), required=True)
 def cyclic_embed(ratios, i, m):
-    w = generalized_cyclic_embed(ratios, i, m)
+    w = P.generalized_cyclic_embed(ratios, i, m)
     return w.as_mapping(), [
         f"{format_rational(w.value)} = {w.coefficient}"
         f"*({format_rational(w.base)})^{w.power}"
@@ -467,7 +443,7 @@ def witness():
 @click.option("--limit", type=click.IntRange(min=1), default=None)
 def witness_kprimary(primes, limit):
     kwargs = {} if limit is None else {"search_limit": limit}
-    w = kprimary_antimatter_witness(primes, **kwargs)
+    w = P.kprimary_antimatter_witness(primes, **kwargs)
     payload = w.as_mapping()
     return payload, [
         payload["identity"],
@@ -479,7 +455,7 @@ def witness_kprimary(primes, limit):
 @click.option("--spec", required=True)
 @click.option("--prefix", type=click.IntRange(min=1), required=True)
 def witness_padic_atoms(spec, prefix):
-    report = padic_candidate_atoms(_load_family(spec), prefix)
+    report = P.padic_candidate_atoms(_load_family(spec), prefix)
     lines = ["kept: " + " ".join(str(i) for i in report.kept)]
     lines += [
         f"excluded {exc.index}: generator({exc.index}) = "
@@ -494,7 +470,7 @@ def witness_padic_atoms(spec, prefix):
 @click.option("--indices", type=INTS, required=True)
 @click.option("--max-index", type=click.IntRange(min=1), required=True)
 def witness_sumk_atom(k, indices, max_index):
-    still_atom = sum_kprimary_atom_check(k, indices, max_index)
+    still_atom = P.sum_kprimary_atom_check(k, indices, max_index)
     return still_atom, ["true" if still_atom else "false"]
 
 
@@ -516,13 +492,13 @@ def verify():
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def verify_run(claims, truncation, cap, limit, seed, report_path):
     ids = "all" if claims == "all" else tuple(p for p in claims.split(",") if p)
-    params = ClaimParameters(
+    params = P.ClaimParameters(
         truncation=truncation,
         exponent_cap=cap,
         prime_search_limit=limit,
         seed=seed,
     )
-    outcomes = run_claims(ids, params)
+    outcomes = P.run_claims(ids, params)
     payload = [o.as_mapping() for o in outcomes]
     lines = [f"{o.claim_id} {o.status}" for o in outcomes]
     if report_path is not None:

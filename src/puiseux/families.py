@@ -16,7 +16,6 @@ list. Any family/field pair the table cannot justify stays "unknown".
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -25,6 +24,7 @@ from .arith import (
     _exact,
     format_rational,
     is_prime,
+    json_int,
     nth_odd_prime,
     nth_prime,
     parse_rational,
@@ -272,14 +272,6 @@ def _combine_bases(a: int | None, b: int | None) -> int | None:
     if b == 1 or a == b:
         return a
     return None
-
-
-def json_int(value) -> int:
-    """A JSON integer, or a string of decimal digits with an optional
-    minus sign. Booleans and floats are refused, never truncated."""
-    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
-        return int(value)
-    return _exact(value)
 
 
 def json_rational(value) -> Fraction:

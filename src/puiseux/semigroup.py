@@ -117,8 +117,13 @@ class NumericalSemigroup:
 
     def minimal_generators(self) -> tuple[int, ...]:
         """The unique inclusion-minimal generating set, increasing: a
-        generator drops out exactly when the smaller ones represent it."""
-        return tuple(g for k, g in enumerate(self.generators) if not k or self._find(k, g, True) is None)
+        generator drops out exactly when the smaller ones represent it.
+        A sum of two or more generators is at least twice the smallest,
+        so every generator below that is kept without a walk."""
+        gens = self.generators
+        return tuple(
+            g for k, g in enumerate(gens) if g < 2 * gens[0] or self._find(k, g, True) is None
+        )
 
     def _find(self, k: int, x: int, up: bool) -> tuple[int, ...] | None:
         """The first representation of x >= 0 over gens[:k] reached by the

@@ -1,0 +1,125 @@
+"""The public namespace, and what the CLI loads to serve one command."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import puiseux
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PUBLIC = [
+    "BadIndex",
+    "BadProgression",
+    "ClaimOutcome",
+    "ClaimParameters",
+    "ClassificationReport",
+    "CyclicFactorization",
+    "CyclicMembership",
+    "Factorization",
+    "FgMonoid",
+    "GcdOne",
+    "HypothesisViolated",
+    "InsufficientMultiplicity",
+    "NonPositive",
+    "NotAtomic",
+    "NotCofinite",
+    "NotDense",
+    "NotFoundWithinLimit",
+    "NotPrime",
+    "NumericalSemigroup",
+    "ParseError",
+    "PuiseuxError",
+    "UnknownClaim",
+    "approximate",
+    "claim_ids",
+    "classify",
+    "cyclic_contains",
+    "cyclic_factorizations",
+    "cyclic_trade",
+    "dense_atom_monoid",
+    "disjoint_prime_noniso",
+    "family_from_mapping",
+    "format_rational",
+    "generalized_cyclic_embed",
+    "generator_at",
+    "is_prime",
+    "isomorphism_witness",
+    "kprimary_antimatter_witness",
+    "nth_odd_prime",
+    "nth_prime",
+    "p_adic_valuation",
+    "padic_candidate_atoms",
+    "parse_rational",
+    "prime_factors",
+    "prime_in_progression",
+    "prime_index",
+    "primes",
+    "rule_statement",
+    "run_claims",
+    "sum_kprimary_atom_check",
+    "truncate",
+]
+
+
+def test_all_is_the_public_list():
+    assert puiseux.__all__ == PUBLIC
+    assert dir(puiseux) == PUBLIC
+
+
+def test_every_public_name_resolves_to_its_module_attribute():
+    for name in PUBLIC:
+        value = getattr(puiseux, name)
+        module = sys.modules[value.__module__]
+        assert getattr(module, name) is value, name
+        # Bound on first use, so later lookups skip the hook.
+        assert vars(puiseux)[name] is value, name
+    assert puiseux.families is sys.modules["puiseux.families"]
+
+
+def test_star_import_binds_exactly_the_public_names():
+    scope: dict = {}
+    exec("from puiseux import *", scope)
+    assert sorted(k for k in scope if k != "__builtins__") == PUBLIC
+
+
+def test_unknown_names_raise_attribute_error():
+    assert not hasattr(puiseux, "no_such_name")
+
+
+# (argv, its stdout, the layers it loads): each command group loads
+# the layers it runs and none above them.
+LOADS = [
+    (["ns", "frobenius", "--gens", "4,9"], "23", {"semigroup"}),
+    (["fg", "member", "--gens", "2/77,3/77", "--x", "1/7"], "true", {"semigroup", "monoid"}),
+    (
+        ["cyclic", "trade", "--r", "3/2", "--z", '{"terms": [{"exponent": 1, "mult": 3}]}', "--t", "1",
+         "--direction", "up"],
+        "2*r^2",
+        {"semigroup", "monoid", "cyclic"},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, first_line, layers", LOADS, ids=[" ".join(a[:2]) for a, _, _ in LOADS])
+def test_cli_loads_only_the_layers_a_command_runs(argv, first_line, layers):
+    # runpy runs the module as `python -m puiseux.cli` does, then the
+    # process reports which puiseux modules it imported.
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['puiseux', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('puiseux.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as done:\n"
+        "    assert not done.code, done.code\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('puiseux.'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == first_line
+    assert set(lines[-1].split()) == {"puiseux.arith", "puiseux.errors"} | {"puiseux." + n for n in layers}

@@ -114,10 +114,21 @@ def test_walk_is_iterative_past_the_recursion_limit():
         (lambda: sg.contains(x), True),
         (lambda: sg.any_representation(x), (1, 1) + (0,) * (n - 2)),
         (sg.minimal_generators, sg.generators),
+        # x is past twice the smallest generator, so it takes the walk.
+        (NumericalSemigroup(sg.generators + (x,)).minimal_generators, sg.generators),
     ):
         start = time.perf_counter()
         assert call() == want
         assert time.perf_counter() - start < 2
+
+
+def test_generators_below_twice_the_smallest_are_minimal_without_a_walk():
+    # No sum of two or more generators lies below 2 * gens[0]; walking
+    # each such generator anyway made this quadratic (18 s).
+    sg = NumericalSemigroup(tuple(range(5000, 10000)))
+    start = time.perf_counter()
+    assert sg.minimal_generators() == sg.generators
+    assert time.perf_counter() - start < 0.5
 
 
 def test_pickle_round_trip_after_queries():
