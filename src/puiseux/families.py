@@ -16,7 +16,7 @@ list. Any family/field pair the table cannot justify stays "unknown".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -40,52 +40,92 @@ from .monoid import FgMonoid
 
 
 @dataclass(frozen=True)
-class GeometricSeq:
-    """c * q^n for n = 1, 2, ... with integers c >= 1, q >= 1.
+class IntSeq:
+    """Listed values at n = 1..len(values), then a closed-form tail.
 
-    The constant sequence c, c, ... is GeometricSeq(c, 1) and the powers
-    q, q^2, ... are GeometricSeq(1, q); their JSON kinds `constant` and
-    `power` are read and written as shorthands.
+    Past the listed values the sequence takes scale * ratio^n +
+    slope * n + offset, evaluated at the original index, so
+    ExplicitSeq((9, 3), GeometricSeq(1, 3)) takes the values 9, 3, 27,
+    81, ... The tail is geometric (slope = offset = 0) or affine
+    (scale = 0). A tail that is all zero ends the sequence after its
+    listed values, and indexing past them raises BadIndex.
+
+    GeometricSeq, AffineSeq and ExplicitSeq build checked instances.
     """
 
-    scale: int
-    ratio: int
+    values: tuple[int, ...] = ()
+    scale: int = 0
+    ratio: int = 1
+    slope: int = 0
+    offset: int = 0
 
-    def __post_init__(self) -> None:
-        if _exact(self.scale) < 1 or _exact(self.ratio) < 1:
-            raise NonPositive("geometric sequences need scale >= 1 and ratio >= 1")
+    @property
+    def finite(self) -> bool:
+        return self.scale == self.slope == self.offset == 0
 
     def value_at(self, n: int) -> int:
         _check_index(n)
-        return self.scale * self.ratio**n
+        if n <= len(self.values):
+            return self.values[n - 1]
+        if self.finite:
+            raise BadIndex(
+                f"index {n} is past the end of an explicit sequence of length {len(self.values)}"
+            )
+        return self.scale * self.ratio**n + self.slope * n + self.offset
 
     def tends_to_infinity(self) -> bool:
-        return self.ratio >= 2
+        return (self.scale >= 1 and self.ratio >= 2) or self.slope >= 1
 
     def is_strictly_increasing(self) -> bool:
-        return self.ratio >= 2
+        k = len(self.values)
+        if any(self.values[i] >= self.values[i + 1] for i in range(k - 1)):
+            return False
+        if self.finite:
+            return True
+        # A geometric or affine tail increases exactly when it is unbounded.
+        return self.tends_to_infinity() and (k == 0 or self.value_at(k + 1) > self.values[-1])
 
     def min_from(self, n: int) -> int:
-        return self.value_at(n)
-
-    def ratio_upper_bound_from(self, n: int) -> Fraction:
-        return Fraction(self.ratio)
-
-    def step_lower_bound_from(self, n: int) -> int:
-        return self.value_at(n + 1) - self.value_at(n)
-
-    def settle_index(self) -> int:
-        return 1
+        _check_index(n)
+        k = len(self.values)
+        candidates = list(self.values[n - 1 :])
+        if not self.finite:
+            # The tail never decreases, so its first value is its least.
+            candidates.append(self.value_at(max(n, k + 1)))
+        if not candidates:
+            raise BadIndex(f"no values at or after index {n}")
+        return min(candidates)
 
     def prime_power_base(self) -> int | None:
-        return _combine_bases(
-            _prime_power_base_int(self.scale), _prime_power_base_int(self.ratio)
+        """The prime q when every value is a power of q, 1 when every
+        value is 1, None otherwise."""
+        if self.slope:
+            return None
+        # Past the listed values, (scale or offset) * ratio^n: one is 0.
+        base = _combine_bases(
+            _prime_power_base_int(self.scale or self.offset or 1),
+            _prime_power_base_int(self.ratio),
         )
+        for v in self.values:
+            base = _combine_bases(base, _prime_power_base_int(v))
+        return base
 
     def coprime_to(self, p: int) -> bool:
-        return self.scale % p != 0 and self.ratio % p != 0
+        """Whether p divides no value."""
+        if any(v % p == 0 for v in self.values):
+            return False
+        if self.scale:
+            return self.scale % p != 0 and self.ratio % p != 0
+        return self.slope % p == 0 and (self.finite or self.offset % p != 0)
 
     def as_mapping(self) -> dict:
+        if self.values:
+            out: dict = {"kind": "explicit", "values": list(self.values)}
+            if not self.finite:
+                out["then"] = replace(self, values=()).as_mapping()
+            return out
+        if self.scale == 0:
+            return {"kind": "affine-exponent", "a": self.slope, "b": self.offset}
         if self.ratio == 1:
             return {"kind": "constant", "value": self.scale}
         if self.scale == 1:
@@ -93,160 +133,41 @@ class GeometricSeq:
         return {"kind": "geometric", "scale": self.scale, "ratio": self.ratio}
 
 
-@dataclass(frozen=True)
-class AffineSeq:
+def GeometricSeq(scale: int, ratio: int) -> IntSeq:
+    """c * q^n for n = 1, 2, ... with integers c >= 1, q >= 1.
+
+    The constant sequence c, c, ... is GeometricSeq(c, 1) and the powers
+    q, q^2, ... are GeometricSeq(1, q); their JSON kinds `constant` and
+    `power` are read and written as shorthands.
+    """
+    if _exact(scale) < 1 or _exact(ratio) < 1:
+        raise NonPositive("geometric sequences need scale >= 1 and ratio >= 1")
+    return IntSeq(scale=scale, ratio=ratio)
+
+
+def AffineSeq(a: int, b: int) -> IntSeq:
     """a*n + b for n = 1, 2, ... (the usual choice for exponent positions)."""
-
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if _exact(self.a) < 0 or _exact(self.b) < 0 or self.a + self.b < 1:
-            raise NonPositive("affine sequences need a, b >= 0 with a + b >= 1")
-
-    def value_at(self, n: int) -> int:
-        _check_index(n)
-        return self.a * n + self.b
-
-    def tends_to_infinity(self) -> bool:
-        return self.a >= 1
-
-    def is_strictly_increasing(self) -> bool:
-        return self.a >= 1
-
-    def min_from(self, n: int) -> int:
-        return self.value_at(n)
-
-    def ratio_upper_bound_from(self, n: int) -> Fraction:
-        if self.a == 0:
-            return Fraction(1)
-        return Fraction(self.value_at(n + 1), self.value_at(n))
-
-    def step_lower_bound_from(self, n: int) -> int:
-        return self.a
-
-    def settle_index(self) -> int:
-        return 1
-
-    def prime_power_base(self) -> int | None:
-        if self.a == 0:
-            return _prime_power_base_int(self.b)
-        return None
-
-    def coprime_to(self, p: int) -> bool:
-        return self.a % p == 0 and self.b % p != 0
-
-    def as_mapping(self) -> dict:
-        return {"kind": "affine-exponent", "a": self.a, "b": self.b}
+    if _exact(a) < 0 or _exact(b) < 0 or a + b < 1:
+        raise NonPositive("affine sequences need a, b >= 0 with a + b >= 1")
+    return IntSeq(slope=a, offset=b)
 
 
-@dataclass(frozen=True)
-class ExplicitSeq:
+def ExplicitSeq(values: tuple[int, ...], then: IntSeq | None = None) -> IntSeq:
     """A finite prefix of listed values, optionally continued by a tail.
 
-    The tail, when present, is evaluated at the original index, so an
-    ExplicitSeq((9, 3), GeometricSeq(1, 3)) takes the values 9, 3, 27, 81, ...
-    Without a tail the sequence is finite and indexing past the end
-    raises BadIndex.
+    The tail is evaluated at the original index. Listed values of the
+    tail past the prefix are kept, so a nested tail flattens into one
+    list: ExplicitSeq((9,), ExplicitSeq((1, 3))) is ExplicitSeq((9, 3)).
+    Without a tail the sequence is finite.
     """
-
-    values: tuple[int, ...]
-    then: "IntSeq | None" = None
-
-    def __post_init__(self) -> None:
-        vals = tuple(_exact(v) for v in self.values)
-        if not vals:
-            raise NonPositive("an explicit sequence needs at least one value")
-        if min(vals) < 1:
-            raise NonPositive("sequence values must be >= 1")
-        object.__setattr__(self, "values", vals)
-
-    def value_at(self, n: int) -> int:
-        _check_index(n)
-        if n <= len(self.values):
-            return self.values[n - 1]
-        if self.then is None:
-            raise BadIndex(
-                f"index {n} is past the end of an explicit sequence of length {len(self.values)}"
-            )
-        return self.then.value_at(n)
-
-    def tends_to_infinity(self) -> bool:
-        return self.then is not None and self.then.tends_to_infinity()
-
-    def is_strictly_increasing(self) -> bool:
-        k = len(self.values)
-        if any(self.values[i] >= self.values[i + 1] for i in range(k - 1)):
-            return False
-        if self.then is None:
-            return True
-        return self.value_at(k + 1) > self.values[-1] and self.then.is_strictly_increasing()
-
-    def min_from(self, n: int) -> int:
-        k = len(self.values)
-        best = None
-        if n <= k:
-            best = min(self.values[n - 1 :])
-        if self.then is not None:
-            tail = self.then.min_from(max(n, k + 1))
-            best = tail if best is None else min(best, tail)
-        if best is None:
-            raise BadIndex(f"no values at or after index {n}")
-        return best
-
-    def ratio_upper_bound_from(self, n: int) -> Fraction:
-        k = len(self.values)
-        bounds = [
-            Fraction(self.value_at(i + 1), self.value_at(i))
-            for i in range(n, k + 1)
-            if self.then is not None or i + 1 <= k
-        ]
-        if self.then is not None:
-            bounds.append(self.then.ratio_upper_bound_from(max(n, k + 1)))
-        if not bounds:
-            raise BadIndex(f"no transitions at or after index {n}")
-        return max(bounds)
-
-    def step_lower_bound_from(self, n: int) -> int:
-        k = len(self.values)
-        bounds = [
-            self.value_at(i + 1) - self.value_at(i)
-            for i in range(n, k + 1)
-            if self.then is not None or i + 1 <= k
-        ]
-        if self.then is not None:
-            bounds.append(self.then.step_lower_bound_from(max(n, k + 1)))
-        if not bounds:
-            raise BadIndex(f"no transitions at or after index {n}")
-        return min(bounds)
-
-    def settle_index(self) -> int:
-        k = len(self.values) + 1
-        if self.then is None:
-            return k
-        return max(k, self.then.settle_index())
-
-    def prime_power_base(self) -> int | None:
-        base: int | None = 1
-        for v in self.values:
-            base = _combine_bases(base, _prime_power_base_int(v))
-        if self.then is not None:
-            base = _combine_bases(base, self.then.prime_power_base())
-        return base
-
-    def coprime_to(self, p: int) -> bool:
-        if any(v % p == 0 for v in self.values):
-            return False
-        return self.then is None or self.then.coprime_to(p)
-
-    def as_mapping(self) -> dict:
-        out: dict = {"kind": "explicit", "values": list(self.values)}
-        if self.then is not None:
-            out["then"] = self.then.as_mapping()
-        return out
-
-
-IntSeq = Union[GeometricSeq, AffineSeq, ExplicitSeq]
+    vals = tuple(_exact(v) for v in values)
+    if not vals:
+        raise NonPositive("an explicit sequence needs at least one value")
+    if min(vals) < 1:
+        raise NonPositive("sequence values must be >= 1")
+    if then is None:
+        return IntSeq(vals)
+    return replace(then, values=vals + then.values[len(vals) :])
 
 
 def _check_index(n: int) -> None:
@@ -656,9 +577,9 @@ class SumKPrimary:
 class PAdic:
     """Generators numerators(n) / p^exponents(n).
 
-    Both sequences must be infinite (an explicit sequence needs a tail)
-    and the exponents must be strictly increasing, so the denominators
-    grow without bound.
+    Both sequences must be infinite (an explicit prefix needs a
+    closed-form tail) and the exponents must be strictly increasing, so
+    the denominators grow without bound.
     """
 
     p: int
@@ -669,7 +590,7 @@ class PAdic:
         if not is_prime(_exact(self.p)):
             raise NotPrime(f"{self.p} is not prime")
         for name, seq in (("numerator", self.numerators), ("exponent", self.exponents)):
-            if isinstance(seq, ExplicitSeq) and seq.then is None:
+            if seq.finite:
                 raise NonPositive(
                     f"the {name} sequence must be infinite; give the explicit prefix a tail"
                 )
@@ -875,24 +796,18 @@ def truncate(spec: FamilySpec, n_generators: int) -> FgMonoid:
 
 
 def denominator_support(spec: FamilySpec):
-    """A descriptor of the primes dividing element denominators, if known.
+    """The primes dividing element denominators, if known.
 
-    Returns ("finite", primes), ("all",), ("congruence", residue,
-    modulus), ("partition", class index), or None when the family does
-    not expose a usable support predicate.
+    Returns a tuple of primes for a finite support, the prime stream of
+    an elementary-primary family, or None when the family does not
+    expose a usable support predicate.
     """
     if isinstance(spec, PowerDenominator):
-        return ("finite", (spec.q,))
+        return (spec.q,)
     if isinstance(spec, (PAdic, PlusMinusPowers)):
-        return ("finite", (spec.p,))
+        return (spec.p,)
     if isinstance(spec, ElementaryPrimary):
-        stream = spec.primes
-        if isinstance(stream, AllPrimes):
-            return ("all",)
-        if isinstance(stream, CongruencePrimes):
-            return ("congruence", stream.residue, stream.modulus)
-        if isinstance(stream, PartitionClassPrimes):
-            return ("partition", stream.index)
+        return spec.primes
     return None
 
 
@@ -1149,17 +1064,21 @@ def classify(spec: FamilySpec) -> ClassificationReport:
 def _padic_decreasing_certified(spec: PAdic) -> bool:
     """Whether the generator sequence can be certified strictly decreasing.
 
-    Checks a window of exact values past every explicit prefix, then
-    bounds the tail: it suffices that the numerator ratio stays below
+    Checks exact values up to a horizon past both listed prefixes, then
+    bounds the tails: it suffices that the numerator ratio stays below
     p ** (smallest exponent step). The power comparison is clamped so
     astronomically large exponent steps never materialize.
     """
-    horizon = max(spec.numerators.settle_index(), spec.exponents.settle_index(), 2)
+    nums, exps = spec.numerators, spec.exponents
+    horizon = max(len(nums.values) + 1, len(exps.values) + 1, 2)
     for n in range(1, horizon + 1):
         if spec.generator(n + 1) >= spec.generator(n):
             return False
-    ratio = spec.numerators.ratio_upper_bound_from(horizon)
-    step = spec.exponents.step_lower_bound_from(horizon)
+    # From the horizon on both sequences follow their tails. A geometric
+    # or affine tail's ratio never rises and its step never falls, so the
+    # transition at the horizon bounds every later one exactly.
+    ratio = Fraction(nums.value_at(horizon + 1), nums.value_at(horizon))
+    step = exps.value_at(horizon + 1) - exps.value_at(horizon)
     if step < 1:
         return False
     return ratio < Fraction(spec.p) ** min(step, 64)

@@ -22,9 +22,12 @@ from .errors import (
     BadIndex,
 )
 from .families import (
+    AllPrimes,
     CalkinWilfTargets,
+    CongruencePrimes,
     FamilySpec,
     PAdic,
+    PartitionClassPrimes,
     SumKPrimary,
     TargetSeq,
     class_prime,
@@ -427,44 +430,38 @@ class NonIsoCertificate:
         }
 
 
-def _support_mapping(desc) -> dict:
-    if desc[0] == "finite":
-        return {"kind": "finite", "primes": list(desc[1])}
-    if desc[0] == "all":
-        return {"kind": "all"}
-    if desc[0] == "congruence":
-        return {"kind": "congruence", "residue": desc[1], "modulus": desc[2]}
-    return {"kind": "partition-class", "index": desc[1]}
+def _support_mapping(support) -> dict:
+    if isinstance(support, tuple):
+        return {"kind": "finite", "primes": list(support)}
+    return support.as_mapping()
 
 
-def _prime_matches(p: int, desc) -> bool:
-    if desc[0] == "congruence":
-        return p % desc[2] == desc[1]
-    return partition_class_of_index(prime_index(p))[0] == desc[1]
+def _prime_matches(p: int, stream) -> bool:
+    if isinstance(stream, CongruencePrimes):
+        return p % stream.modulus == stream.residue
+    return partition_class_of_index(prime_index(p))[0] == stream.index
 
 
 def _supports_disjoint(a, b) -> str | None:
     """A reason string when provably disjoint, None otherwise."""
-    if a[0] == "all" or b[0] == "all":
+    if isinstance(a, AllPrimes) or isinstance(b, AllPrimes):
         return None
-    if a[0] == "finite" and b[0] == "finite":
-        if set(a[1]) & set(b[1]):
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        if set(a) & set(b):
             return None
         return "the two finite prime sets share no prime"
-    if a[0] == "finite" or b[0] == "finite":
-        fin, other = (a, b) if a[0] == "finite" else (b, a)
-        if any(_prime_matches(p, other) for p in fin[1]):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        fin, other = (a, b) if isinstance(a, tuple) else (b, a)
+        if any(_prime_matches(p, other) for p in fin):
             return None
-        kind = "congruence class" if other[0] == "congruence" else "partition class"
+        kind = "congruence class" if isinstance(other, CongruencePrimes) else "partition class"
         return f"no prime of the finite set lies in the {kind}"
-    if a[0] == "congruence" and b[0] == "congruence":
-        _, r1, m1 = a
-        _, r2, m2 = b
-        if (r1 - r2) % math.gcd(m1, m2) != 0:
+    if isinstance(a, CongruencePrimes) and isinstance(b, CongruencePrimes):
+        if (a.residue - b.residue) % math.gcd(a.modulus, b.modulus) != 0:
             return "the two congruence classes are incompatible modulo the gcd of the moduli"
         return None
-    if a[0] == "partition" and b[0] == "partition":
-        if a[1] != b[1]:
+    if isinstance(a, PartitionClassPrimes) and isinstance(b, PartitionClassPrimes):
+        if a.index != b.index:
             return "distinct classes of the canonical prime partition are disjoint"
         return None
     return None
@@ -477,15 +474,15 @@ def disjoint_prime_noniso(spec_a: FamilySpec, spec_b: FamilySpec) -> NonIsoCerti
     the supports cannot be proved disjoint; None never asserts that the
     monoids are isomorphic.
     """
-    desc_a = denominator_support(spec_a)
-    desc_b = denominator_support(spec_b)
-    if desc_a is None or desc_b is None:
+    support_a = denominator_support(spec_a)
+    support_b = denominator_support(spec_b)
+    if support_a is None or support_b is None:
         return None
-    reason = _supports_disjoint(desc_a, desc_b)
+    reason = _supports_disjoint(support_a, support_b)
     if reason is None:
         return None
     return NonIsoCertificate(
-        support_a=_support_mapping(desc_a),
-        support_b=_support_mapping(desc_b),
+        support_a=_support_mapping(support_a),
+        support_b=_support_mapping(support_b),
         reason=reason,
     )

@@ -323,6 +323,21 @@ def test_domain_errors_exit_one():
     assert result.exit_code == 2  # rejected at parse time
 
 
+def test_family_classify_refuses_a_finite_nested_tail():
+    spec = json.dumps(
+        {
+            "family": "p-adic",
+            "p": 2,
+            "numerators": {"kind": "explicit", "values": [9], "then": {"kind": "explicit", "values": [1, 3]}},
+            "exponents": {"kind": "affine-exponent", "a": 1, "b": 0},
+        }
+    )
+    result = invoke("family", "classify", "--spec", spec)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: the numerator sequence must be infinite")
+
+
 def test_usage_errors_exit_two():
     result = invoke("ns", "frobenius", "--gens", "4,9x")
     assert result.exit_code == 2

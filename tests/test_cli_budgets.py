@@ -29,10 +29,12 @@ PD3 = """'{"family": "power-denominator", "q": 3}'"""
 PADIC = """'{"family": "p-adic", "p": 2, "numerators": {"kind": "power", "base": 3}, \
 "exponents": {"kind": "affine-exponent", "a": 2, "b": 0}}'"""
 Z = """'{"terms": [{"exponent": 1, "mult": 3}]}'"""
+# 1,200 generators: the listing recursions go one frame per generator.
+MANY_GENS = ",".join(str(g) for g in range(1200, 2400))
 
 
-def _xfail(cmd: str, item: int, today: str):
-    return pytest.param(cmd, marks=pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {today}"))
+def _xfail(cmd: str, item: int, today: str, id: str | None = None):
+    return pytest.param(cmd, marks=pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {today}"), id=id)
 
 
 ROWS = [
@@ -81,6 +83,9 @@ ROWS = [
     _xfail("cyclic factorize --r 2/3 --x 40", 7, "killed by a signal listing 27,263,194,918 factorizations"),
     _xfail("cyclic factorize --r 2/3 --x 40 --cap 30", 7, "MemoryError listing factorizations"),
     _xfail("witness sumk-atom --k 3 --indices 1,2,3 --max-index 20", 10, "atoms() of 1,140 generators, about 9 s"),
+    _xfail(f"ns factorize --gens {MANY_GENS} --x 2401", 7, "RecursionError listing representations", id="ns factorize --gens 1200..2399 --x 2401"),
+    _xfail(f"fg factorize --gens {MANY_GENS} --x 2401", 7, "RecursionError listing factorizations", id="fg factorize --gens 1200..2399 --x 2401"),
+    _xfail(f"fg lengths --gens {MANY_GENS} --x 2401", 7, "RecursionError collecting lengths", id="fg lengths --gens 1200..2399 --x 2401"),
 ]
 
 

@@ -127,6 +127,52 @@ def test_sequence_mappings_round_trip():
     assert GeometricSeq(1, 3).as_mapping() == {"kind": "power", "base": 3}
 
 
+def test_nested_explicit_tail_flattens():
+    # A nested tail's listed values count only past the outer prefix, so
+    # the 9 and 1 below are never taken and the sequence increases.
+    s = ExplicitSeq((1, 2, 3), ExplicitSeq((9, 1), GeometricSeq(1, 3)))
+    assert [s.value_at(n) for n in range(1, 6)] == [1, 2, 3, 81, 243]
+    assert s == ExplicitSeq((1, 2, 3), GeometricSeq(1, 3))
+    assert s.is_strictly_increasing()
+    assert PAdic(2, GeometricSeq(1, 1), s).exponents == s
+    nested = {
+        "kind": "explicit",
+        "values": [9],
+        "then": {"kind": "explicit", "values": [1, 3], "then": {"kind": "power", "base": 3}},
+    }
+    assert sequence_from_mapping(nested).as_mapping() == {
+        "kind": "explicit",
+        "values": [9, 3],
+        "then": {"kind": "power", "base": 3},
+    }
+
+
+HIDDEN_FINITE_NUMERATORS = {
+    "family": "p-adic",
+    "p": 2,
+    "numerators": {"kind": "explicit", "values": [9], "then": {"kind": "explicit", "values": [1, 3]}},
+    "exponents": {"kind": "affine-exponent", "a": 1, "b": 0},
+}
+
+
+def test_finite_sequence_behind_a_nested_tail_is_refused():
+    s = ExplicitSeq((9,), ExplicitSeq((1, 3)))
+    assert s == ExplicitSeq((9, 3)) and s.finite
+    with pytest.raises(NonPositive, match="the numerator sequence must be infinite"):
+        PAdic(2, s, AffineSeq(1, 0))
+    with pytest.raises(NonPositive, match="the numerator sequence must be infinite"):
+        family_from_mapping(HIDDEN_FINITE_NUMERATORS)
+
+
+def test_overshadowed_tail_values_leave_classification_alone():
+    # 3, 1, 1, ...: the nested tail's 2 is never taken.
+    nested = PAdic(2, ExplicitSeq((3,), ExplicitSeq((2, 1), GeometricSeq(1, 1))), AffineSeq(1, 0))
+    flat = PAdic(2, ExplicitSeq((3, 1), GeometricSeq(1, 1)), AffineSeq(1, 0))
+    assert nested == flat
+    assert classify(nested).atomic == "no"
+    assert classify(nested) == classify(flat)
+
+
 # ---------------------------------------------------------------------------
 # prime streams and partition classes
 
@@ -730,22 +776,12 @@ def test_rule_statements_exist_for_cited_rules():
 
 
 def test_denominator_support_descriptors():
-    assert denominator_support(PowerDenominator(2)) == ("finite", (2,))
-    assert denominator_support(PAdic(3, GeometricSeq(1, 2), AffineSeq(1, 0))) == (
-        "finite",
-        (3,),
-    )
-    assert denominator_support(PlusMinusPowers(5)) == ("finite", (5,))
-    assert denominator_support(ElementaryPrimary()) == ("all",)
-    assert denominator_support(ElementaryPrimary(CongruencePrimes(1, 4))) == (
-        "congruence",
-        1,
-        4,
-    )
-    assert denominator_support(ElementaryPrimary(PartitionClassPrimes(2))) == (
-        "partition",
-        2,
-    )
+    assert denominator_support(PowerDenominator(2)) == (2,)
+    assert denominator_support(PAdic(3, GeometricSeq(1, 2), AffineSeq(1, 0))) == (3,)
+    assert denominator_support(PlusMinusPowers(5)) == (5,)
+    assert denominator_support(ElementaryPrimary()) == AllPrimes()
+    assert denominator_support(ElementaryPrimary(CongruencePrimes(1, 4))) == CongruencePrimes(1, 4)
+    assert denominator_support(ElementaryPrimary(PartitionClassPrimes(2))) == PartitionClassPrimes(2)
     assert denominator_support(HalfPrime()) is None
 
 

@@ -1,14 +1,19 @@
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from puiseux.cli import main
 from puiseux.errors import UnknownClaim
 from puiseux.families import BfNotFf, truncate
 from puiseux.verifier import ClaimParameters, _unit_sums, claim_ids, run_claims
 
 from oracles import brute_cyclic_factorizations, brute_unit_sums
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def test_claim_ids_cover_c1_through_c15():
@@ -70,6 +75,15 @@ def test_reports_are_deterministic():
     first = [o.as_mapping() for o in run_claims("all")]
     second = [o.as_mapping() for o in run_claims("all")]
     assert first == second
+
+
+@pytest.mark.parametrize("truncation", [50, 100])
+def test_verify_run_json_matches_pinned_document(truncation):
+    # Pins every claim's witnesses byte for byte, among them the family,
+    # sequence and prime-support JSON that C3, C8 and C10 print.
+    result = CliRunner().invoke(main, ["verify", "run", "--json", "--truncation", str(truncation)])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (FIXTURES / f"verify_run_truncation_{truncation}.json").read_bytes()
 
 
 def test_parameters_travel_into_outcomes():
