@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import (
@@ -42,6 +43,112 @@ def _exact(value, kind: type = int):
         what = "an integer" if kind is int else "an exact rational"
         raise ParseError(f"expected {what}, got {value!r}")
     return kind(value)
+
+
+def record(cls: type) -> type:
+    """Make cls a frozen record, as @dataclass(frozen=True) does for the
+    classes of this package, from closures shared by every record
+    rather than from generated source, and without importing dataclasses.
+
+    Kept: the fields are the class's own annotations in order, a class
+    attribute of the same name being the default. __init__ takes them
+    by position or keyword, then calls __post_init__ if the class has
+    one. == holds between instances of one class with equal field
+    tuples, hash is the hash of the field tuple (a tuple even for one
+    field), repr is Name(field=value, ...), and __match_args__ names the
+    fields. Assigning or deleting an attribute raises
+    dataclasses.FrozenInstanceError. Instances keep their __dict__, so
+    functools.cached_property works and private constructors may fill
+    fields through it.
+
+    Dropped: dataclasses.fields, replace, asdict and is_dataclass do not
+    apply; inspect.signature shows the shared __init__'s parameters,
+    such as (*args, **kwargs), not the fields; no __doc__ is made up for
+    a class without one; and there are no field() options, InitVar,
+    ClassVar, inherited fields, ordering, slots or recursion guard in
+    repr.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    count = len(names)
+    post_init = hasattr(cls, "__post_init__")
+    setattr_ = object.__setattr__
+
+    def bind(args, kwargs):
+        # The values a def with these parameters would bind, or its TypeError.
+        values = list(args)
+        for name in names[len(args) :]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in defaults:
+                values.append(defaults[name])
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing required argument {name!r}")
+        if len(values) > count:
+            raise TypeError(f"{cls.__qualname__}() takes {count} arguments, got {len(args)}")
+        for name in kwargs:
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__qualname__}() got {problem} argument {name!r}")
+        return values
+
+    # One getter serves == and hash. For one field it reads the bare
+    # value, hash wraps it in the tuple a dataclass hashes, and a lone
+    # positional argument binds without packing a tuple.
+    if count == 1:
+        (field,) = names
+        key = attrgetter(field)
+
+        def __hash__(self):
+            return hash((key(self),))
+
+        def __init__(self, value=_UNSET, /, *rest, **kwargs):
+            if rest or kwargs or value is _UNSET:
+                (value,) = bind(() if value is _UNSET else (value, *rest), kwargs)
+            setattr_(self, field, value)
+            if post_init:
+                self.__post_init__()
+
+    else:
+        key = attrgetter(*names) if names else lambda self: ()
+
+        def __hash__(self):
+            return hash(key(self))
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != count:
+                args = bind(args, kwargs)
+            self.__dict__.update(zip(names, args))
+            if post_init:
+                self.__post_init__()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __setattr__(self, name, value):
+        _frozen("assign to", name)
+
+    def __delattr__(self, name):
+        _frozen("delete", name)
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
+
+
+_UNSET = object()
+
+
+def _frozen(verb: str, name: str):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
 
 
 def make_rational(n: int, d: int) -> Fraction:
@@ -114,6 +221,7 @@ def is_prime(n: int) -> bool:
     Miller-Rabin below the published witness bound (far above 2**64),
     then full trial division for anything larger.
     """
+    n = n if type(n) is int else _exact(n)
     if n < 1:
         raise NonPositive(f"primality is defined for n >= 1, got {n}")
     if n == 1:
@@ -177,6 +285,7 @@ def _extend_prime_cache() -> None:
 
 def nth_prime(n: int) -> int:
     """The n-th prime, 1-indexed: nth_prime(1) == 2."""
+    n = n if type(n) is int else _exact(n)
     if n < 1:
         raise NonPositive(f"prime index must be >= 1, got {n}")
     while len(_PRIME_CACHE) < n:
@@ -186,7 +295,7 @@ def nth_prime(n: int) -> int:
 
 def nth_odd_prime(n: int) -> int:
     """The n-th odd prime, 1-indexed: 3, 5, 7, 11, ..."""
-    return nth_prime(n + 1)
+    return nth_prime(_exact(n) + 1)
 
 
 def primes() -> Iterator[int]:

@@ -13,10 +13,9 @@ exponents read backwards, so the same routine serves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import _exact, format_rational, prime_factors
+from .arith import _exact, format_rational, prime_factors, record
 from .errors import (
     BadIndex,
     InsufficientMultiplicity,
@@ -31,7 +30,7 @@ from .monoid import Factorization
 DEFAULT_EXPONENT_CAP = 8
 
 
-@dataclass(frozen=True)
+@record
 class CyclicFactorization:
     """A formal sum of powers of one ratio, keyed by exponent.
 
@@ -104,7 +103,7 @@ class CyclicFactorization:
         }
 
 
-@dataclass(frozen=True)
+@record
 class CyclicMembership:
     """Outcome of a membership test: member or non-member, always exact.
 
@@ -352,7 +351,7 @@ def cyclic_trade(
     return CyclicFactorization(r, tuple((e, m) for e, m in counts.items() if m > 0))
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddingWitness:
     """An exact identity r_i^m = coefficient * (prime / denominators)^m.
 
@@ -386,9 +385,9 @@ def generalized_cyclic_embed(
     rs = tuple(_exact(r, Fraction) for r in ratios)
     if not rs or any(r <= 0 for r in rs):
         raise NonPositive("ratios must be a nonempty list of positive rationals")
-    if not 1 <= i <= len(rs):
+    if not 1 <= _exact(i) <= len(rs):
         raise BadIndex(f"ratio index {i} is out of range 1..{len(rs)}")
-    if m < 1:
+    if _exact(m) < 1:
         raise NonPositive(f"the power must be >= 1, got {m}")
     g = math.gcd(*(r.numerator for r in rs))
     if g == 1:

@@ -16,7 +16,6 @@ list. Any family/field pair the table cannot justify stays "unknown".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -30,6 +29,7 @@ from .arith import (
     parse_rational,
     prime_factors,
     primes,
+    record,
 )
 from .errors import BadIndex, BadProgression, NonPositive, NotPrime, ParseError
 from .monoid import FgMonoid
@@ -39,7 +39,7 @@ from .monoid import FgMonoid
 # closed-form integer sequences (1-indexed)
 
 
-@dataclass(frozen=True)
+@record
 class IntSeq:
     """Listed values at n = 1..len(values), then a closed-form tail.
 
@@ -122,7 +122,8 @@ class IntSeq:
         if self.values:
             out: dict = {"kind": "explicit", "values": list(self.values)}
             if not self.finite:
-                out["then"] = replace(self, values=()).as_mapping()
+                tail = IntSeq((), self.scale, self.ratio, self.slope, self.offset)
+                out["then"] = tail.as_mapping()
             return out
         if self.scale == 0:
             return {"kind": "affine-exponent", "a": self.slope, "b": self.offset}
@@ -167,7 +168,7 @@ def ExplicitSeq(values: tuple[int, ...], then: IntSeq | None = None) -> IntSeq:
         raise NonPositive("sequence values must be >= 1")
     if then is None:
         return IntSeq(vals)
-    return replace(then, values=vals + then.values[len(vals) :])
+    return IntSeq(vals + then.values[len(vals) :], then.scale, then.ratio, then.slope, then.offset)
 
 
 def _check_index(n: int) -> None:
@@ -271,7 +272,7 @@ def class_prime(j: int, t: int) -> int:
     return nth_prime(2 ** (j - 1) * (2 * t - 1))
 
 
-@dataclass(frozen=True)
+@record
 class AllPrimes:
     """Every prime, in increasing order."""
 
@@ -289,7 +290,7 @@ class AllPrimes:
 _CLASS_PRIMES: dict[tuple[int, int], tuple[list[int], Iterator[int]]] = {}
 
 
-@dataclass(frozen=True)
+@record
 class CongruencePrimes:
     """Primes congruent to residue mod modulus, in increasing order.
 
@@ -324,7 +325,7 @@ class CongruencePrimes:
         return {"kind": "congruence", "residue": self.residue, "modulus": self.modulus}
 
 
-@dataclass(frozen=True)
+@record
 class PartitionClassPrimes:
     """One class of the canonical disjoint prime partition."""
 
@@ -385,7 +386,7 @@ def colex_subset(rank: int, k: int) -> tuple[int, ...]:
 # rational target sequences for the dense-atom construction
 
 
-@dataclass(frozen=True)
+@record
 class CalkinWilfTargets:
     """The Calkin-Wilf enumeration of the positive rationals.
 
@@ -415,7 +416,7 @@ class CalkinWilfTargets:
         return {"kind": "calkin-wilf"}
 
 
-@dataclass(frozen=True)
+@record
 class ExplicitTargets:
     """A finite list of positive rational targets."""
 
@@ -459,7 +460,7 @@ def targets_from_mapping(obj) -> TargetSeq:
 # family specs
 
 
-@dataclass(frozen=True)
+@record
 class PowerDenominator:
     """Generators 1/q^n for a prime q."""
 
@@ -476,7 +477,7 @@ class PowerDenominator:
         return {"family": "power-denominator", "q": self.q}
 
 
-@dataclass(frozen=True)
+@record
 class HalfPrime:
     """Generators floor(p/2)/p over the primes in increasing order."""
 
@@ -488,7 +489,7 @@ class HalfPrime:
         return {"family": "half-prime"}
 
 
-@dataclass(frozen=True)
+@record
 class TwoAdicOddPrime:
     """Generators 1/(2^n * p_n) with p_n the n-th odd prime."""
 
@@ -499,7 +500,7 @@ class TwoAdicOddPrime:
         return {"family": "two-adic-odd-prime"}
 
 
-@dataclass(frozen=True)
+@record
 class ElementaryPrimary:
     """Generators 1/p over a prime stream."""
 
@@ -512,7 +513,7 @@ class ElementaryPrimary:
         return {"family": "elementary-primary", "primes": self.primes.as_mapping()}
 
 
-@dataclass(frozen=True)
+@record
 class ElementaryKPrimary:
     """Generators 1/(p_1 ... p_k) over k-subsets of primes in colex order."""
 
@@ -532,7 +533,7 @@ class ElementaryKPrimary:
         return {"family": "elementary-k-primary", "k": self.k}
 
 
-@dataclass(frozen=True)
+@record
 class PartitionedKPrimary:
     """Generators over consecutive blocks of k primes: the n-th generator
     is the reciprocal of the product of primes (n-1)k+1 .. nk."""
@@ -553,7 +554,7 @@ class PartitionedKPrimary:
         return {"family": "partitioned-k-primary", "k": self.k}
 
 
-@dataclass(frozen=True)
+@record
 class SumKPrimary:
     """Generators sum of 1/p_s over k-subsets S of prime indices, colex order."""
 
@@ -573,7 +574,7 @@ class SumKPrimary:
         return {"family": "sum-k-primary", "k": self.k}
 
 
-@dataclass(frozen=True)
+@record
 class PAdic:
     """Generators numerators(n) / p^exponents(n).
 
@@ -609,7 +610,7 @@ class PAdic:
         }
 
 
-@dataclass(frozen=True)
+@record
 class PlusMinusPowers:
     """Interleaved generators (s - 1)/s^2 and (s + 1)/s^2 for s = p^(2^n).
 
@@ -632,7 +633,7 @@ class PlusMinusPowers:
         return {"family": "plus-minus-powers", "p": self.p}
 
 
-@dataclass(frozen=True)
+@record
 class Cyclic:
     """Generators r^n for a fixed positive rational r."""
 
@@ -651,7 +652,7 @@ class Cyclic:
         return {"family": "cyclic", "r": format_rational(self.r)}
 
 
-@dataclass(frozen=True)
+@record
 class GeneralizedCyclic:
     """Generators r_i^n for a finite list of positive rationals.
 
@@ -681,7 +682,7 @@ class GeneralizedCyclic:
         }
 
 
-@dataclass(frozen=True)
+@record
 class BfNotFf:
     """Generators floor(p/2)/p and (p - floor(p/2))/p over the odd primes.
 
@@ -697,7 +698,7 @@ class BfNotFf:
         return {"family": "bf-not-ff"}
 
 
-@dataclass(frozen=True)
+@record
 class ExplicitList:
     """A finite generator list wrapped as a family."""
 
@@ -780,6 +781,7 @@ def family_from_mapping(obj) -> FamilySpec:
 
 def generator_at(spec: FamilySpec, n: int) -> Fraction:
     """The n-th generator of the family, n >= 1."""
+    n = n if type(n) is int else _exact(n)
     if n < 1:
         raise BadIndex(f"generator indices start at 1, got {n}")
     return spec.generator(n)
@@ -790,7 +792,7 @@ def truncate(spec: FamilySpec, n_generators: int) -> FgMonoid:
 
     Zero generators give the trivial monoid.
     """
-    if n_generators < 0:
+    if _exact(n_generators) < 0:
         raise NonPositive(f"truncation size must be >= 0, got {n_generators}")
     return FgMonoid(tuple(generator_at(spec, n) for n in range(1, n_generators + 1)))
 
@@ -867,7 +869,7 @@ def rule_statement(rule_id: str) -> str:
     return _RULES[rule_id]
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationReport:
     """Per-property verdicts with one justification line per decided field."""
 

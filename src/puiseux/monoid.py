@@ -14,11 +14,10 @@ whose only element is 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import _exact, format_rational
+from .arith import _exact, format_rational, record
 from .errors import NonPositive
 from .semigroup import NumericalSemigroup, _levels
 
@@ -32,7 +31,7 @@ def _order_key(q: Fraction) -> tuple[int, Fraction]:
     return (q.numerator << 64) // q.denominator, q
 
 
-@dataclass(frozen=True)
+@record
 class Factorization:
     """A finite multiset of atoms with positive multiplicities.
 
@@ -100,15 +99,15 @@ class Factorization:
         }
 
 
-@dataclass(frozen=True)
+@record
 class FgMonoid:
     """The additive closure of finitely many positive rationals.
 
     Generators are normalized to a strictly increasing tuple of reduced
     fractions; floats and bools are refused. An empty tuple gives the
     trivial monoid. The atoms and the reduction to a numerical
-    semigroup are computed once per instance and cached outside the
-    dataclass fields, so equality, hashing and repr see the generators
+    semigroup are computed once per instance and cached beside the
+    record's one field, so equality, hashing and repr see the generators
     only.
     """
 

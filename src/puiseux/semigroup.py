@@ -17,15 +17,14 @@ single residue class mod g1/gcd, so the solutions can be walked directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
-from .arith import _exact
+from .arith import _exact, record
 from .errors import NonPositive, NotCofinite
 
 
-@dataclass(frozen=True)
+@record
 class NumericalSemigroup:
     """The additive closure of a nonempty finite set of positive integers.
 
@@ -51,8 +50,8 @@ class NumericalSemigroup:
 
     @cached_property
     def _walk(self) -> tuple[list, Callable, Callable, Callable]:
-        # Kept in the instance __dict__, outside the dataclass fields, so
-        # ==, hash and repr see the generators only.
+        # Kept in the instance __dict__ beside the record's one field;
+        # ==, hash and repr read the generators only.
         return _levels(self.generators)
 
     def __getstate__(self) -> dict:

@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import format_rational, is_prime, nth_odd_prime, prime_factors, prime_index
+from .arith import format_rational, is_prime, nth_odd_prime, prime_factors, prime_index, record
 from .cyclic import cyclic_factorizations, cyclic_trade, generalized_cyclic_embed
 from .errors import GcdOne, HypothesisViolated, PuiseuxError, UnknownClaim
 from .families import (
@@ -51,7 +50,7 @@ from .witnesses import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class ClaimParameters:
     truncation: int = 50
     exponent_cap: int = 8
@@ -67,7 +66,7 @@ class ClaimParameters:
         }
 
 
-@dataclass(frozen=True)
+@record
 class ClaimOutcome:
     claim_id: str
     status: str

@@ -9,10 +9,17 @@ their bounds; nothing is ever rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import format_rational, is_prime, nth_prime, padic_valuation_int, prime_index
+from .arith import (
+    _exact,
+    format_rational,
+    is_prime,
+    nth_prime,
+    padic_valuation_int,
+    prime_index,
+    record,
+)
 from .errors import (
     HypothesisViolated,
     NonPositive,
@@ -46,7 +53,7 @@ DEFAULT_SCAN_LIMIT = 10**6
 # approximation inside a dense family
 
 
-@dataclass(frozen=True)
+@record
 class Approximation:
     """A member m * g of the monoid with 0 < target - m * g < eps."""
 
@@ -77,8 +84,8 @@ def approximate(
     strictly under the target. Only families classified dense are
     accepted; the gap is always strictly between 0 and eps.
     """
-    target = Fraction(target)
-    eps = Fraction(eps)
+    target = _exact(target, Fraction)
+    eps = _exact(eps, Fraction)
     if target <= 0 or eps <= 0:
         raise NonPositive("the target and tolerance must be positive")
     if classify(spec).dense != "yes":
@@ -99,7 +106,7 @@ def approximate(
 # dense families of atomic monoids with prescribed atoms
 
 
-@dataclass(frozen=True)
+@record
 class DenseAtomEntry:
     """One constructed atom m / p^e within 1/k of its target."""
 
@@ -121,7 +128,7 @@ class DenseAtomEntry:
         }
 
 
-@dataclass(frozen=True)
+@record
 class DenseAtomConstruction:
     class_index: int
     entries: tuple[DenseAtomEntry, ...]
@@ -149,9 +156,9 @@ def dense_atom_monoid(
     different class indices give monoids with disjoint denominator
     supports.
     """
-    if class_index < 1:
+    if _exact(class_index) < 1:
         raise BadIndex(f"partition classes start at 1, got {class_index}")
-    if count < 0:
+    if _exact(count) < 0:
         raise NonPositive(f"the atom count must be >= 0, got {count}")
     if targets is None:
         targets = CalkinWilfTargets()
@@ -186,7 +193,7 @@ def dense_atom_monoid(
 # antimatter witnesses for k-subset reciprocal families
 
 
-@dataclass(frozen=True)
+@record
 class AntimatterWitness:
     """An exact three-part decomposition of one k-subset generator.
 
@@ -318,7 +325,7 @@ def sum_kprimary_atom_check(k: int, indices: tuple[int, ...], max_index: int) ->
 # candidate atoms for one-prime-denominator families
 
 
-@dataclass(frozen=True)
+@record
 class AtomExclusion:
     """Generator index i discarded because r_i = coefficient * r_m exactly."""
 
@@ -334,7 +341,7 @@ class AtomExclusion:
         }
 
 
-@dataclass(frozen=True)
+@record
 class PAdicAtomReport:
     prefix: int
     kept: tuple[int, ...]
@@ -408,7 +415,7 @@ def padic_candidate_atoms(spec: PAdic, prefix: int) -> PAdicAtomReport:
 # non-isomorphism from disjoint denominator supports
 
 
-@dataclass(frozen=True)
+@record
 class NonIsoCertificate:
     """Disjoint denominator supports rule out any isomorphism.
 

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from puiseux import families
-from puiseux.arith import is_prime, nth_prime
+from puiseux.arith import is_prime, nth_odd_prime, nth_prime, prime_index
 from puiseux.cli import main
 from puiseux.cyclic import (
     CyclicFactorization,
@@ -56,6 +56,7 @@ from puiseux.families import (
 )
 from puiseux.monoid import Factorization, FgMonoid
 from puiseux.semigroup import NumericalSemigroup
+from puiseux.witnesses import approximate, dense_atom_monoid
 
 from oracles import sieve_primes, subset_in_colex
 
@@ -640,6 +641,19 @@ INEXACT_CONSTRUCTIONS = {
     "fg-atom-support-float": lambda: FgMonoid((F(1, 2), F(1, 3))).atom_support(0.5),
     "fg-scale-float": lambda: FgMonoid((F(1, 2), F(1, 3))).scale(0.1),
     "fg-scale-bool": lambda: FgMonoid((F(1, 2), F(1, 3))).scale(True),
+    "nth-prime-bool": lambda: nth_prime(True),
+    "nth-prime-float": lambda: nth_prime(2.0),
+    "nth-odd-prime-bool": lambda: nth_odd_prime(True),
+    "nth-odd-prime-float": lambda: nth_odd_prime(2.0),
+    "is-prime-float": lambda: is_prime(7.0),
+    "prime-index-float": lambda: prime_index(7.0),
+    "truncate-bool": lambda: truncate(PowerDenominator(2), True),
+    "generator-at-bool": lambda: generator_at(PowerDenominator(2), True),
+    "dense-atom-monoid-bool-class": lambda: dense_atom_monoid(True, 2),
+    "cyclic-embed-float-power": lambda: generalized_cyclic_embed((F(2, 3), F(4, 7)), 1, 2.0),
+    "cyclic-embed-bool-index": lambda: generalized_cyclic_embed((F(2, 3), F(4, 7)), True, 2),
+    "approximate-float-target": lambda: approximate(PowerDenominator(2), 0.5, F(1, 100)),
+    "approximate-float-eps": lambda: approximate(PowerDenominator(2), F(1, 3), 0.01),
 }
 
 

@@ -101,6 +101,21 @@ LOADS = [
         "2*r^2",
         {"semigroup", "monoid", "cyclic"},
     ),
+    (
+        ["family", "classify", "--spec", '{"family": "cyclic", "r": "2/3"}'],
+        "dense: yes",
+        {"semigroup", "monoid", "families"},
+    ),
+    (
+        ["witness", "kprimary", "--primes", "2,3"],
+        "5*13 = 1*3*13 + 2*2*5 + 2*3",
+        {"semigroup", "monoid", "families", "witnesses"},
+    ),
+    (
+        ["verify", "run", "--claims", "C5,C9"],
+        "C5 confirmed",
+        {"semigroup", "monoid", "cyclic", "families", "witnesses", "verifier"},
+    ),
 ]
 
 
@@ -123,3 +138,13 @@ def test_cli_loads_only_the_layers_a_command_runs(argv, first_line, layers):
     lines = proc.stdout.splitlines()
     assert lines[0] == first_line
     assert set(lines[-1].split()) == {"puiseux.arith", "puiseux.errors"} | {"puiseux." + n for n in layers}
+
+
+def test_library_import_leaves_dataclasses_unloaded():
+    # The record classes are built without the dataclasses module, so
+    # importing the top layer (which loads every other) never pays for it.
+    code = "import sys, puiseux.verifier; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
