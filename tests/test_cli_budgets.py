@@ -37,8 +37,8 @@ def _xfail(cmd: str, item: int, today: str, id: str | None = None):
     return pytest.param(cmd, marks=pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {today}"), id=id)
 
 
-ROWS = [
-    # One row per subcommand.
+# One row per subcommand; tests/test_json.py pins their --json output.
+SUBCOMMANDS = [
     "ns mingens --gens 4,6,9,13,8",
     "ns frobenius --gens 4,9",
     "ns member --gens 4,9 --x 23",
@@ -63,6 +63,9 @@ ROWS = [
     f"witness padic-atoms --spec {PADIC} --prefix 5",
     "witness sumk-atom --k 3 --indices 1,2,3 --max-index 10",
     "verify run --claims C5,C9",
+]
+
+ROWS = SUBCOMMANDS + [
     # Boundary inputs that pass today: refusals and larger sizes.
     "ns frobenius --gens 4,6",
     "ns frobenius --gens 1009,1013,1019",
