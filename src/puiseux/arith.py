@@ -61,6 +61,10 @@ def record(cls: type) -> type:
     functools.cached_property works and private constructors may fill
     fields through it.
 
+    Added: unless the class defines its own, as_mapping() returns the
+    JSON form: the class attribute json_tag (a dict, empty if absent),
+    then each field in order, written by _json_value.
+
     Dropped: dataclasses.fields, replace, asdict and is_dataclass do not
     apply; inspect.signature shows the shared __init__'s parameters,
     such as (*args, **kwargs), not the fields; no __doc__ is made up for
@@ -136,13 +140,35 @@ def record(cls: type) -> type:
     def __delattr__(self, name):
         _frozen("delete", name)
 
+    tag = getattr(cls, "json_tag", {})
+
+    def as_mapping(self) -> dict:
+        out = dict(tag)
+        for name in names:
+            out[name] = _json_value(getattr(self, name))
+        return out
+
     for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
         setattr(cls, method.__name__, method)
+    if "as_mapping" not in cls.__dict__:
+        cls.as_mapping = as_mapping
     cls.__match_args__ = names
     return cls
 
 
 _UNSET = object()
+
+
+def _json_value(value):
+    """A field as JSON: a Fraction as 'n/d', a tuple as a list of its
+    items' JSON, a record as its as_mapping(), anything else as is."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    if hasattr(value, "as_mapping"):
+        return value.as_mapping()
+    return value
 
 
 def _frozen(verb: str, name: str):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import _exact, format_rational, prime_factors, record
+from .arith import _exact, prime_factors, record
 from .errors import (
     BadIndex,
     InsufficientMultiplicity,
@@ -23,6 +23,7 @@ from .errors import (
     NotAtomic,
     NotFoundWithinLimit,
     GcdOne,
+    HypothesisViolated,
     ParseError,
 )
 from .monoid import Factorization
@@ -116,14 +117,6 @@ class CyclicMembership:
     cap: int
     witness: CyclicFactorization | None = None
     certificate: str | None = None
-
-    def as_mapping(self) -> dict:
-        return {
-            "status": self.status,
-            "cap": self.cap,
-            "witness": None if self.witness is None else self.witness.as_mapping(),
-            "certificate": self.certificate,
-        }
 
 
 def _intrinsic_horizon(r: Fraction, x: Fraction) -> int:
@@ -367,16 +360,6 @@ class EmbeddingWitness:
     base: Fraction
     value: Fraction
 
-    def as_mapping(self) -> dict:
-        return {
-            "ratio_index": self.ratio_index,
-            "power": self.power,
-            "prime": self.prime,
-            "coefficient": self.coefficient,
-            "base": format_rational(self.base),
-            "value": format_rational(self.value),
-        }
-
 
 def generalized_cyclic_embed(
     ratios: tuple[Fraction, ...], i: int, m: int
@@ -405,7 +388,8 @@ def generalized_cyclic_embed(
     big_d = math.prod(r.denominator for r in rs)
     base = Fraction(p, big_d)
     value = target**m
-    assert value == coefficient * base**m
+    if value != coefficient * base**m:
+        raise HypothesisViolated(f"r_{i}^{m} = {coefficient} * ({base})^{m} fails")
     return EmbeddingWitness(
         ratio_index=i,
         power=m,

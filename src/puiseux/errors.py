@@ -40,7 +40,8 @@ class NotDense(PuiseuxError):
 
 
 class HypothesisViolated(PuiseuxError):
-    """The closed-form hypotheses of a criterion do not hold."""
+    """The closed-form hypotheses of a criterion do not hold, or an
+    identity a construction rests on fails its exact re-check."""
 
 
 class NotAtomic(PuiseuxError):

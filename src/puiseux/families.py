@@ -21,7 +21,6 @@ from typing import Iterator, Union
 
 from .arith import (
     _exact,
-    format_rational,
     is_prime,
     json_int,
     nth_odd_prime,
@@ -228,6 +227,12 @@ def _parse(obj, tag: str, what: str, table: dict):
         raise ParseError(f"{what} {name!r} is missing field {missing}") from None
 
 
+def _tagged(tag: str, builders: dict) -> dict:
+    """A _parse table from builders keyed by record class, each under
+    the value its json_tag gives tag."""
+    return {cls.json_tag[tag]: build for cls, build in builders.items()}
+
+
 _SEQUENCES = {
     "constant": lambda o: GeometricSeq(json_int(o["value"]), 1),
     "power": lambda o: GeometricSeq(1, json_int(o["base"])),
@@ -276,12 +281,11 @@ def class_prime(j: int, t: int) -> int:
 class AllPrimes:
     """Every prime, in increasing order."""
 
+    json_tag = {"kind": "all"}
+
     def prime_at(self, n: int) -> int:
         _check_index(n)
         return nth_prime(n)
-
-    def as_mapping(self) -> dict:
-        return {"kind": "all"}
 
 
 # Growing cache shared by every CongruencePrimes stream of one class,
@@ -298,6 +302,7 @@ class CongruencePrimes:
     many primes.
     """
 
+    json_tag = {"kind": "congruence"}
     residue: int
     modulus: int
 
@@ -321,14 +326,12 @@ class CongruencePrimes:
                 found.append(p)
         return found[n - 1]
 
-    def as_mapping(self) -> dict:
-        return {"kind": "congruence", "residue": self.residue, "modulus": self.modulus}
-
 
 @record
 class PartitionClassPrimes:
     """One class of the canonical disjoint prime partition."""
 
+    json_tag = {"kind": "partition-class"}
     index: int
 
     def __post_init__(self) -> None:
@@ -339,18 +342,18 @@ class PartitionClassPrimes:
         _check_index(n)
         return class_prime(self.index, n)
 
-    def as_mapping(self) -> dict:
-        return {"kind": "partition-class", "index": self.index}
-
 
 PrimeStream = Union[AllPrimes, CongruencePrimes, PartitionClassPrimes]
 
 
-_STREAMS = {
-    "all": lambda o: AllPrimes(),
-    "congruence": lambda o: CongruencePrimes(json_int(o["residue"]), json_int(o["modulus"])),
-    "partition-class": lambda o: PartitionClassPrimes(json_int(o["index"])),
-}
+_STREAMS = _tagged(
+    "kind",
+    {
+        AllPrimes: lambda o: AllPrimes(),
+        CongruencePrimes: lambda o: CongruencePrimes(json_int(o["residue"]), json_int(o["modulus"])),
+        PartitionClassPrimes: lambda o: PartitionClassPrimes(json_int(o["index"])),
+    },
+)
 
 
 def stream_from_mapping(obj) -> PrimeStream:
@@ -400,6 +403,8 @@ class CalkinWilfTargets:
     applying Newman's map q -> 1/(2*floor(q) - q + 1) n - 1 times.
     """
 
+    json_tag = {"kind": "calkin-wilf"}
+
     def value_at(self, n: int) -> Fraction:
         _check_index(n)
         # (fusc(m), fusc(m+1)) for m the leading bits of n read so far:
@@ -412,14 +417,12 @@ class CalkinWilfTargets:
                 b += a
         return Fraction(a, b)
 
-    def as_mapping(self) -> dict:
-        return {"kind": "calkin-wilf"}
-
 
 @record
 class ExplicitTargets:
     """A finite list of positive rational targets."""
 
+    json_tag = {"kind": "explicit"}
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
@@ -434,22 +437,19 @@ class ExplicitTargets:
             raise BadIndex(f"only {len(self.values)} targets are listed")
         return self.values[n - 1]
 
-    def as_mapping(self) -> dict:
-        return {
-            "kind": "explicit",
-            "values": [format_rational(v) for v in self.values],
-        }
-
 
 TargetSeq = Union[CalkinWilfTargets, ExplicitTargets]
 
 
-_TARGETS = {
-    "calkin-wilf": lambda o: CalkinWilfTargets(),
-    "explicit": lambda o: ExplicitTargets(
-        tuple(json_rational(v) for v in json_list(o["values"]))
-    ),
-}
+_TARGETS = _tagged(
+    "kind",
+    {
+        CalkinWilfTargets: lambda o: CalkinWilfTargets(),
+        ExplicitTargets: lambda o: ExplicitTargets(
+            tuple(json_rational(v) for v in json_list(o["values"]))
+        ),
+    },
+)
 
 
 def targets_from_mapping(obj) -> TargetSeq:
@@ -464,6 +464,7 @@ def targets_from_mapping(obj) -> TargetSeq:
 class PowerDenominator:
     """Generators 1/q^n for a prime q."""
 
+    json_tag = {"family": "power-denominator"}
     q: int
 
     def __post_init__(self) -> None:
@@ -473,50 +474,44 @@ class PowerDenominator:
     def generator(self, n: int) -> Fraction:
         return Fraction(1, self.q**n)
 
-    def as_mapping(self) -> dict:
-        return {"family": "power-denominator", "q": self.q}
-
 
 @record
 class HalfPrime:
     """Generators floor(p/2)/p over the primes in increasing order."""
 
+    json_tag = {"family": "half-prime"}
+
     def generator(self, n: int) -> Fraction:
         p = nth_prime(n)
         return Fraction(p // 2, p)
-
-    def as_mapping(self) -> dict:
-        return {"family": "half-prime"}
 
 
 @record
 class TwoAdicOddPrime:
     """Generators 1/(2^n * p_n) with p_n the n-th odd prime."""
 
+    json_tag = {"family": "two-adic-odd-prime"}
+
     def generator(self, n: int) -> Fraction:
         return Fraction(1, 2**n * nth_odd_prime(n))
-
-    def as_mapping(self) -> dict:
-        return {"family": "two-adic-odd-prime"}
 
 
 @record
 class ElementaryPrimary:
     """Generators 1/p over a prime stream."""
 
+    json_tag = {"family": "elementary-primary"}
     primes: PrimeStream = AllPrimes()
 
     def generator(self, n: int) -> Fraction:
         return Fraction(1, self.primes.prime_at(n))
-
-    def as_mapping(self) -> dict:
-        return {"family": "elementary-primary", "primes": self.primes.as_mapping()}
 
 
 @record
 class ElementaryKPrimary:
     """Generators 1/(p_1 ... p_k) over k-subsets of primes in colex order."""
 
+    json_tag = {"family": "elementary-k-primary"}
     k: int
 
     def __post_init__(self) -> None:
@@ -529,15 +524,13 @@ class ElementaryKPrimary:
             d *= nth_prime(idx)
         return Fraction(1, d)
 
-    def as_mapping(self) -> dict:
-        return {"family": "elementary-k-primary", "k": self.k}
-
 
 @record
 class PartitionedKPrimary:
     """Generators over consecutive blocks of k primes: the n-th generator
     is the reciprocal of the product of primes (n-1)k+1 .. nk."""
 
+    json_tag = {"family": "partitioned-k-primary"}
     k: int
 
     def __post_init__(self) -> None:
@@ -550,14 +543,12 @@ class PartitionedKPrimary:
             d *= nth_prime((n - 1) * self.k + i)
         return Fraction(1, d)
 
-    def as_mapping(self) -> dict:
-        return {"family": "partitioned-k-primary", "k": self.k}
-
 
 @record
 class SumKPrimary:
     """Generators sum of 1/p_s over k-subsets S of prime indices, colex order."""
 
+    json_tag = {"family": "sum-k-primary"}
     k: int
 
     def __post_init__(self) -> None:
@@ -570,9 +561,6 @@ class SumKPrimary:
             Fraction(0),
         )
 
-    def as_mapping(self) -> dict:
-        return {"family": "sum-k-primary", "k": self.k}
-
 
 @record
 class PAdic:
@@ -583,6 +571,7 @@ class PAdic:
     the denominators grow without bound.
     """
 
+    json_tag = {"family": "p-adic"}
     p: int
     numerators: IntSeq
     exponents: IntSeq
@@ -601,14 +590,6 @@ class PAdic:
     def generator(self, n: int) -> Fraction:
         return Fraction(self.numerators.value_at(n), self.p ** self.exponents.value_at(n))
 
-    def as_mapping(self) -> dict:
-        return {
-            "family": "p-adic",
-            "p": self.p,
-            "numerators": self.numerators.as_mapping(),
-            "exponents": self.exponents.as_mapping(),
-        }
-
 
 @record
 class PlusMinusPowers:
@@ -618,6 +599,7 @@ class PlusMinusPowers:
     at level n. Both reduce as written since s -+ 1 is coprime to s.
     """
 
+    json_tag = {"family": "plus-minus-powers"}
     p: int
 
     def __post_init__(self) -> None:
@@ -629,14 +611,12 @@ class PlusMinusPowers:
         s = self.p ** (2**level)
         return Fraction(s - 1 if n % 2 else s + 1, s * s)
 
-    def as_mapping(self) -> dict:
-        return {"family": "plus-minus-powers", "p": self.p}
-
 
 @record
 class Cyclic:
     """Generators r^n for a fixed positive rational r."""
 
+    json_tag = {"family": "cyclic"}
     r: Fraction
 
     def __post_init__(self) -> None:
@@ -648,9 +628,6 @@ class Cyclic:
     def generator(self, n: int) -> Fraction:
         return self.r**n
 
-    def as_mapping(self) -> dict:
-        return {"family": "cyclic", "r": format_rational(self.r)}
-
 
 @record
 class GeneralizedCyclic:
@@ -660,6 +637,7 @@ class GeneralizedCyclic:
     raised to the power (j-1) div k + 1.
     """
 
+    json_tag = {"family": "generalized-cyclic"}
     ratios: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
@@ -675,12 +653,6 @@ class GeneralizedCyclic:
         power = (n - 1) // k + 1
         return self.ratios[(n - 1) % k] ** power
 
-    def as_mapping(self) -> dict:
-        return {
-            "family": "generalized-cyclic",
-            "ratios": [format_rational(r) for r in self.ratios],
-        }
-
 
 @record
 class BfNotFf:
@@ -690,18 +662,18 @@ class BfNotFf:
     prime; each pair sums to 1.
     """
 
+    json_tag = {"family": "bf-not-ff"}
+
     def generator(self, n: int) -> Fraction:
         p = nth_odd_prime((n + 1) // 2)
         return Fraction(p // 2 if n % 2 else p - p // 2, p)
-
-    def as_mapping(self) -> dict:
-        return {"family": "bf-not-ff"}
 
 
 @record
 class ExplicitList:
     """A finite generator list wrapped as a family."""
 
+    json_tag = {"family": "explicit"}
     generators: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
@@ -718,12 +690,6 @@ class ExplicitList:
                 f"index {n} exceeds the {len(self.generators)} listed generators"
             )
         return self.generators[n - 1]
-
-    def as_mapping(self) -> dict:
-        return {
-            "family": "explicit",
-            "generators": [format_rational(g) for g in self.generators],
-        }
 
 
 FamilySpec = Union[
@@ -743,31 +709,34 @@ FamilySpec = Union[
 ]
 
 
-_FAMILIES = {
-    "power-denominator": lambda o: PowerDenominator(json_int(o["q"])),
-    "half-prime": lambda o: HalfPrime(),
-    "two-adic-odd-prime": lambda o: TwoAdicOddPrime(),
-    "elementary-primary": lambda o: ElementaryPrimary(
-        stream_from_mapping(o.get("primes", {"kind": "all"}))
-    ),
-    "elementary-k-primary": lambda o: ElementaryKPrimary(json_int(o["k"])),
-    "partitioned-k-primary": lambda o: PartitionedKPrimary(json_int(o["k"])),
-    "sum-k-primary": lambda o: SumKPrimary(json_int(o["k"])),
-    "p-adic": lambda o: PAdic(
-        json_int(o["p"]),
-        sequence_from_mapping(o["numerators"]),
-        sequence_from_mapping(o["exponents"]),
-    ),
-    "plus-minus-powers": lambda o: PlusMinusPowers(json_int(o["p"])),
-    "cyclic": lambda o: Cyclic(json_rational(o["r"])),
-    "generalized-cyclic": lambda o: GeneralizedCyclic(
-        tuple(json_rational(r) for r in json_list(o["ratios"]))
-    ),
-    "bf-not-ff": lambda o: BfNotFf(),
-    "explicit": lambda o: ExplicitList(
-        tuple(json_rational(g) for g in json_list(o["generators"]))
-    ),
-}
+_FAMILIES = _tagged(
+    "family",
+    {
+        PowerDenominator: lambda o: PowerDenominator(json_int(o["q"])),
+        HalfPrime: lambda o: HalfPrime(),
+        TwoAdicOddPrime: lambda o: TwoAdicOddPrime(),
+        ElementaryPrimary: lambda o: ElementaryPrimary(
+            stream_from_mapping(o.get("primes", AllPrimes.json_tag))
+        ),
+        ElementaryKPrimary: lambda o: ElementaryKPrimary(json_int(o["k"])),
+        PartitionedKPrimary: lambda o: PartitionedKPrimary(json_int(o["k"])),
+        SumKPrimary: lambda o: SumKPrimary(json_int(o["k"])),
+        PAdic: lambda o: PAdic(
+            json_int(o["p"]),
+            sequence_from_mapping(o["numerators"]),
+            sequence_from_mapping(o["exponents"]),
+        ),
+        PlusMinusPowers: lambda o: PlusMinusPowers(json_int(o["p"])),
+        Cyclic: lambda o: Cyclic(json_rational(o["r"])),
+        GeneralizedCyclic: lambda o: GeneralizedCyclic(
+            tuple(json_rational(r) for r in json_list(o["ratios"]))
+        ),
+        BfNotFf: lambda o: BfNotFf(),
+        ExplicitList: lambda o: ExplicitList(
+            tuple(json_rational(g) for g in json_list(o["generators"]))
+        ),
+    },
+)
 
 
 def family_from_mapping(obj) -> FamilySpec:
@@ -855,16 +824,6 @@ _ASSERTED = {
     "shared-numerator-prime-embedding",
 }
 
-_FIELDS = (
-    "dense",
-    "atomic",
-    "antimatter",
-    "strongly_bounded",
-    "finite_puiseux",
-    "hereditarily_atomic",
-)
-
-
 def rule_statement(rule_id: str) -> str:
     return _RULES[rule_id]
 
@@ -881,16 +840,11 @@ class ClassificationReport:
     hereditarily_atomic: str
     justification: tuple[str, ...]
 
-    def as_mapping(self) -> dict:
-        """The six verdicts in _FIELDS order, then the justification."""
-        out = {field: getattr(self, field) for field in _FIELDS}
-        out["justification"] = list(self.justification)
-        return out
-
 
 class _Report:
     def __init__(self) -> None:
-        self.verdicts = {f: "unknown" for f in _FIELDS}
+        # Every field of ClassificationReport but the last, justification.
+        self.verdicts = {f: "unknown" for f in ClassificationReport.__match_args__[:-1]}
         self.lines: list[str] = []
 
     def set(self, field: str, verdict: str, rule: str) -> None:

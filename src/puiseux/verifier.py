@@ -57,14 +57,6 @@ class ClaimParameters:
     prime_search_limit: int = 100_000
     seed: int = 7
 
-    def as_mapping(self) -> dict:
-        return {
-            "truncation": self.truncation,
-            "exponent_cap": self.exponent_cap,
-            "prime_search_limit": self.prime_search_limit,
-            "seed": self.seed,
-        }
-
 
 @record
 class ClaimOutcome:
@@ -73,15 +65,6 @@ class ClaimOutcome:
     witnesses: tuple
     parameters: ClaimParameters
     citation: str
-
-    def as_mapping(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "status": self.status,
-            "witnesses": list(self.witnesses),
-            "parameters": self.parameters.as_mapping(),
-            "citation": self.citation,
-        }
 
 
 class _Refuted(Exception):

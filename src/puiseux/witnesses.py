@@ -62,14 +62,6 @@ class Approximation:
     generator: Fraction
     multiplier: int
 
-    def as_mapping(self) -> dict:
-        return {
-            "value": format_rational(self.value),
-            "generator_index": self.generator_index,
-            "generator": format_rational(self.generator),
-            "multiplier": self.multiplier,
-        }
-
 
 def approximate(
     spec: FamilySpec,
@@ -116,16 +108,6 @@ class DenseAtomEntry:
     exponent: int
     numerator: int
     atom: Fraction
-
-    def as_mapping(self) -> dict:
-        return {
-            "k": self.k,
-            "target": format_rational(self.target),
-            "prime": self.prime,
-            "exponent": self.exponent,
-            "numerator": self.numerator,
-            "atom": format_rational(self.atom),
-        }
 
 
 @record
@@ -272,7 +254,10 @@ def kprimary_antimatter_witness(
         )
     q_new = n * p_new + q
 
-    assert p_new * q_new == m * q * q_new + n * p * p_new + p * q
+    if p_new * q_new != m * q * q_new + n * p * p_new + p * q:
+        raise HypothesisViolated(
+            f"{p_new}*{q_new} = {m}*{q}*{q_new} + {n}*{p}*{p_new} + {p}*{q} fails"
+        )
     target = Fraction(1, p * q * rest)
     decomposition = Factorization(
         (
@@ -281,7 +266,8 @@ def kprimary_antimatter_witness(
             (Fraction(1, p_new * q_new * rest), 1),
         )
     )
-    assert decomposition.evaluate() == target
+    if decomposition.evaluate() != target:
+        raise HypothesisViolated(f"the decomposition does not sum to {format_rational(target)}")
     return AntimatterWitness(
         primes=ps,
         m=m,
@@ -333,26 +319,12 @@ class AtomExclusion:
     kept_index: int
     coefficient: int
 
-    def as_mapping(self) -> dict:
-        return {
-            "index": self.index,
-            "kept_index": self.kept_index,
-            "coefficient": self.coefficient,
-        }
-
 
 @record
 class PAdicAtomReport:
     prefix: int
     kept: tuple[int, ...]
     exclusions: tuple[AtomExclusion, ...]
-
-    def as_mapping(self) -> dict:
-        return {
-            "prefix": self.prefix,
-            "kept": list(self.kept),
-            "exclusions": [e.as_mapping() for e in self.exclusions],
-        }
 
 
 def padic_candidate_atoms(spec: PAdic, prefix: int) -> PAdicAtomReport:
@@ -399,14 +371,16 @@ def padic_candidate_atoms(spec: PAdic, prefix: int) -> PAdicAtomReport:
                 raise NotFoundWithinLimit(
                     f"no end in sight scanning numerators past index {i}"
                 )
-        assert last is not None
+        if last is None:
+            raise HypothesisViolated(f"no numerator after index {i} is at most {c_i}")
         alpha = spec.exponents
         beta_i = padic_valuation_int(base, c_i)
         beta_m = padic_valuation_int(base, nums.value_at(last))
         coefficient = spec.p ** (alpha.value_at(last) - alpha.value_at(i)) * base ** (
             beta_i - beta_m
         )
-        assert spec.generator(i) == coefficient * spec.generator(last)
+        if spec.generator(i) != coefficient * spec.generator(last):
+            raise HypothesisViolated(f"r_{i} = {coefficient} * r_{last} fails")
         exclusions.append(AtomExclusion(i, last, coefficient))
     return PAdicAtomReport(prefix=prefix, kept=tuple(kept), exclusions=tuple(exclusions))
 
@@ -428,13 +402,6 @@ class NonIsoCertificate:
     support_a: dict
     support_b: dict
     reason: str
-
-    def as_mapping(self) -> dict:
-        return {
-            "support_a": self.support_a,
-            "support_b": self.support_b,
-            "reason": self.reason,
-        }
 
 
 def _support_mapping(support) -> dict:

@@ -1,5 +1,6 @@
 """The public namespace, and what the CLI loads to serve one command."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -148,3 +149,15 @@ def test_library_import_leaves_dataclasses_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_library_code_has_no_assert_statements():
+    # python -O strips assert statements, so an exact re-check in the
+    # library must raise a PuiseuxError instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "puiseux").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -245,3 +245,23 @@ def test_pickle_and_copy_round_trip(name):
         back = pickle.loads(pickle.dumps(rec))
         assert back.contains(13) and back.contains(5) == rec.contains(5)
 
+
+
+def test_only_five_records_write_their_own_json():
+    # The rest get arith.record's field-driven as_mapping.
+    own = {name for name, cls in record_classes().items() if cls.as_mapping.__module__ != "puiseux.arith"}
+    assert own == {"IntSeq", "Factorization", "CyclicFactorization", "DenseAtomConstruction", "AntimatterWitness"}
+
+
+def test_the_field_driven_json_form():
+    # Tag, then fields in order: rationals as n/d, tuples as lists,
+    # nested records as their mappings, anything else as is.
+    got = cyclic_contains(F(2, 3), F(4, 3), 8).as_mapping()
+    assert list(got.items()) == [
+        ("status", "member"),
+        ("cap", 8),
+        ("witness", {"length": 2, "terms": [{"exponent": 1, "mult": 2}]}),
+        ("certificate", None),
+    ]
+    assert FgMonoid((F(1, 2), 3)).as_mapping() == {"generators": ["1/2", "3"]}
+    assert ElementaryPrimary().as_mapping() == {"family": "elementary-primary", "primes": {"kind": "all"}}

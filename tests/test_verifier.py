@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from puiseux.cli import main
 from puiseux.errors import UnknownClaim
 from puiseux.families import BfNotFf, truncate
+from puiseux.monoid import Factorization
 from puiseux.verifier import ClaimParameters, _unit_sums, claim_ids, run_claims
 
 from oracles import brute_cyclic_factorizations, brute_unit_sums
@@ -29,6 +30,19 @@ def test_run_all_default_statuses():
         assert o.status == expected, (o.claim_id, o.status, o.witnesses)
         assert len(o.witnesses) >= 1
         assert o.citation
+
+
+def test_a_failed_identity_is_an_error_and_the_other_claims_still_run(monkeypatch):
+    # kprimary_antimatter_witness re-checks its decomposition exactly; a
+    # wrong sum must reach run_claims as a PuiseuxError, also under -O.
+    monkeypatch.setattr(Factorization, "evaluate", lambda self: Fraction(0))
+    outcomes = run_claims(["C5", "C6", "C9"])
+    assert [(o.claim_id, o.status) for o in outcomes] == [
+        ("C5", "confirmed"),
+        ("C6", "error"),
+        ("C9", "confirmed"),
+    ]
+    assert outcomes[1].witnesses == ("the decomposition does not sum to 1/6",)
 
 
 def test_selection_is_sorted_and_validated():
