@@ -1,13 +1,14 @@
 """Membership, factorizations, and trades in power monoids of one ratio.
 
 The monoid of r = a/b (lowest terms) is generated by r, r^2, r^3, ...
-For r < 1 the trade b * r^(t+1) -> a * r^t shortens a factorization,
-so each member has one shortest factorization, with fewer than b copies
-of every power past r^1. Its multiplicities are forced digits, peeled
-off from the top exponent down; this decides membership exactly, and
-every other factorization adds trade counts from a box. For r > 1 the
-powers r^t <= x, t <= top, are r^(top + 1) times powers of 1/r with
-exponents read backwards, so the same routine serves.
+Each member has one factorization with fewer than b copies of every
+power past r^1. Its multiplicities are forced digits, peeled off from
+the top exponent down; this decides membership exactly, and every
+other factorization adds trade counts a * r^t -> b * r^(t+1) from a
+box. For r < 1 those trades lengthen a factorization, so this one is
+the shortest. For r > 1 the shortest, the witness of membership, comes
+from the same routine: the powers r^t <= x, t <= top, are r^(top + 1)
+times powers of 1/r with exponents read backwards.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ def _intrinsic_horizon(r: Fraction, x: Fraction) -> int:
 
 
 def _shortest(a: int, b: int, y: Fraction) -> tuple[list[int], int | None]:
-    """The shortest factorization of y > 0 over the powers of a/b < 1.
+    """The factorization of y > 0 over the powers of a/b with fewer than
+    b copies of every power past the first: the shortest when a < b.
 
     y's denominator must divide a power of b. With T least such that
     s = y * b^T is an integer, for t = T down to 2 the multiplicity of
@@ -229,13 +231,15 @@ def cyclic_factorizations(
     lexicographic order of their multiplicity vectors.
 
     For r > 1 the list is complete once every r^t <= x has t <= cap.
-    Over a/b < 1 (r or 1/r), each factorization is the shortest one
-    plus k_t trades a * (a/b)^t -> b * (a/b)^(t+1), t < cap, and every
-    0 <= k_t <= (c_t + b * k_(t-1)) / a is one. One depth-first walk
-    of that box builds each result's terms once; for r < 1 it emits
-    them in order, and for r > 1, whose exponents it reads backwards,
-    one sort of the vectors orders them. Raises NotAtomic for ratios
-    1/b with b >= 2, whose power monoids have no atoms at all.
+    With r = a/b, the factorization c of _shortest has fewer than b
+    copies of every power past r^1 (for r > 1 it is the longest), and
+    every factorization is c plus k_t trades a * r^t -> b * r^(t+1),
+    t < cap, for each 0 <= k_t <= (c_t + b * k_(t-1)) / a. One iterative
+    depth-first walk of that box, k_t decreasing, emits them in order,
+    each extending the terms its branch fixed so far. A branch ends
+    once nothing is left past c's last digit, so a short answer costs
+    nothing that grows with cap. Raises NotAtomic for ratios 1/b with
+    b >= 2, whose power monoids have no atoms at all.
     """
     r = _exact(r, Fraction)
     x = _exact(x, Fraction)
@@ -258,53 +262,42 @@ def cyclic_factorizations(
             return []
         return [CyclicFactorization(r, ((1, quotient.numerator),))]
 
-    top = cap if r < 1 else min(cap, _intrinsic_horizon(r, x) if x >= r else 0)
-    if top < 1:
+    # _shortest needs x's denominator to divide a power of b: screen its
+    # primes outside b first, as cyclic_contains does.
+    stray = x.denominator
+    while (g := math.gcd(stray, b)) > 1:
+        stray //= g
+    if stray > 1:
         return []
-    a, b, y = (a, b, x) if r < 1 else (b, a, x / r ** (top + 1))
-    if (y * b**top).denominator != 1:
+    c, stuck = _shortest(a, b, x)
+    last = len(c)
+    # Trades only move copies up, so no factorization fits under a cap
+    # that c does not.
+    if stuck is not None or last > cap:
         return []
-    c, stuck = _shortest(a, b, y)
-    if stuck is not None:
-        return []
-    c += [0] * (top - len(c))
     out: list = []
-
-    def walk(t: int, k: int, terms: tuple) -> None:
-        # k trades arrived from exponent t - 1; j trades on to t + 1
-        # leave m = have - a * j copies of exponent t.
-        have = c[t - 1] + b * k
-        if t == top:
-            out.append(terms + ((t, have),) if have else terms)
-            return
-        for j in range(have // a, -1, -1):
+    # (t, have, terms, js) of each open exponent: its copies, the terms
+    # fixed before it and the trade counts left to try. Exponent 0 holds
+    # nothing and trades nothing on: the walk starts there.
+    stack = [(0, 0, (), iter((0,)))]
+    while stack:
+        t, have, terms, js = stack[-1]
+        for j in js:
+            # j trades leave m copies of exponent t, and exponent t + 1
+            # gets its digit plus b copies per trade.
             m = have - a * j
-            walk(t + 1, j, terms + ((t, m),) if m else terms)
-
-    def walk_back(t: int, k: int, vector: tuple, terms: tuple) -> None:
-        # As walk, for r > 1, where routine exponent t is r's exponent
-        # top + 1 - t: multiplicities and terms are prepended.
-        have = c[t - 1] + b * k
-        if t == top:
-            out.append(((have,) + vector, ((1, have),) + terms if have else terms))
-            return
-        for j in range(have // a + 1):
-            m = have - a * j
-            walk_back(t + 1, j, (m,) + vector, ((top + 1 - t, m),) + terms if m else terms)
-
-    if r < 1:
-        # Trades into t + 1 fall, so m rises: vectors come out ascending.
-        walk(1, 0, ())
-        listed = out
-    else:
-        walk_back(1, 0, (), ())
-        out.sort()
-        listed = [terms for _, terms in out]
-    # Each walk refers to itself through its closure; breaking those
-    # cycles lets reference counting free out as soon as it is done.
-    del walk, walk_back
+            fixed = terms + ((t, m),) if m else terms
+            nxt = (c[t] if t < last else 0) + b * j
+            if t + 1 == cap or not nxt and t >= last:
+                # Exponent t + 1 trades nothing on, and nothing is left past it.
+                out.append(fixed + ((t + 1, nxt),) if nxt else fixed)
+                continue
+            stack.append((t + 1, nxt, fixed, iter(range(nxt // a, -1, -1))))
+            break
+        else:
+            stack.pop()
     # r is a positive Fraction, exponents increase from 1, every kept m >= 1.
-    return [CyclicFactorization._sorted(r, terms) for terms in listed]
+    return [CyclicFactorization._sorted(r, terms) for terms in out]
 
 
 def cyclic_trade(

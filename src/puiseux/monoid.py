@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 
 from .arith import _exact, format_rational, record
 from .errors import NonPositive
-from .semigroup import NumericalSemigroup, _levels
+from .semigroup import NumericalSemigroup, _coefficients, _leaves, _levels
 
 
 def _order_key(q: Fraction) -> tuple[int, Fraction]:
@@ -218,8 +219,9 @@ class FgMonoid:
         The listing is representations' walk over the scaled atoms in
         reverse: the smallest atom's coefficient is fixed first,
         increasing, and the three largest are solved in closed form
-        (semigroup._levels), so results come out in order. Each result
-        extends the terms its walk has fixed so far.
+        (semigroup._levels), so results come out in order. Each leaf of
+        the walk builds the terms it fixed once, and its results extend
+        them.
         """
         t = self._target(x)
         if not t:
@@ -251,27 +253,14 @@ class FgMonoid:
 
         if n == 2:
             return finish((), [(0, *pair(t))])
-        # Level k >= 4 fixes the coefficient of atom n - k, and tail
-        # that of a2.
-        steps = [None] * 4 + [levels[k] + (ats[n - k],) for k in range(4, n + 1)]
-        out: list[Factorization] = []
-
-        def walk(k: int, rem: int, prefix: tuple) -> None:
-            g, h, step, inverse, atom = steps[k]
-            for c in range(rem // h * inverse % step, rem // g + 1, step):
-                if k > 4:
-                    walk(k - 1, rem - c * g, prefix + ((atom, c),) if c else prefix)
-                elif solved := tail(rem - c * g):
-                    # Terms are built only for remainders that the three
-                    # largest atoms can sum to.
-                    out.extend(finish(prefix + ((atom, c),) if c else prefix, solved))
-
         if n == 3:
             return finish((), tail(t))
-        walk(n, t, ())
-        # walk refers to itself through its closure; breaking that cycle
-        # lets reference counting free out as soon as callers drop it.
-        del walk
+        # Level k >= 4 fixes the coefficient of atom n - k, so a leaf's
+        # coefficients belong to the atoms from the smallest up.
+        lead = ats[:n - 3]
+        out: list[Factorization] = []
+        for solved, cs in _leaves(levels, lambda r, _: tail(r), n, t, True):
+            out.extend(finish(tuple(compress(zip(lead, cs), cs)), solved))
         return out
 
     def lengths(self, x: Fraction | int) -> tuple[int, ...]:
@@ -281,8 +270,10 @@ class FgMonoid:
         scaled atoms: bit L of mask(k, rem) says whether some
         representation of rem over the k smallest scaled atoms has
         length L, and mask(k, rem) is the union of mask(k - 1, rem - c *
-        g) << c over the coefficients c of the k-th atom g, memoized per
-        call. Over the two smallest atoms the lengths of rem are an
+        g) << c over the coefficients c of the k-th atom g. Each (k, rem)
+        the walk reaches is computed once, level by level, without
+        recursion; a nonzero remainder below the level's floor has mask
+        0. Over the two smallest atoms the lengths of rem are an
         arithmetic progression, so that mask is one closed-form integer.
         """
         t = self._target(x)
@@ -297,7 +288,6 @@ class FgMonoid:
         # lengths c0 + c1 fall by delta = g1 - g0.
         delta = (gens[1] - gens[0]) // math.gcd(gens[0], gens[1])
         unit = (1 << delta) - 1
-        memo: dict[tuple[int, int], int] = {}
 
         def union(solved) -> int:
             # solved holds (c, c0s, c1s) as tail gives them.
@@ -306,26 +296,31 @@ class FgMonoid:
                 hit |= ((1 << len(c0s) * delta) - 1) // unit << c0s[-1] + c1s[-1] + c
             return hit
 
-        def mask(k: int, rem: int) -> int:
-            hit = memo.get((k, rem))
-            if hit is None:
-                if k == 3:
-                    hit = union(tail(rem))
-                else:
-                    hit = 0
-                    g, h, step, inverse = levels[k]
-                    for c in range(rem // h * inverse % step, rem // g + 1, step):
-                        hit |= mask(k - 1, rem - c * g) << c
-                memo[k, rem] = hit
-            return hit
-
-        if len(gens) > 2:
-            found = mask(len(gens), t)
-        else:
+        if len(gens) == 2:
             c0s, c1s = pair(t)
             found = union([(0, c0s, c1s)]) if c0s else 0
-        # As in factorizations, break mask's reference to itself.
-        del mask
+        elif len(gens) == 3:
+            found = union(tail(t))
+        else:
+            # The remainders reaching each level, from the top down; a
+            # nonzero one below the level's floor has mask 0 and is left out.
+            reach: list[set[int]] = [set() for _ in levels]
+            reach[-1].add(t)
+            for k in range(len(gens), 3, -1):
+                g, _, _, _, floor = levels[k]
+                for rem in reach[k]:
+                    left = (rem - c * g for c in _coefficients(levels[k], rem, True))
+                    reach[k - 1].update(r for r in left if not 0 < r < floor)
+            # Then their masks, level by level from the bottom up.
+            masks = {rem: union(tail(rem)) for rem in reach[3]}
+            for k in range(4, len(gens) + 1):
+                g, below, masks = levels[k][0], masks, {}
+                for rem in reach[k]:
+                    hit = 0
+                    for c in _coefficients(levels[k], rem, True):
+                        hit |= below.get(rem - c * g, 0) << c
+                    masks[rem] = hit
+            found = masks[t]
         bits = bin(found)[:1:-1]
         # Reading the bits off the string is linear in their number;
         # testing mask >> i & 1 for each i would be quadratic.

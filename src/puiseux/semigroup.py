@@ -7,11 +7,12 @@ number; when gcd(G) = d > 1 the semigroup lives inside the multiples
 of d and has no Frobenius number.
 
 Membership, minimal generators, any_representation and the listing of
-representations share one depth-first walk, whose set-up (_levels) is
-built once per semigroup. It fixes one coefficient per generator from
-the largest down, and solves the two smallest exactly with modular
-arithmetic instead of search: c0*g0 + c1*g1 = x constrains c0 to a
-single residue class mod g1/gcd, so the solutions can be walked directly.
+representations share one iterative depth-first walk (_leaves), whose
+set-up (_levels) is built once per semigroup. It fixes one coefficient
+per generator from the largest down, and solves the two smallest
+exactly with modular arithmetic instead of search: c0*g0 + c1*g1 = x
+constrains c0 to a single residue class mod g1/gcd, so the solutions
+can be walked directly.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class NumericalSemigroup:
         the largest generator varies slowest, increasing, then the next
         largest, and so on.
 
-        The walk of _levels, each coefficient increasing, passes the
-        fixed suffix down and appends each finished tuple to one list.
+        Every leaf of the walk of _leaves, each coefficient increasing,
+        lists the solutions tail gives it, in walk order.
         """
         x = x if type(x) is int else _exact(x)
         if x < 0:
@@ -86,23 +87,10 @@ class NumericalSemigroup:
             return []
         if len(gens) == 2:
             return list(zip(*pair(x)))
-        out: list[tuple[int, ...]] = []
-
-        def walk(k: int, rem: int, suffix: tuple[int, ...]) -> None:
-            if k == 3:
-                out.extend([
-                    (c0, c1, c) + suffix for c, c0s, c1s in tail(rem) for c0, c1 in zip(c0s, c1s)
-                ])
-                return
-            g = levels[k][0]
-            for c in _coefficients(levels[k], rem, True):
-                walk(k - 1, rem - c * g, (c,) + suffix)
-
-        walk(len(gens), x, ())
-        # walk refers to itself through its closure; breaking that cycle
-        # lets reference counting free the list as soon as callers drop it.
-        del walk
-        return out
+        leaves = [(tail(x), ())] if len(gens) == 3 else _leaves(levels, lambda r, _: tail(r), len(gens), x, True)
+        return [
+            (c0, c1, c) + cs[::-1] for solved, cs in leaves for c, c0s, c1s in solved for c0, c1 in zip(c0s, c1s)
+        ]
 
     def any_representation(self, x: int) -> tuple[int, ...] | None:
         """One representation of x, or None; cheaper than enumerating all.
@@ -126,10 +114,8 @@ class NumericalSemigroup:
 
     def _find(self, k: int, x: int, up: bool) -> tuple[int, ...] | None:
         """The first representation of x >= 0 over gens[:k] reached by the
-        walk of _levels, iterative and depth first, each coefficient
-        increasing when up, else decreasing; None if there is none. A
-        per-call set holds the (level, remainder) pairs found to have none,
-        and a nonzero remainder below the smallest generator has none."""
+        walk of _leaves, each coefficient increasing when up, else
+        decreasing; None if there is none."""
         gens = self.generators
         if x == 0 or k == 1:
             return None if x % gens[0] else (x // gens[0],) + (0,) * (k - 1)
@@ -141,36 +127,9 @@ class NumericalSemigroup:
             return (c0s[0], c1s[0]) if c0s else None
         if k == 3:
             return first(x, up)
-        g0 = gens[0]
-        dead: set[tuple[int, int]] = set()
-        # (base, cs, c) of each open level above the current one, from
-        # level k down: its remainder, coefficients left and the one taken.
-        above: list[tuple[int, Iterator[int], int]] = []
-        level, base, cs = k, x, iter(_coefficients(levels[k], x, up))
-        while True:
-            g = levels[level][0]
-            for c in cs:
-                rem = base - c * g
-                if rem < g0:
-                    if rem:
-                        continue
-                    return (0,) * (level - 1) + (c, *[a[2] for a in reversed(above)])
-                if (level - 1, rem) in dead:
-                    continue
-                if level > 4:
-                    above.append((base, cs, c))
-                    level, base, cs = level - 1, rem, iter(_coefficients(levels[level - 1], rem, up))
-                    break
-                found = first(rem, up)
-                if found:
-                    return found + (c, *[a[2] for a in reversed(above)])
-                dead.add((3, rem))
-            else:
-                dead.add((level, base))
-                if not above:
-                    return None
-                base, cs, _ = above.pop()
-                level += 1
+        for found, cs in _leaves(levels, first, k, x, up):
+            return found + cs[::-1]
+        return None
 
     def frobenius(self) -> int:
         """Largest integer not in the semigroup, -1 when there are no gaps.
@@ -209,11 +168,58 @@ class NumericalSemigroup:
             bound *= 2
 
 
-def _coefficients(level: tuple[int, int, int, int], rem: int, up: bool) -> range:
+def _coefficients(level: tuple[int, int, int, int, int], rem: int, up: bool) -> range:
     """The coefficients of level's generator for rem, increasing when up."""
-    g, h, step, inverse = level
+    g, h, step, inverse, _ = level
     cs = range(rem // h * inverse % step, rem // g + 1, step)
     return cs if up else cs[::-1]
+
+
+def _leaves(levels: list, solve: Callable, k: int, x: int, up: bool) -> Iterator[tuple]:
+    """Every leaf of the walk of _levels over gens[:k] from x, k >= 4.
+
+    Depth first from an explicit stack, each coefficient increasing when
+    up, else decreasing, it yields (solve(rem, up), coefficients of
+    gens[k - 1] down to gens[3]) for each level-3 remainder rem that
+    solve finds truthy. A remainder of 0 ends its branch with zeros
+    below, a nonzero one below its level's floor has no representation,
+    and a per-call set holds the (level, remainder) pairs whose subtree
+    had no leaf, so no later branch walks them again.
+    """
+    dead: set[tuple[int, int]] = set()
+    leaves = 0
+    # (level, remainder, coefficients left, leaves before it) of each
+    # open level, and the coefficient taken at each but the last.
+    stack = [(k, x, iter(_coefficients(levels[k], x, up)), 0)]
+    taken: list[int] = []
+    while stack:
+        level, base, cs, start = stack[-1]
+        g, _, _, _, floor = levels[level]
+        for c in cs:
+            rem = base - c * g
+            if rem < floor:
+                if not rem:
+                    leaves += 1
+                    yield solve(0, up), (*taken, c) + (0,) * (level - 4)
+                continue
+            if (level - 1, rem) in dead:
+                continue
+            if level > 4:
+                taken.append(c)
+                stack.append((level - 1, rem, iter(_coefficients(levels[level - 1], rem, up)), leaves))
+                break
+            found = solve(rem, up)
+            if found:
+                leaves += 1
+                yield found, (*taken, c)
+            else:
+                dead.add((3, rem))
+        else:
+            stack.pop()
+            if leaves == start:
+                dead.add((level, base))
+            if taken:
+                taken.pop()
 
 
 def _levels(gens: tuple[int, ...]) -> tuple[list, Callable, Callable, Callable]:
@@ -225,11 +231,12 @@ def _levels(gens: tuple[int, ...]) -> tuple[list, Callable, Callable, Callable]:
     form; started at level k, it stays within gens[:k]. Returns (levels,
     tail, pair, first):
 
-    - levels[k] = (g, h, step, inverse) for k >= 2: g = gens[k - 1] and
-      h the gcd of gens[:k]. The remainder rem reaching level k is a
-      multiple of h, and what c * g leaves must be a multiple of the
-      gcd of gens[:k - 1], so c runs over _coefficients(levels[k], rem,
-      up).
+    - levels[k] = (g, h, step, inverse, floor) for k >= 2: g = gens[k -
+      1] and h the gcd of gens[:k]. The remainder rem reaching level k
+      is a multiple of h, and what c * g leaves must be a multiple of
+      the gcd of gens[:k - 1], so c runs over _coefficients(levels[k],
+      rem, up). floor is the least of gens[:k - 1], so a nonzero
+      remainder below it has no representation.
     - pair(rem), for rem a multiple of gcd(gens[0], gens[1]), gives the
       coefficient ranges (c0s, c1s) of gens[0] and gens[1], zipped
       pairwise: c0 falls and c1 rises. Both are empty when rem has no
@@ -245,11 +252,12 @@ def _levels(gens: tuple[int, ...]) -> tuple[list, Callable, Callable, Callable]:
       returns (c0, c1, c) with c0 largest, or None.
     """
     levels: list = [None] * (len(gens) + 1)
-    h = gens[0]
+    h = floor = gens[0]
     for k in range(2, len(gens) + 1):
         g, prev = gens[k - 1], h
         h = math.gcd(prev, g)
-        levels[k] = g, h, prev // h, pow(g // h, -1, prev // h)
+        levels[k] = g, h, prev // h, pow(g // h, -1, prev // h), floor
+        floor = min(floor, g)
     d = levels[2][1]
     g0, g1 = gens[0] // d, gens[1] // d
     # c0 * g0 + c1 * g1 = r puts c0 in the class of r * inv mod g1, and
@@ -259,7 +267,7 @@ def _levels(gens: tuple[int, ...]) -> tuple[list, Callable, Callable, Callable]:
     if len(gens) > 2:
         # One step up of gens[2]'s coefficient lowers r = (rem - c *
         # gens[2]) / d by fall, and low by shift mod g1.
-        g2, h2, step2, inverse2 = levels[3]
+        g2, h2, step2, inverse2, _ = levels[3]
         fall = g2 // h2
         shift = fall * inv % g1
 

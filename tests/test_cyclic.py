@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -109,6 +111,21 @@ def test_factorizations_degenerate_inputs():
     found = cyclic_factorizations(F(3), F(6), 4)
     assert [z.terms for z in found] == [((1, 2),)]
     assert cyclic_factorizations(F(3), F(7), 4) == []
+
+
+def test_factorizations_walk_past_the_recursion_limit():
+    # 4/3 = 2 * (2/3): each exponent either keeps its 3 copies or
+    # trades 2 of them on, so the walk has one level per exponent up to
+    # the cap, more than the recursion limit allows frames.
+    cap = sys.getrecursionlimit() + 200
+    start = time.perf_counter()
+    found = cyclic_factorizations(F(2, 3), F(4, 3), cap)
+    assert len(found) == cap
+    assert found[0].terms == tuple((t, 1) for t in range(2, cap)) + ((cap, 3),)
+    assert found[-1].terms == ((1, 2),)
+    # A one-term answer costs nothing that grows with the cap.
+    assert [z.terms for z in cyclic_factorizations(F(2, 3), F(2, 3), 10**8)] == [((1, 1),)]
+    assert time.perf_counter() - start < 2
 
 
 def test_factorizations_reject_unit_numerator_small_ratio():

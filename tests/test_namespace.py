@@ -161,3 +161,27 @@ def test_library_code_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _callee(call: ast.Call) -> str | None:
+    """The name a call reaches: f(...), or self.f(...) and cls.f(...)."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls"):
+        return f.attr
+    return None
+
+
+def test_the_walks_do_not_recurse():
+    # The walks have one level per generator or exponent, so a function
+    # that calls itself would fail past Python's recursion limit.
+    found = [
+        f"{name}:{call.lineno} {fn.name}"
+        for name in ("semigroup.py", "monoid.py", "cyclic.py")
+        for fn in ast.walk(ast.parse((SRC / "puiseux" / name).read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and _callee(call) == fn.name
+    ]
+    assert found == []

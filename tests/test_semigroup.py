@@ -110,9 +110,16 @@ def test_walk_is_iterative_past_the_recursion_limit():
     n = sys.getrecursionlimit() + 200
     sg = NumericalSemigroup(tuple(range(n, 2 * n)))
     x = 2 * n + 1  # n + (n + 1), and no other pair or single generator
+    m = FgMonoid(sg.generators)
+    # atoms() walks once per generator, about n^2 / 2 levels in all, so
+    # it is computed before the timed calls.
+    m.atoms()
     for call, want in (
         (lambda: sg.contains(x), True),
         (lambda: sg.any_representation(x), (1, 1) + (0,) * (n - 2)),
+        (lambda: sg.representations(x), [(1, 1) + (0,) * (n - 2)]),
+        (lambda: [z.terms for z in m.factorizations(x)], [((F(n), 1), (F(n + 1), 1))]),
+        (lambda: m.lengths(x), (2,)),
         (sg.minimal_generators, sg.generators),
         # x is past twice the smallest generator, so it takes the walk.
         (NumericalSemigroup(sg.generators + (x,)).minimal_generators, sg.generators),
