@@ -12,10 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from click.testing import CliRunner
-
 from puiseux.arith import is_prime, nth_odd_prime, nth_prime
-from puiseux.cli import main as cli_main
 from puiseux.cyclic import cyclic_factorizations, cyclic_trade
 from puiseux.errors import HypothesisViolated
 from puiseux.families import (
@@ -41,6 +38,7 @@ from puiseux.witnesses import (
     padic_candidate_atoms,
 )
 
+from conftest import run_cli
 from oracles import (
     brute_cyclic_factorizations,
     brute_frobenius,
@@ -73,8 +71,7 @@ def test_criterion_01_frobenius_and_membership_chain():
         for alpha, beta in reps:
             assert alpha * a + beta * b == 11**k
         assert FgMonoid((F(a, 77**k), F(b, 77**k))).contains(F(1, 7**k))
-        result = CliRunner().invoke(
-            cli_main,
+        result = run_cli(
             ["fg", "member", "--gens", f"{a}/{77**k},{b}/{77**k}", "--x", f"1/{7**k}"],
         )
         assert result.exit_code == 0

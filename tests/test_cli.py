@@ -3,9 +3,10 @@ import time
 
 import click
 import pytest
-from click.testing import CliRunner
 
 from puiseux.cli import main
+
+from conftest import run_cli
 
 PADIC_SPEC = json.dumps(
     {
@@ -18,7 +19,7 @@ PADIC_SPEC = json.dumps(
 
 
 def invoke(*argv):
-    return CliRunner().invoke(main, list(argv))
+    return run_cli(argv)
 
 
 def test_ns_frobenius_example():

@@ -5,12 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from puiseux import families
 from puiseux.arith import is_prime, nth_odd_prime, nth_prime, prime_index
-from puiseux.cli import main
 from puiseux.cyclic import (
     CyclicFactorization,
     cyclic_contains,
@@ -58,6 +56,7 @@ from puiseux.monoid import Factorization, FgMonoid
 from puiseux.semigroup import NumericalSemigroup
 from puiseux.witnesses import approximate, dense_atom_monoid
 
+from conftest import run_cli
 from oracles import sieve_primes, subset_in_colex
 
 F = Fraction
@@ -588,7 +587,7 @@ def test_malformed_specs_are_parse_errors(parse, obj):
         argv = ["family", "gen", "--spec", spec, "--n", "1"]
     else:
         argv = ["family", "dense-atoms", "--class-index", "1", "--count", "1", "--spec", spec]
-    result = CliRunner().invoke(main, argv)
+    result = run_cli(argv)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert result.stderr.startswith("error: ")
@@ -668,8 +667,8 @@ def test_integer_fields_accept_integer_strings_and_targets_accept_integers():
     got = targets_from_mapping({"kind": "explicit", "values": [1, 2, "1/2"]})
     assert got == ExplicitTargets((F(1), F(2), F(1, 2)))
     spec = json.dumps({"kind": "explicit", "values": [1, 2]})
-    result = CliRunner().invoke(
-        main, ["family", "dense-atoms", "--class-index", "1", "--count", "2", "--spec", spec]
+    result = run_cli(
+        ["family", "dense-atoms", "--class-index", "1", "--count", "2", "--spec", spec]
     )
     assert result.exit_code == 0
     assert result.stdout.startswith("1: target 1 atom ")

@@ -12,7 +12,6 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from puiseux.cli import main
 from puiseux.families import (
@@ -42,6 +41,7 @@ from puiseux.families import (
     targets_from_mapping,
 )
 
+from conftest import run_cli
 from test_cli_budgets import SUBCOMMANDS
 
 PINNED = json.loads((Path(__file__).resolve().parent / "fixtures" / "cli_json.json").read_text())
@@ -55,7 +55,7 @@ def test_one_pinned_command_per_subcommand():
 
 @pytest.mark.parametrize("cmd", SUBCOMMANDS)
 def test_json_output_matches_pinned(cmd):
-    result = CliRunner().invoke(main, shlex.split(cmd) + ["--json"])
+    result = run_cli(shlex.split(cmd) + ["--json"])
     assert result.exit_code == 0, result.output
     assert result.stdout == PINNED[cmd]
 

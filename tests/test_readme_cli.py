@@ -14,9 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from puiseux.cli import main
+from conftest import run_cli
 
 HERE = Path(__file__).resolve().parent
 README = HERE.parent / "README.md"
@@ -41,7 +40,7 @@ IDS = ["-".join(shlex.split(cmd)[:2]) for cmd, _ in EXAMPLES]
 
 
 def run(cmd: str):
-    return CliRunner().invoke(main, shlex.split(cmd))
+    return run_cli(shlex.split(cmd))
 
 
 def test_readme_lists_the_pinned_examples():

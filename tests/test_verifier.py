@@ -4,14 +4,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from puiseux.cli import main
 from puiseux.errors import UnknownClaim
 from puiseux.families import BfNotFf, truncate
 from puiseux.monoid import Factorization
 from puiseux.verifier import ClaimParameters, _unit_sums, claim_ids, run_claims
 
+from conftest import run_cli
 from oracles import brute_cyclic_factorizations, brute_unit_sums
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -95,7 +94,7 @@ def test_reports_are_deterministic():
 def test_verify_run_json_matches_pinned_document(truncation):
     # Pins every claim's witnesses byte for byte, among them the family,
     # sequence and prime-support JSON that C3, C8 and C10 print.
-    result = CliRunner().invoke(main, ["verify", "run", "--json", "--truncation", str(truncation)])
+    result = run_cli(["verify", "run", "--json", "--truncation", str(truncation)])
     assert result.exit_code == 0
     assert result.stdout_bytes == (FIXTURES / f"verify_run_truncation_{truncation}.json").read_bytes()
 
