@@ -159,12 +159,13 @@ class FgMonoid:
         case exactly when some prime power in g's denominator exceeds
         the one in every smaller generator's denominator, and it needs
         no factoring: one pass in increasing order keeps L as a running
-        lcm. The smallest generator is always an atom; any other
-        generator whose denominator divides L falls back to membership
-        in the monoid of the smaller generators, tested on the integer
-        generators of to_scaled_integer: the semigroup's cached walk
-        set-up is walked from the candidate's level, which reaches the
-        smaller generators only.
+        lcm. A generator below twice the smallest is no sum of two or
+        more generators, so it is an atom. Any other generator whose
+        denominator divides L falls back to membership in the monoid of
+        the smaller generators, tested on the integer generators of
+        to_scaled_integer: the semigroup's cached walk set-up is walked
+        from the candidate's level, which reaches the smaller
+        generators only.
         """
         return self._atoms
 
@@ -178,7 +179,7 @@ class FgMonoid:
             r = seen % d
             if r:
                 seen *= d // math.gcd(d, r)
-            elif out:
+            elif g >= 2 * gens[0]:
                 # Ask in the integers of self's reduction, where g and
                 # the smaller generators keep their indices: its walk
                 # started at level i stays within the i smallest.

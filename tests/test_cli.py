@@ -1,10 +1,9 @@
 import json
 import time
 
-import click
 import pytest
 
-from puiseux.cli import main
+from puiseux.cli import COMMANDS, main
 
 from conftest import run_cli
 
@@ -320,6 +319,11 @@ def test_domain_errors_exit_one():
     result = invoke("ns", "frobenius", "--gens", "4,6")
     assert result.exit_code == 1
 
+    # A value with a leading minus sign reaches the library; it is not
+    # read as an unknown flag.
+    result = invoke("ns", "frobenius", "--gens", "-4,9")
+    assert (result.exit_code, result.stderr) == (1, "error: generators must be positive integers, got -4\n")
+
     result = invoke("fg", "atoms", "--gens", "0/3")
     assert result.exit_code == 2  # rejected at parse time
 
@@ -348,6 +352,18 @@ def test_usage_errors_exit_two():
 
     result = invoke("family", "gen", "--spec", '{"family": "no-such"}', "--n", "1")
     assert result.exit_code == 1
+
+    for argv in (
+        ("ns", "frobenius", "--gen", "4,9"),  # flags are never abbreviated
+        ("cyclic", "trade", "--r", "3/2", "--z", '{"terms": [{"exponent": 1, "mult": 3}]}', "--t", "1",
+         "--direction", "sideways"),
+        ("family", "gen", "--spec", '{"family": "half-prime"}', "--n", "0"),
+        ("ns",),
+        ("ns", "frobenius", "--gens", "4,9", "--json", "extra"),
+    ):
+        result = invoke(*argv)
+        assert result.exit_code == 2, argv
+        assert result.stdout == "", argv
 
 
 @pytest.mark.parametrize(
@@ -398,16 +414,25 @@ def test_byte_identical_reruns():
         assert invoke(*argv).output == invoke(*argv).output
 
 
-def test_every_command_accepts_json():
-    def leaves(cmd):
-        if isinstance(cmd, click.Group):
-            for sub in cmd.commands.values():
-                yield from leaves(sub)
-        else:
-            yield cmd
+def test_main_runs_under_click_cli_runner():
+    # perfbench's in-process runner, cli_runner(in_process=True) in
+    # perfbench/workloads.py, drives main through click.testing.CliRunner
+    # until ROADMAP item 0 replaces it.
+    pytest.importorskip("click")
+    from click.testing import CliRunner
 
-    commands = list(leaves(main))
+    result = CliRunner().invoke(main, ["ns", "frobenius", "--gens", "4,9"])
+    assert (result.exit_code, result.stdout) == (0, "23\n")
+    result = CliRunner().invoke(main, ["ns", "frobenius", "--gens", "4,6"])
+    assert (result.exit_code, result.output) == (1, "error: gcd(4, 6) > 1, the complement is infinite\n")
+    assert CliRunner().invoke(main, ["ns", "frobenius"]).exit_code == 2
+
+
+def test_every_command_accepts_json():
+    commands = [(group, name) for group, (_, cmds) in COMMANDS.items() for name in cmds]
     assert len(commands) >= 24
-    for cmd in commands:
-        flags = [p for p in cmd.params if "--json" in p.opts]
-        assert len(flags) == 1 and flags[0].is_flag, cmd.name
+    for group, name in commands:
+        result = invoke(group, name, "--help")
+        assert result.exit_code == 0, (group, name)
+        usage = result.stdout.split("\n\n")[0]
+        assert usage.count("--json") == 1 and "[--json]" in usage, (group, name)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from puiseux.cli import main
+from puiseux.cli import COMMANDS
 from puiseux.families import (
     AffineSeq,
     AllPrimes,
@@ -48,7 +48,7 @@ PINNED = json.loads((Path(__file__).resolve().parent / "fixtures" / "cli_json.js
 
 
 def test_one_pinned_command_per_subcommand():
-    registered = sorted(f"{group} {name}" for group, cmds in main.commands.items() for name in cmds.commands)
+    registered = sorted(f"{group} {name}" for group, (_, cmds) in COMMANDS.items() for name in cmds)
     assert sorted(" ".join(shlex.split(cmd)[:2]) for cmd in SUBCOMMANDS) == registered
     assert sorted(PINNED) == sorted(SUBCOMMANDS)
 

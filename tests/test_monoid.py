@@ -179,6 +179,17 @@ def test_atoms_with_unfactored_denominator():
         assert set(m.atoms()) == brute_atoms(m.generators), m.generators
 
 
+def test_generators_below_twice_the_smallest_are_atoms_without_a_walk(monkeypatch):
+    # No sum of two or more generators is below twice the smallest, so
+    # 1,200 integer generators 1200..2399 need no membership walk.
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(NumericalSemigroup, "_find", no_walk)
+    gens = tuple(range(1200, 2400))
+    assert FgMonoid(gens).atoms() == tuple(F(g) for g in gens)
+
+
 def test_cached_results_are_stable_and_hidden():
     rng = random.Random(67)
     for _ in range(30):

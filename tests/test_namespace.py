@@ -131,6 +131,7 @@ def test_cli_loads_only_the_layers_a_command_runs(argv, first_line, layers):
         "    runpy.run_module('puiseux.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as done:\n"
         "    assert not done.code, done.code\n"
+        "print('click' in sys.modules)\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('puiseux.'))))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -138,6 +139,7 @@ def test_cli_loads_only_the_layers_a_command_runs(argv, first_line, layers):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == first_line
+    assert lines[-2] == "False"  # the parser is the standard library's argparse
     assert set(lines[-1].split()) == {"puiseux.arith", "puiseux.errors"} | {"puiseux." + n for n in layers}
 
 
