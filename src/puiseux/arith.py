@@ -14,6 +14,7 @@ absorbs addition.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from fractions import Fraction
@@ -338,14 +339,9 @@ def prime_index(p: int) -> int:
     """Position of the prime p in the prime sequence (2 is position 1)."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    i = 1
-    while True:
-        q = nth_prime(i)
-        if q == p:
-            return i
-        if q > p:
-            raise NotPrime(f"{p} is not prime")
-        i += 1
+    while _PRIME_CACHE[-1] < p:
+        _extend_prime_cache()
+    return bisect.bisect_left(_PRIME_CACHE, p) + 1
 
 
 def prime_factors(n: int, limit: int = 10**6) -> tuple[int, ...] | None:

@@ -1,13 +1,16 @@
 """Command line front end: `puiseux GROUP COMMAND [options]`.
 
 One table, `COMMANDS`, holds the six command groups and their 24
-subcommands; `main` builds an argparse parser from it. Plain mode
-prints compact human-readable text; ``--json`` switches the command to
-exactly one JSON document on standard output, with keys sorted so
-identical invocations stay byte-identical. Exit codes: 0 on success, 1
-for domain errors (reported on standard error as ``error: ...``), 2 for
-usage errors. Rationals on the command line are always ``n/d`` or
-integer tokens, and list-valued flags take one comma-separated token.
+subcommands. `main` builds an argparse parser from it for the command
+its argv names: the root, that group and that subcommand, or the whole
+tree when argv names no subcommand, so help text and usage errors read
+the same either way. Plain mode prints compact human-readable text;
+``--json`` switches the command to exactly one JSON document on
+standard output, with keys sorted so identical invocations stay
+byte-identical. Exit codes: 0 on success, 1 for domain errors (reported
+on standard error as ``error: ...``), 2 for usage errors. Rationals on
+the command line are always ``n/d`` or integer tokens, and list-valued
+flags take one comma-separated token.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ RATIONAL = _usage(parse_rational)
 RATIONAL_OR_ZERO = _usage(functools.partial(parse_rational, allow_zero=True))
 RATIONALS = _usage(lambda token: tuple(parse_rational(p) for p in _split(token, "rationals")))
 INTS = _usage(lambda token: tuple(int(p) for p in _split(token, "integers")))
+CLAIMS = _usage(lambda token: token if token == "all" else tuple(_split(token, "claim ids")))
 
 
 def _load_mapping(token: str) -> dict:
@@ -426,23 +430,25 @@ def witness_sumk_atom(k, indices, max_index):
 
 
 @command(
-    "verify", "run", opt("--claims", default="all"), opt("--truncation", at_least(2), default=50),
+    "verify", "run", opt("--claims", CLAIMS, default="all"), opt("--truncation", at_least(2), default=50),
     opt("--cap", at_least(1), default=8), opt("--limit", at_least(1), default=100_000),
     opt("--seed", int, default=7), opt("--report", default=None),
 )
 def verify_run(claims, truncation, cap, limit, seed, report):
-    ids = "all" if claims == "all" else tuple(p for p in claims.split(",") if p)
     params = P.ClaimParameters(
         truncation=truncation,
         exponent_cap=cap,
         prime_search_limit=limit,
         seed=seed,
     )
-    outcomes = P.run_claims(ids, params)
+    outcomes = P.run_claims(claims, params)
     payload = [o.as_mapping() for o in outcomes]
     lines = [f"{o.claim_id} {o.status}" for o in outcomes]
     if report is not None:
-        Path(report).write_text(json.dumps(payload, sort_keys=True) + "\n")
+        try:
+            Path(report).write_text(json.dumps(payload, sort_keys=True) + "\n")
+        except OSError as bad:
+            raise PuiseuxError(f"cannot write the report to {report}: {bad.strerror}") from None
         lines.append(f"report written to {report}")
     return payload, lines
 
@@ -461,15 +467,37 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
-def parser() -> argparse.ArgumentParser:
-    """The parser for every command in COMMANDS."""
+def parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for the command argv names.
+
+    When argv starts with a group and one of its subcommands, only that
+    group and subcommand get parsers under the root; else every command
+    in COMMANDS does. Help text and usage errors read the same either
+    way: a command line naming a subcommand can only print that
+    subcommand's usage, or the root's, which names every group.
+    """
+    named = tuple(argv[:2])
+    full = len(named) < 2 or named[1] not in COMMANDS.get(named[0], (None, {}))[1]
+
+    def wanted(*path) -> bool:
+        return full or path == named[: len(path)]
+
     about = "Exact arithmetic for numerical semigroups and rational-generated monoids."
     root = _Parser(prog="puiseux", description=about)
-    groups = root.add_subparsers(dest="group", required=True)
+    # Built for one command, the root's usage still names every group.
+    # The full tree leaves the metavar to argparse, whose missing-group
+    # and invalid-choice errors read it as the argument's name; neither
+    # error can follow a command line that names a subcommand.
+    metavar = None if full else "{" + ",".join(COMMANDS) + "}"
+    groups = root.add_subparsers(dest="group", required=True, metavar=metavar)
     for group, (summary, commands) in COMMANDS.items():
+        if not wanted(group):
+            continue
         sub = groups.add_parser(group, help=summary, description=summary)
         leaves = sub.add_subparsers(dest="command", required=True)
         for name, (fn, options) in commands.items():
+            if not wanted(group, name):
+                continue
             leaf = leaves.add_parser(name)
             for flag, kwargs in options:
                 leaf.add_argument(flag, **kwargs)
@@ -480,7 +508,8 @@ def parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> None:
     """Run one command line; argv defaults to sys.argv[1:]."""
-    options = vars(parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    options = vars(parser(argv).parse_args(argv))
     del options["group"], options["command"]
     options.pop("run")(**options)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import puiseux.arith as arith
 from puiseux.arith import (
     format_rational,
     is_prime,
@@ -66,6 +67,20 @@ def test_prime_index_round_trip():
         assert prime_index(nth_prime(i)) == i
     with pytest.raises(NotPrime):
         prime_index(10)
+
+
+def test_prime_index_matches_the_linear_definition(monkeypatch):
+    # From the 15-prime cache a fresh process starts with, so that
+    # prime_index itself extends the cache.
+    monkeypatch.setattr(arith, "_PRIME_CACHE", list(SIEVE[:15]))
+    position = {p: i for i, p in enumerate(SIEVE[:600], start=1)}
+    for n in range(1, SIEVE[599] + 1):
+        if n in position:
+            assert prime_index(n) == position[n], n
+        else:
+            with pytest.raises(NotPrime):
+                prime_index(n)
+    assert arith._PRIME_CACHE == SIEVE[:600]
 
 
 def test_prime_factors_matches_naive():

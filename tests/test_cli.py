@@ -1,9 +1,11 @@
+import argparse
 import json
 import time
 
 import pytest
 
-from puiseux.cli import COMMANDS, main
+from puiseux import cli
+from puiseux.cli import COMMANDS, main, parser
 
 from conftest import run_cli
 
@@ -286,6 +288,22 @@ def test_verify_run_single_claim_and_report(tmp_path):
     assert result.output.splitlines() == ["C5 confirmed"]
 
 
+def test_verify_run_report_to_an_unwritable_path_is_a_domain_error(tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    result = invoke("verify", "run", "--claims", "C5", "--report", str(target))
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == f"error: cannot write the report to {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("claims", [",", ""])
+def test_verify_run_refuses_an_empty_claim_list(claims):
+    result = invoke("verify", "run", "--claims", claims)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.endswith(
+        "puiseux verify run: error: argument --claims: expected a comma-separated list of claim ids\n"
+    )
+
+
 def test_verify_run_scaled_truncation_json():
     result = invoke("verify", "run", "--json", "--truncation", "100")
     assert result.exit_code == 0
@@ -360,6 +378,8 @@ def test_usage_errors_exit_two():
         ("family", "gen", "--spec", '{"family": "half-prime"}', "--n", "0"),
         ("ns",),
         ("ns", "frobenius", "--gens", "4,9", "--json", "extra"),
+        ("verify", "run", "--claims", ","),
+        ("verify", "run", "--claims", ""),
     ):
         result = invoke(*argv)
         assert result.exit_code == 2, argv
@@ -436,3 +456,45 @@ def test_every_command_accepts_json():
         assert result.exit_code == 0, (group, name)
         usage = result.stdout.split("\n\n")[0]
         assert usage.count("--json") == 1 and "[--json]" in usage, (group, name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[group, name, "--help"] for group, (_, cmds) in COMMANDS.items() for name in cmds]
+    + [
+        ["--help"],
+        [],
+        ["fg", "--help"],
+        ["fg"],
+        ["fg", "bogus"],
+        ["bogus"],
+        ["ns", "frobenius"],  # a missing required option
+        ["ns", "frobenius", "--gens", "4,9x"],
+        ["ns", "frobenius", "--gens", "4,9", "--json", "extra"],  # the root's usage
+        ["fg", "iso", "--gens", "1/2"],  # the command's own usage error
+        ["ns", "frobenius", "--gens", "4,9"],
+        ["verify", "run", "--claims", ","],
+    ],
+    ids=lambda argv: " ".join(argv) or "(no arguments)",
+)
+def test_the_parser_built_for_argv_prints_what_the_full_tree_prints(argv, monkeypatch):
+    built = invoke(*argv)
+    monkeypatch.setattr(cli, "parser", lambda argv=(): parser())
+    full = invoke(*argv)
+    assert (built.exit_code, built.stdout, built.stderr) == (full.exit_code, full.stdout, full.stderr)
+
+
+def _subcommands(tree: argparse.ArgumentParser) -> dict:
+    (action,) = (a for a in tree._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_a_command_line_builds_only_the_parsers_it_names():
+    named = _subcommands(parser(["fg", "atoms", "--gens", "1/2,1/3"]))
+    assert list(named) == ["fg"]
+    assert list(_subcommands(named["fg"])) == ["atoms"]
+    for argv in ([], ["fg"], ["fg", "bogus"], ["bogus", "atoms"]):
+        groups = _subcommands(parser(argv))
+        assert list(groups) == list(COMMANDS), argv
+        for group, (_, cmds) in COMMANDS.items():
+            assert list(_subcommands(groups[group])) == list(cmds), argv

@@ -87,6 +87,7 @@ ROWS = SUBCOMMANDS + [
     "witness kprimary --primes 2,3 --limit 1",
     "verify run --claims C99",
     "verify run --claims C6 --limit 10",
+    "verify run --claims C5 --report /nonexistent/dir/x.json",
     pytest.param(f"ns factorize --gens {MANY_GENS} --x 2401", id="ns factorize --gens 1200..2399 --x 2401"),
     pytest.param(f"fg factorize --gens {MANY_GENS} --x 2401", id="fg factorize --gens 1200..2399 --x 2401"),
     pytest.param(f"fg lengths --gens {MANY_GENS} --x 2401", id="fg lengths --gens 1200..2399 --x 2401"),

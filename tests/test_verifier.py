@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from puiseux import verifier
 from puiseux.errors import UnknownClaim
 from puiseux.families import BfNotFf, truncate
 from puiseux.monoid import Factorization
@@ -42,6 +43,39 @@ def test_a_failed_identity_is_an_error_and_the_other_claims_still_run(monkeypatc
         ("C9", "confirmed"),
     ]
     assert outcomes[1].witnesses == ("the decomposition does not sum to 1/6",)
+
+
+def _moved(got, **offsets):
+    """The record got with each named field moved by its offset."""
+    return type(got)(**{**got.__dict__, **{k: getattr(got, k) + d for k, d in offsets.items()}})
+
+
+# A library answer made wrong on purpose refutes its claim with the
+# witness the checks gave when they built every detail up front.
+@pytest.mark.parametrize(
+    ("claim", "owner", "name", "wrong", "witness"),
+    [
+        (
+            "C1", verifier, "approximate",
+            lambda real: lambda spec, target, eps: _moved(real(spec, target, eps), value=eps),
+            {"family": {"family": "power-denominator", "q": 2}, "gap": "-7/2080"},
+        ),
+        (
+            "C13", verifier, "generalized_cyclic_embed",
+            lambda real: lambda *args: _moved(real(*args), coefficient=1),
+            {"base": "2/35", "coefficient": 8, "power": 1, "prime": 2, "ratio_index": 1, "value": "2/5"},
+        ),
+        (
+            "C15", verifier.FgMonoid, "contains",
+            lambda real: lambda self, x: not real(self, x),
+            {"generators": ["3/7", "11"], "x": "2/5"},
+        ),
+    ],
+)
+def test_a_wrong_library_answer_refutes_with_the_same_witness(monkeypatch, claim, owner, name, wrong, witness):
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+    (outcome,) = run_claims([claim])
+    assert (outcome.status, outcome.witnesses) == ("refuted", (witness,))
 
 
 def test_selection_is_sorted_and_validated():
