@@ -178,17 +178,6 @@ def _frozen(verb: str, name: str):
     raise FrozenInstanceError(f"cannot {verb} field {name!r}")
 
 
-def make_rational(n: int, d: int) -> Fraction:
-    """Build the reduced positive fraction n/d.
-
-    Raises NonPositive unless n >= 1 and d >= 1. make_rational(4, 6)
-    is Fraction(2, 3).
-    """
-    if n < 1 or d < 1:
-        raise NonPositive(f"positive rational needs n >= 1 and d >= 1, got {n}/{d}")
-    return Fraction(n, d)
-
-
 def parse_rational(text: str, allow_zero: bool = False) -> Fraction:
     """Parse 'n/d' or a bare integer token into an exact Fraction.
 

@@ -1,14 +1,14 @@
 """Membership, factorizations, and trades in power monoids of one ratio.
 
 The monoid of r = a/b (lowest terms) is generated by r, r^2, r^3, ...
-Each member has one factorization with fewer than b copies of every
-power past r^1. Its multiplicities are forced digits, peeled off from
-the top exponent down; this decides membership exactly, and every
+Each member has one base factorization, with fewer than b copies of
+every power past r^1. Its multiplicities are forced digits, peeled off
+from the top exponent down; this decides membership exactly, and every
 other factorization adds trade counts a * r^t -> b * r^(t+1) from a
-box. For r < 1 those trades lengthen a factorization, so this one is
-the shortest. For r > 1 the shortest, the witness of membership, comes
-from the same routine: the powers r^t <= x, t <= top, are r^(top + 1)
-times powers of 1/r with exponents read backwards.
+box. For r < 1 those trades lengthen a factorization, so the base is
+the shortest. For r > 1 they shorten it: the base is the longest, and
+trading up greedily from r^1 on, while a copies remain, reaches the
+shortest, the one with fewer than a copies of every power.
 """
 
 from __future__ import annotations
@@ -120,19 +120,27 @@ class CyclicMembership:
     certificate: str | None = None
 
 
-def _intrinsic_horizon(r: Fraction, x: Fraction) -> int:
-    """Largest t >= 1 with r^t <= x, for r > 1 and x >= r."""
-    t = 1
-    power = r
-    while power * r <= x:
-        power *= r
-        t += 1
-    return t
+def _checked(r: Fraction, x: Fraction, cap: int) -> tuple[Fraction, Fraction, int]:
+    """r and x as exact rationals, once r > 0 and cap >= 1 are checked,
+    and the part of x's denominator prime to r's. Any sum of powers of r
+    has a denominator dividing a power of r's, so a part above 1 refutes
+    membership; _base needs it to be 1."""
+    r = _exact(r, Fraction)
+    x = _exact(x, Fraction)
+    if r <= 0:
+        raise NonPositive(f"the ratio must be positive, got {r}")
+    if _exact(cap) < 1:
+        raise NonPositive(f"the exponent cap must be >= 1, got {cap}")
+    stray = x.denominator
+    while (g := math.gcd(stray, r.denominator)) > 1:
+        stray //= g
+    return r, x, stray
 
 
-def _shortest(a: int, b: int, y: Fraction) -> tuple[list[int], int | None]:
-    """The factorization of y > 0 over the powers of a/b with fewer than
-    b copies of every power past the first: the shortest when a < b.
+def _base(a: int, b: int, y: Fraction) -> tuple[list[int], int | None]:
+    """The base factorization of y > 0 over the powers of a/b, the one
+    with fewer than b copies of every power past the first: the shortest
+    when a < b, the longest when a > b.
 
     y's denominator must divide a power of b. With T least such that
     s = y * b^T is an integer, for t = T down to 2 the multiplicity of
@@ -158,23 +166,12 @@ def _shortest(a: int, b: int, y: Fraction) -> tuple[list[int], int | None]:
 def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -> CyclicMembership:
     """Decide exactly whether x is a sum of powers of r; a member's
     witness is its shortest factorization. The cap is only recorded."""
-    r = _exact(r, Fraction)
-    x = _exact(x, Fraction)
-    if r <= 0:
-        raise NonPositive(f"the ratio must be positive, got {r}")
-    if _exact(cap) < 1:
-        raise NonPositive(f"the exponent cap must be >= 1, got {cap}")
+    r, x, stray = _checked(r, x, cap)
     if x < 0:
         return CyclicMembership("non-member", cap, certificate="negative rationals never belong")
     if x == 0:
         return CyclicMembership("member", cap, witness=CyclicFactorization(r, ()))
     a, b = r.numerator, r.denominator
-
-    # Denominator screen: any sum of powers of r has denominator dividing
-    # a power of b, so a prime of d(x) outside b refutes membership.
-    stray = x.denominator
-    while (g := math.gcd(stray, b)) > 1:
-        stray //= g
     if stray > 1:
         return CyclicMembership(
             "non-member",
@@ -191,37 +188,26 @@ def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -
             certificate=f"every member's numerator is divisible by {a}, {x.numerator} is not",
         )
 
-    if r == 1:
-        return CyclicMembership(
-            "member", cap, witness=CyclicFactorization(r, ((1, x.numerator),))
-        )
-
-    # Routine exponent u is r's exponent |flip - u|; the screens keep u <= top.
-    flip = 0
-    if r > 1:
-        if x < r:
-            return CyclicMembership(
-                "non-member", cap, certificate=f"{x} is below the smallest generator {r}"
-            )
-        top = _intrinsic_horizon(r, x)
-        if (x * b**top).denominator != 1:
-            return CyclicMembership(
-                "non-member",
-                cap,
-                certificate="the denominator needs higher exponents than any generator fitting under the target",
-            )
-        flip, a, b, x = top + 1, b, a, x / r ** (top + 1)
-    digits, stuck = _shortest(a, b, x)
+    digits, stuck = _base(a, b, x)
     if stuck is not None:
         # Past the screens s stays a multiple of a: only an overshoot fails.
         return CyclicMembership(
             "non-member",
             cap,
-            certificate=f"no representation: the shortest factorization would need "
-            f"{digits[stuck - 1]}*r^{abs(flip - stuck)}, more than is left of the target",
+            certificate=f"no representation: the {'shortest' if a < b else 'longest'} "
+            f"factorization would need {digits[stuck - 1]}*r^{stuck}, more than is left of the target",
         )
-    terms = tuple((abs(flip - t), c) for t, c in enumerate(digits, start=1) if c)
-    return CyclicMembership("member", cap, witness=CyclicFactorization(r, terms))
+    if a > b:
+        # Trade up greedily: k trades carried from r^(t-1) add b * k copies
+        # of r^t, which keeps fewer than a of them and trades the rest on.
+        t = k = 0
+        while t < len(digits) or k:
+            if t == len(digits):
+                digits.append(0)
+            k, digits[t] = divmod(digits[t] + b * k, a)
+            t += 1
+    terms = tuple((t, c) for t, c in enumerate(digits, start=1) if c)
+    return CyclicMembership("member", cap, witness=CyclicFactorization._sorted(r, terms))
 
 
 def cyclic_factorizations(
@@ -231,7 +217,7 @@ def cyclic_factorizations(
     lexicographic order of their multiplicity vectors.
 
     For r > 1 the list is complete once every r^t <= x has t <= cap.
-    With r = a/b, the factorization c of _shortest has fewer than b
+    With r = a/b, the base factorization c of _base has fewer than b
     copies of every power past r^1 (for r > 1 it is the longest), and
     every factorization is c plus k_t trades a * r^t -> b * r^(t+1),
     t < cap, for each 0 <= k_t <= (c_t + b * k_(t-1)) / a. One iterative
@@ -241,16 +227,11 @@ def cyclic_factorizations(
     nothing that grows with cap. Raises NotAtomic for ratios 1/b with
     b >= 2, whose power monoids have no atoms at all.
     """
-    r = _exact(r, Fraction)
-    x = _exact(x, Fraction)
-    if r <= 0:
-        raise NonPositive(f"the ratio must be positive, got {r}")
-    if _exact(cap) < 1:
-        raise NonPositive(f"the exponent cap must be >= 1, got {cap}")
+    r, x, stray = _checked(r, x, cap)
     a, b = r.numerator, r.denominator
     if a == 1 and b >= 2:
         raise NotAtomic(f"powers of {r} generate a monoid without atoms")
-    if x < 0:
+    if x < 0 or stray > 1:
         return []
     if x == 0:
         return [CyclicFactorization(r, ())]
@@ -262,14 +243,7 @@ def cyclic_factorizations(
             return []
         return [CyclicFactorization(r, ((1, quotient.numerator),))]
 
-    # _shortest needs x's denominator to divide a power of b: screen its
-    # primes outside b first, as cyclic_contains does.
-    stray = x.denominator
-    while (g := math.gcd(stray, b)) > 1:
-        stray //= g
-    if stray > 1:
-        return []
-    c, stuck = _shortest(a, b, x)
+    c, stuck = _base(a, b, x)
     last = len(c)
     # Trades only move copies up, so no factorization fits under a cap
     # that c does not.

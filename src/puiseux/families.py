@@ -9,8 +9,9 @@ Classification is a dispatch table, not a theorem prover: each verdict
 it emits is justified either by exact closed-form reasoning (generator
 infimum, numerator bounds, denominator supports, explicit decomposition
 identities) or by a cited structural result that the code does not
-re-derive. Cited verdicts are tagged "[asserted]" in the justification
-list. Any family/field pair the table cannot justify stays "unknown".
+re-derive. A verdict whose rule statement says "cited result" is tagged
+"[asserted]" in the justification list. Any family/field pair the table
+cannot justify stays "unknown".
 """
 
 from __future__ import annotations
@@ -810,19 +811,9 @@ _RULES = {
     "shared-numerator-prime-embedding": "a common prime divisor of the numerators embeds the monoid in a hereditarily atomic power monoid (cited result; coefficients checked exactly)",
 }
 
-_ASSERTED = {
-    "not-dense-hereditarily-atomic",
-    "primary-denominators-hereditary",
-    "all-generators-are-atoms",
-    "power-of-two-submonoid-not-atomic",
-    "k-subset-generators-decompose",
-    "bounded-numerators-not-atomic",
-    "prime-power-numerators-atomic",
-    "atoms-have-unbounded-numerators",
-    "cyclic-ratio-atomic",
-    "cyclic-hereditarily-atomic",
-    "shared-numerator-prime-embedding",
-}
+# Rules whose statement cites a result; their verdicts are tagged "[asserted]".
+_ASSERTED = frozenset(rule for rule, text in _RULES.items() if "cited result" in text)
+
 
 def rule_statement(rule_id: str) -> str:
     return _RULES[rule_id]

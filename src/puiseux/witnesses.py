@@ -339,6 +339,10 @@ def padic_candidate_atoms(spec: PAdic, prefix: int) -> PAdicAtomReport:
     index comes with the exact integer multiple relating it to a kept
     generator, which holds unconditionally.
     """
+    if not isinstance(spec, PAdic):
+        family = getattr(spec, "json_tag", {"family": type(spec).__name__})["family"]
+        raise HypothesisViolated(f"p-adic candidate atoms need a p-adic family, got {family}")
+    prefix = _exact(prefix)
     if prefix < 1:
         raise NonPositive(f"the prefix length must be >= 1, got {prefix}")
     nums = spec.numerators

@@ -8,6 +8,7 @@ from puiseux import cli
 from puiseux.cli import COMMANDS, main, parser
 
 from conftest import run_cli
+from test_json import FAMILIES
 
 PADIC_SPEC = json.dumps(
     {
@@ -344,6 +345,38 @@ def test_domain_errors_exit_one():
 
     result = invoke("fg", "atoms", "--gens", "0/3")
     assert result.exit_code == 2  # rejected at parse time
+
+
+# The options besides --spec that each command taking --spec needs.
+SPEC_COMMAND_ARGS = {
+    ("family", "gen"): ("--n", "3"),
+    ("family", "truncate"): ("--n", "3"),
+    ("family", "classify"): (),
+    ("family", "approx"): ("--target", "1/2", "--eps", "1/10"),
+    ("family", "dense-atoms"): ("--class-index", "1", "--count", "2"),
+    ("family", "noniso"): ("--spec", '{"family": "half-prime"}'),
+    ("witness", "padic-atoms"): ("--prefix", "3"),
+}
+
+
+def test_every_spec_command_finishes_or_refuses_on_every_family():
+    # A family a command does not apply to is refused with one error
+    # line, never a traceback. dense-atoms reads a target sequence, so
+    # every family spec is a parse error there.
+    taking_spec = {
+        (group, name)
+        for group, (_, cmds) in COMMANDS.items()
+        for name, (_, options) in cmds.items()
+        if any(flag == "--spec" for flag, _ in options)
+    }
+    assert taking_spec == set(SPEC_COMMAND_ARGS)
+    for (group, name), args in SPEC_COMMAND_ARGS.items():
+        for _, mapping in FAMILIES:
+            argv = (group, name, "--spec", json.dumps(mapping), *args)
+            result = invoke(*argv)
+            assert result.exit_code in (0, 1), argv
+            if result.exit_code:
+                assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, argv
 
 
 def test_family_classify_refuses_a_finite_nested_tail():

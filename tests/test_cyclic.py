@@ -167,9 +167,9 @@ def test_membership_screens():
 
 
 def test_membership_exhaustive_refusal_above_one():
-    # 33/8 passes the divisibility screens but nothing under the
-    # intrinsic horizon reaches it, which settles the question for an
-    # increasing ratio.
+    # 33/8 passes the divisibility screens, but its base factorization
+    # would need more of r^2 than is left of the target, which settles
+    # the question for an increasing ratio too.
     got = cyclic_contains(F(3, 2), F(33, 8))
     assert got.status == "non-member"
     assert "no representation" in got.certificate
@@ -234,6 +234,30 @@ def test_cyclic_against_brute_force(a, b, cap, mults, shift, depth):
         assert got.witness.value() == x
     else:
         assert not want and got.certificate
+
+
+@given(
+    a=st.integers(2, 6),
+    b=st.integers(2, 6),
+    mults=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+)
+def test_membership_witness_is_a_shortest_factorization(a, b, mults):
+    # For r > 1 the witness comes from trading the base factorization up;
+    # the listing is complete once the cap reaches every r^t <= x.
+    assume(math.gcd(a, b) == 1 and any(mults))
+    r = F(a, b)
+    x = sum((m * r**e for e, m in enumerate(mults, start=1)), F(0))
+    witness = cyclic_contains(r, x).witness
+    assert witness.value() == x
+    cap = witness.terms[-1][0]
+    while r > 1 and r ** (cap + 1) <= x:
+        cap += 1
+    found = cyclic_factorizations(r, x, cap)
+    assert witness in found
+    assert witness.length == min(z.length for z in found)
+    if r > 1:
+        # Fewer than a copies of every power: no trade up is left.
+        assert all(m < a for _, m in witness.terms)
 
 
 def test_listings_skip_the_checking_constructors(monkeypatch):

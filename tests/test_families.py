@@ -772,16 +772,28 @@ def test_classification_justification_lines():
 
 
 def test_rule_statements_exist_for_cited_rules():
-    for rule in (
+    cited = {
         "not-dense-hereditarily-atomic",
         "primary-denominators-hereditary",
         "all-generators-are-atoms",
         "power-of-two-submonoid-not-atomic",
+        "k-subset-generators-decompose",
+        "bounded-numerators-not-atomic",
+        "prime-power-numerators-atomic",
+        "atoms-have-unbounded-numerators",
         "cyclic-ratio-atomic",
+        "cyclic-hereditarily-atomic",
         "shared-numerator-prime-embedding",
-    ):
+    }
+    for rule in cited:
         text = rule_statement(rule)
-        assert isinstance(text, str) and text
+        assert isinstance(text, str) and "cited result" in text
+    assert families._ASSERTED == cited
+    # The [asserted] tag marks exactly the verdicts resting on a cited rule.
+    for name in sorted(TABLE):
+        for line in classify(TABLE[name][0]).justification:
+            rule = line.split(": ", 1)[1].removesuffix(" [asserted]")
+            assert line.endswith(" [asserted]") == (rule in cited), line
 
 
 # ---------------------------------------------------------------------------
