@@ -441,16 +441,23 @@ def verify_run(claims, truncation, cap, limit, seed, report):
         prime_search_limit=limit,
         seed=seed,
     )
+    if report is not None:
+        # Create the file now, so an unwritable path is refused before any claim runs.
+        _write_report(report, "")
     outcomes = P.run_claims(claims, params)
     payload = [o.as_mapping() for o in outcomes]
     lines = [f"{o.claim_id} {o.status}" for o in outcomes]
     if report is not None:
-        try:
-            Path(report).write_text(json.dumps(payload, sort_keys=True) + "\n")
-        except OSError as bad:
-            raise PuiseuxError(f"cannot write the report to {report}: {bad.strerror}") from None
+        _write_report(report, json.dumps(payload, sort_keys=True) + "\n")
         lines.append(f"report written to {report}")
     return payload, lines
+
+
+def _write_report(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as bad:
+        raise PuiseuxError(f"cannot write the report to {path}: {bad.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

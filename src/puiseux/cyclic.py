@@ -8,7 +8,10 @@ other factorization adds trade counts a * r^t -> b * r^(t+1) from a
 box. For r < 1 those trades lengthen a factorization, so the base is
 the shortest. For r > 1 they shorten it: the base is the longest, and
 trading up greedily from r^1 on, while a copies remain, reaches the
-shortest, the one with fewer than a copies of every power.
+shortest, the one with fewer than a copies of every power. An integer
+ratio r = a (b = 1) is the exception: every power past r^1 is a
+multiple of r, so r is the one atom and x = (x/a) * r^1 is both the
+witness and the only factorization listed.
 """
 
 from __future__ import annotations
@@ -165,7 +168,8 @@ def _base(a: int, b: int, y: Fraction) -> tuple[list[int], int | None]:
 
 def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -> CyclicMembership:
     """Decide exactly whether x is a sum of powers of r; a member's
-    witness is its shortest factorization. The cap is only recorded."""
+    witness is its shortest factorization, (x/r) * r^1 for an integer
+    r. The cap is only recorded."""
     r, x, stray = _checked(r, x, cap)
     if x < 0:
         return CyclicMembership("non-member", cap, certificate="negative rationals never belong")
@@ -197,7 +201,7 @@ def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -
             certificate=f"no representation: the {'shortest' if a < b else 'longest'} "
             f"factorization would need {digits[stuck - 1]}*r^{stuck}, more than is left of the target",
         )
-    if a > b:
+    if a > b >= 2:
         # Trade up greedily: k trades carried from r^(t-1) add b * k copies
         # of r^t, which keeps fewer than a of them and trades the rest on.
         t = k = 0
@@ -216,7 +220,8 @@ def cyclic_factorizations(
     """All factorizations of x into powers r^1 .. r^cap, in ascending
     lexicographic order of their multiplicity vectors.
 
-    For r > 1 the list is complete once every r^t <= x has t <= cap.
+    For r > 1 the list is complete once every r^t <= x has t <= cap,
+    and for an integer r, whose one atom is r^1, at any cap.
     With r = a/b, the base factorization c of _base has fewer than b
     copies of every power past r^1 (for r > 1 it is the longest), and
     every factorization is c plus k_t trades a * r^t -> b * r^(t+1),
@@ -237,11 +242,8 @@ def cyclic_factorizations(
         return [CyclicFactorization(r, ())]
 
     if b == 1:
-        # The monoid is a times the naturals and its one atom is a itself.
-        quotient = x / a
-        if quotient.denominator != 1:
-            return []
-        return [CyclicFactorization(r, ((1, quotient.numerator),))]
+        # The monoid is a times the naturals and its one atom is a = r^1.
+        cap = 1
 
     c, stuck = _base(a, b, x)
     last = len(c)

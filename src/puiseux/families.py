@@ -228,10 +228,57 @@ def _parse(obj, tag: str, what: str, table: dict):
         raise ParseError(f"{what} {name!r} is missing field {missing}") from None
 
 
-def _tagged(tag: str, builders: dict) -> dict:
-    """A _parse table from builders keyed by record class, each under
-    the value its json_tag gives tag."""
-    return {cls.json_tag[tag]: build for cls, build in builders.items()}
+def sequence_from_mapping(obj) -> IntSeq:
+    """Parse the JSON form of a closed-form integer sequence."""
+    return _parse(obj, "kind", "sequence", _SEQUENCES)
+
+
+def stream_from_mapping(obj) -> PrimeStream:
+    return _parse(obj, "kind", "prime stream", _STREAMS)
+
+
+def targets_from_mapping(obj) -> TargetSeq:
+    return _parse(obj, "kind", "target sequence", _TARGETS)
+
+
+def family_from_mapping(obj) -> FamilySpec:
+    """Parse the JSON form of a family spec."""
+    return _parse(obj, "family", "family", _FAMILIES)
+
+
+# The reader of each field annotation of the tagged records. _tagged
+# looks them up as it builds a table, so an annotation missing here
+# fails at import.
+_READERS = {
+    "int": json_int,
+    "Fraction": json_rational,
+    "tuple[Fraction, ...]": lambda value: tuple(json_rational(v) for v in json_list(value)),
+    "IntSeq": sequence_from_mapping,
+    "PrimeStream": stream_from_mapping,
+}
+
+
+def _tagged(tag: str, union) -> dict:
+    """A _parse table over the record classes of union, each under the
+    value its json_tag gives tag.
+
+    A class is built from the fields its as_mapping() writes, in order,
+    each read by the reader of its annotation. A field with a class
+    default may be left out.
+    """
+    return {cls.json_tag[tag]: _builder(cls) for cls in union.__args__}
+
+
+def _builder(cls):
+    fields = [
+        (name, _READERS[kind], name in cls.__dict__)
+        for name, kind in cls.__dict__.get("__annotations__", {}).items()
+    ]
+
+    def build(obj):
+        return cls(**{name: read(obj[name]) for name, read, default in fields if not default or name in obj})
+
+    return build
 
 
 _SEQUENCES = {
@@ -244,11 +291,6 @@ _SEQUENCES = {
         None if o.get("then") is None else sequence_from_mapping(o["then"]),
     ),
 }
-
-
-def sequence_from_mapping(obj) -> IntSeq:
-    """Parse the JSON form of a closed-form integer sequence."""
-    return _parse(obj, "kind", "sequence", _SEQUENCES)
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +389,7 @@ class PartitionClassPrimes:
 PrimeStream = Union[AllPrimes, CongruencePrimes, PartitionClassPrimes]
 
 
-_STREAMS = _tagged(
-    "kind",
-    {
-        AllPrimes: lambda o: AllPrimes(),
-        CongruencePrimes: lambda o: CongruencePrimes(json_int(o["residue"]), json_int(o["modulus"])),
-        PartitionClassPrimes: lambda o: PartitionClassPrimes(json_int(o["index"])),
-    },
-)
-
-
-def stream_from_mapping(obj) -> PrimeStream:
-    return _parse(obj, "kind", "prime stream", _STREAMS)
+_STREAMS = _tagged("kind", PrimeStream)
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +473,7 @@ class ExplicitTargets:
 TargetSeq = Union[CalkinWilfTargets, ExplicitTargets]
 
 
-_TARGETS = _tagged(
-    "kind",
-    {
-        CalkinWilfTargets: lambda o: CalkinWilfTargets(),
-        ExplicitTargets: lambda o: ExplicitTargets(
-            tuple(json_rational(v) for v in json_list(o["values"]))
-        ),
-    },
-)
-
-
-def targets_from_mapping(obj) -> TargetSeq:
-    return _parse(obj, "kind", "target sequence", _TARGETS)
+_TARGETS = _tagged("kind", TargetSeq)
 
 
 # ---------------------------------------------------------------------------
@@ -710,39 +729,7 @@ FamilySpec = Union[
 ]
 
 
-_FAMILIES = _tagged(
-    "family",
-    {
-        PowerDenominator: lambda o: PowerDenominator(json_int(o["q"])),
-        HalfPrime: lambda o: HalfPrime(),
-        TwoAdicOddPrime: lambda o: TwoAdicOddPrime(),
-        ElementaryPrimary: lambda o: ElementaryPrimary(
-            stream_from_mapping(o.get("primes", AllPrimes.json_tag))
-        ),
-        ElementaryKPrimary: lambda o: ElementaryKPrimary(json_int(o["k"])),
-        PartitionedKPrimary: lambda o: PartitionedKPrimary(json_int(o["k"])),
-        SumKPrimary: lambda o: SumKPrimary(json_int(o["k"])),
-        PAdic: lambda o: PAdic(
-            json_int(o["p"]),
-            sequence_from_mapping(o["numerators"]),
-            sequence_from_mapping(o["exponents"]),
-        ),
-        PlusMinusPowers: lambda o: PlusMinusPowers(json_int(o["p"])),
-        Cyclic: lambda o: Cyclic(json_rational(o["r"])),
-        GeneralizedCyclic: lambda o: GeneralizedCyclic(
-            tuple(json_rational(r) for r in json_list(o["ratios"]))
-        ),
-        BfNotFf: lambda o: BfNotFf(),
-        ExplicitList: lambda o: ExplicitList(
-            tuple(json_rational(g) for g in json_list(o["generators"]))
-        ),
-    },
-)
-
-
-def family_from_mapping(obj) -> FamilySpec:
-    """Parse the JSON form of a family spec."""
-    return _parse(obj, "family", "family", _FAMILIES)
+_FAMILIES = _tagged("family", FamilySpec)
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +819,18 @@ class ClassificationReport:
     justification: tuple[str, ...]
 
 
+# (field, verdict, implied field, its verdict, rule): a field with that
+# verdict gives the implied field its verdict while it is unknown. Rows
+# are tried in this order on every pass of _Report.close.
+_IMPLIED = (
+    ("dense", "no", "hereditarily_atomic", "yes", "not-dense-hereditarily-atomic"),
+    ("hereditarily_atomic", "yes", "atomic", "yes", "hereditary-implies-atomic"),
+    ("atomic", "no", "hereditarily_atomic", "no", "hereditary-implies-atomic"),
+    ("atomic", "yes", "antimatter", "no", "atomic-excludes-antimatter"),
+    ("antimatter", "yes", "atomic", "no", "antimatter-excludes-atoms"),
+)
+
+
 class _Report:
     def __init__(self) -> None:
         # Every field of ClassificationReport but the last, justification.
@@ -852,21 +851,10 @@ class _Report:
         while changed:
             changed = False
             v = self.verdicts
-            if v["dense"] == "no" and v["hereditarily_atomic"] == "unknown":
-                self.set("hereditarily_atomic", "yes", "not-dense-hereditarily-atomic")
-                changed = True
-            if v["hereditarily_atomic"] == "yes" and v["atomic"] == "unknown":
-                self.set("atomic", "yes", "hereditary-implies-atomic")
-                changed = True
-            if v["atomic"] == "no" and v["hereditarily_atomic"] == "unknown":
-                self.set("hereditarily_atomic", "no", "hereditary-implies-atomic")
-                changed = True
-            if v["atomic"] == "yes" and v["antimatter"] == "unknown":
-                self.set("antimatter", "no", "atomic-excludes-antimatter")
-                changed = True
-            if v["antimatter"] == "yes" and v["atomic"] == "unknown":
-                self.set("atomic", "no", "antimatter-excludes-atoms")
-                changed = True
+            for field, verdict, implied, implied_verdict, rule in _IMPLIED:
+                if v[field] == verdict and v[implied] == "unknown":
+                    self.set(implied, implied_verdict, rule)
+                    changed = True
         return ClassificationReport(justification=tuple(self.lines), **self.verdicts)
 
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import puiseux as P
 from puiseux import cli
 from puiseux.cli import COMMANDS, main, parser
 
@@ -289,7 +290,12 @@ def test_verify_run_single_claim_and_report(tmp_path):
     assert result.output.splitlines() == ["C5 confirmed"]
 
 
-def test_verify_run_report_to_an_unwritable_path_is_a_domain_error(tmp_path):
+def test_verify_run_report_to_an_unwritable_path_is_a_domain_error(tmp_path, monkeypatch):
+    # The path is refused before any claim runs.
+    def run_claims(*args):
+        raise AssertionError("the claims ran before the report path was checked")
+
+    monkeypatch.setattr(P, "run_claims", run_claims)
     target = tmp_path / "missing" / "report.json"
     result = invoke("verify", "run", "--claims", "C5", "--report", str(target))
     assert (result.exit_code, result.stdout) == (1, "")

@@ -238,12 +238,13 @@ def test_cyclic_against_brute_force(a, b, cap, mults, shift, depth):
 
 @given(
     a=st.integers(2, 6),
-    b=st.integers(2, 6),
+    b=st.integers(1, 6),
     mults=st.lists(st.integers(0, 4), min_size=1, max_size=5),
 )
 def test_membership_witness_is_a_shortest_factorization(a, b, mults):
     # For r > 1 the witness comes from trading the base factorization up;
-    # the listing is complete once the cap reaches every r^t <= x.
+    # the listing is complete once the cap reaches every r^t <= x. An
+    # integer r (b = 1) is the one atom, so both give (x/r) * r^1.
     assume(math.gcd(a, b) == 1 and any(mults))
     r = F(a, b)
     x = sum((m * r**e for e, m in enumerate(mults, start=1)), F(0))
@@ -255,7 +256,7 @@ def test_membership_witness_is_a_shortest_factorization(a, b, mults):
     found = cyclic_factorizations(r, x, cap)
     assert witness in found
     assert witness.length == min(z.length for z in found)
-    if r > 1:
+    if r > 1 and b >= 2:
         # Fewer than a copies of every power: no trade up is left.
         assert all(m < a for _, m in witness.terms)
 

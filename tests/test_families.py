@@ -22,6 +22,7 @@ from puiseux.families import (
     AllPrimes,
     BfNotFf,
     CalkinWilfTargets,
+    ClassificationReport,
     CongruencePrimes,
     Cyclic,
     ElementaryKPrimary,
@@ -58,6 +59,7 @@ from puiseux.witnesses import approximate, dense_atom_monoid
 
 from conftest import run_cli
 from oracles import sieve_primes, subset_in_colex
+from test_json import FAMILIES
 
 F = Fraction
 
@@ -527,6 +529,10 @@ def test_mappings_round_trip_for_drawn_parameters(parse, tag, kind, drawn, data)
     assert parse(json.loads(json.dumps(mapping))) == spec
 
 
+def test_a_field_with_a_default_may_be_left_out():
+    assert family_from_mapping({"family": "elementary-primary"}) == ElementaryPrimary()
+
+
 def test_family_mappings_print_integers_bare():
     assert Cyclic(2).as_mapping() == {"family": "cyclic", "r": "2"}
     assert GeneralizedCyclic((F(2), F(4, 7))).as_mapping()["ratios"] == ["2", "4/7"]
@@ -769,6 +775,126 @@ def test_classification_justification_lines():
     mapping = report.as_mapping()
     assert mapping["atomic"] == "yes"
     assert isinstance(mapping["justification"], list)
+
+
+# classify(spec).as_mapping() for each spec of test_json.FAMILIES, by its
+# family tag: the six verdicts in field order, then the justification.
+# A rule that decides a field left unknown shows up here as a change.
+CLASSIFIED = {
+    "power-denominator": (
+        "yes no yes yes yes no",
+        "dense=yes: generator-infimum-zero",
+        "antimatter=yes: every-generator-decomposes",
+        "strongly_bounded=yes: numerators-bounded",
+        "finite_puiseux=yes: denominator-support-finite",
+        "atomic=no: antimatter-excludes-atoms",
+        "hereditarily_atomic=no: hereditary-implies-atomic",
+    ),
+    "half-prime": (
+        "no yes no no no yes",
+        "dense=no: generator-infimum-positive",
+        "strongly_bounded=no: atoms-have-unbounded-numerators [asserted]",
+        "finite_puiseux=no: denominator-support-infinite",
+        "hereditarily_atomic=yes: not-dense-hereditarily-atomic [asserted]",
+        "atomic=yes: hereditary-implies-atomic",
+        "antimatter=no: atomic-excludes-antimatter",
+    ),
+    "two-adic-odd-prime": (
+        "yes yes no yes no no",
+        "dense=yes: generator-infimum-zero",
+        "atomic=yes: all-generators-are-atoms [asserted]",
+        "hereditarily_atomic=no: power-of-two-submonoid-not-atomic [asserted]",
+        "strongly_bounded=yes: numerators-bounded",
+        "finite_puiseux=no: denominator-support-infinite",
+        "antimatter=no: atomic-excludes-antimatter",
+    ),
+    "elementary-primary": (
+        "yes yes no yes no yes",
+        "dense=yes: generator-infimum-zero",
+        "hereditarily_atomic=yes: primary-denominators-hereditary [asserted]",
+        "strongly_bounded=yes: numerators-bounded",
+        "finite_puiseux=no: denominator-support-infinite",
+        "atomic=yes: hereditary-implies-atomic",
+        "antimatter=no: atomic-excludes-antimatter",
+    ),
+    "elementary-k-primary": (
+        "yes no yes yes no no",
+        "dense=yes: generator-infimum-zero",
+        "antimatter=yes: k-subset-generators-decompose [asserted]",
+        "strongly_bounded=yes: numerators-bounded",
+        "finite_puiseux=no: denominator-support-infinite",
+        "atomic=no: antimatter-excludes-atoms",
+        "hereditarily_atomic=no: hereditary-implies-atomic",
+    ),
+    "partitioned-k-primary": (
+        "yes yes no yes no unknown",
+        "dense=yes: generator-infimum-zero",
+        "atomic=yes: all-generators-are-atoms [asserted]",
+        "strongly_bounded=yes: numerators-bounded",
+        "finite_puiseux=no: denominator-support-infinite",
+        "antimatter=no: atomic-excludes-antimatter",
+    ),
+    "sum-k-primary": (
+        "yes yes no no no unknown",
+        "dense=yes: generator-infimum-zero",
+        "atomic=yes: all-generators-are-atoms [asserted]",
+        "strongly_bounded=no: atoms-have-unbounded-numerators [asserted]",
+        "finite_puiseux=no: denominator-support-infinite",
+        "antimatter=no: atomic-excludes-antimatter",
+    ),
+    "p-adic": (
+        "yes unknown unknown unknown yes unknown",
+        "finite_puiseux=yes: denominator-support-finite",
+        "dense=yes: generator-infimum-zero",
+    ),
+    "plus-minus-powers": (
+        "yes no yes unknown yes no",
+        "dense=yes: generator-infimum-zero",
+        "antimatter=yes: every-generator-decomposes",
+        "finite_puiseux=yes: denominator-support-finite",
+        "atomic=no: antimatter-excludes-atoms",
+        "hereditarily_atomic=no: hereditary-implies-atomic",
+    ),
+    "cyclic": (
+        "yes yes no no yes yes",
+        "finite_puiseux=yes: denominator-support-finite",
+        "dense=yes: generator-infimum-zero",
+        "atomic=yes: cyclic-ratio-atomic [asserted]",
+        "hereditarily_atomic=yes: cyclic-hereditarily-atomic [asserted]",
+        "strongly_bounded=no: atoms-have-unbounded-numerators [asserted]",
+        "antimatter=no: atomic-excludes-antimatter",
+    ),
+    "generalized-cyclic": (
+        "yes unknown unknown unknown yes unknown",
+        "finite_puiseux=yes: denominator-support-finite",
+        "dense=yes: generator-infimum-zero",
+    ),
+    "bf-not-ff": (
+        "no yes no no no yes",
+        "dense=no: generator-infimum-positive",
+        "hereditarily_atomic=yes: primary-denominators-hereditary [asserted]",
+        "strongly_bounded=no: atoms-have-unbounded-numerators [asserted]",
+        "finite_puiseux=no: denominator-support-infinite",
+        "atomic=yes: hereditary-implies-atomic",
+        "antimatter=no: atomic-excludes-antimatter",
+    ),
+    "explicit": (
+        "no yes no yes yes yes",
+        "dense=no: generator-infimum-positive",
+        "atomic=yes: finitely-generated-atomic",
+        "strongly_bounded=yes: numerators-bounded",
+        "finite_puiseux=yes: denominator-support-finite",
+        "hereditarily_atomic=yes: not-dense-hereditarily-atomic [asserted]",
+        "antimatter=no: atomic-excludes-antimatter",
+    ),
+}
+
+
+@pytest.mark.parametrize(("spec", "mapping"), FAMILIES, ids=[m["family"] for _, m in FAMILIES])
+def test_every_classification_is_pinned(spec, mapping):
+    verdicts, *justification = CLASSIFIED[mapping["family"]]
+    fields = ClassificationReport.__match_args__[:-1]
+    assert classify(spec).as_mapping() == {**dict(zip(fields, verdicts.split())), "justification": justification}
 
 
 def test_rule_statements_exist_for_cited_rules():
