@@ -212,18 +212,24 @@ def json_list(value) -> list:
 
 
 def _parse(obj, tag: str, what: str, table: dict):
-    """Build what a JSON object describes: table[obj[tag]](obj).
+    """Build what a JSON object describes: table[obj[tag]] is (fields,
+    build), and build(obj) builds it.
 
     The builders read obj's fields with json_int, json_rational and
-    json_list; a field they find missing is reported as a ParseError.
+    json_list; a field they find missing, and any key other than tag
+    and fields, is reported as a ParseError.
     """
     if not isinstance(obj, dict) or tag not in obj:
         raise ParseError(f"a {what} must be an object with a {tag!r}, got {obj!r}")
     name = obj[tag]
     if not isinstance(name, str) or name not in table:
         raise ParseError(f"unknown {what} {name!r}")
+    fields, build = table[name]
+    for key in obj:
+        if key != tag and key not in fields:
+            raise ParseError(f"{what} {name!r} has no field {key!r}")
     try:
-        return table[name](obj)
+        return build(obj)
     except KeyError as missing:
         raise ParseError(f"{what} {name!r} is missing field {missing}") from None
 
@@ -264,7 +270,7 @@ def _tagged(tag: str, union) -> dict:
 
     A class is built from the fields its as_mapping() writes, in order,
     each read by the reader of its annotation. A field with a class
-    default may be left out.
+    default may be left out; a key that is not a field is refused.
     """
     return {cls.json_tag[tag]: _builder(cls) for cls in union.__args__}
 
@@ -278,17 +284,20 @@ def _builder(cls):
     def build(obj):
         return cls(**{name: read(obj[name]) for name, read, default in fields if not default or name in obj})
 
-    return build
+    return tuple(name for name, _, _ in fields), build
 
 
 _SEQUENCES = {
-    "constant": lambda o: GeometricSeq(json_int(o["value"]), 1),
-    "power": lambda o: GeometricSeq(1, json_int(o["base"])),
-    "geometric": lambda o: GeometricSeq(json_int(o["scale"]), json_int(o["ratio"])),
-    "affine-exponent": lambda o: AffineSeq(json_int(o["a"]), json_int(o["b"])),
-    "explicit": lambda o: ExplicitSeq(
-        tuple(json_int(v) for v in json_list(o["values"])),
-        None if o.get("then") is None else sequence_from_mapping(o["then"]),
+    "constant": (("value",), lambda o: GeometricSeq(json_int(o["value"]), 1)),
+    "power": (("base",), lambda o: GeometricSeq(1, json_int(o["base"]))),
+    "geometric": (("scale", "ratio"), lambda o: GeometricSeq(json_int(o["scale"]), json_int(o["ratio"]))),
+    "affine-exponent": (("a", "b"), lambda o: AffineSeq(json_int(o["a"]), json_int(o["b"]))),
+    "explicit": (
+        ("values", "then"),
+        lambda o: ExplicitSeq(
+            tuple(json_int(v) for v in json_list(o["values"])),
+            None if o.get("then") is None else sequence_from_mapping(o["then"]),
+        ),
     ),
 }
 

@@ -4,7 +4,9 @@ A generating set G determines the set of all nonnegative integer
 combinations of G. When gcd(G) = 1 the complement in the nonnegative
 integers is finite and the largest missing value is the Frobenius
 number; when gcd(G) = d > 1 the semigroup lives inside the multiples
-of d and has no Frobenius number.
+of d and has no Frobenius number. frobenius() has closed forms for two
+and three minimal generators, and a reachability table for four or
+more.
 
 Membership, minimal generators, any_representation and the listing of
 representations share one iterative depth-first walk (_leaves), whose
@@ -135,10 +137,11 @@ class NumericalSemigroup:
         """Largest integer not in the semigroup, -1 when there are no gaps.
 
         Raises NotCofinite when gcd of the generators exceeds 1. Two
-        coprime generators a < b give a*b - a - b in closed form; more
-        generators fall back to a reachability table that grows until
-        the top min-generator-width window is fully reachable, which
-        certifies that no gap lies beyond the table.
+        and three minimal generators have closed forms: a*b - a - b for
+        two, and _frobenius3 for three. Four or more fall back to a
+        reachability table that grows until the top
+        min-generator-width window is fully reachable, which certifies
+        that no gap lies beyond the table.
         """
         if not self.is_cofinite:
             raise NotCofinite(
@@ -150,6 +153,8 @@ class NumericalSemigroup:
         if len(mg) == 2:
             a, b = mg
             return a * b - a - b
+        if len(mg) == 3:
+            return _frobenius3(*mg)
         gmin = mg[0]
         bound = max(mg[0] * mg[1], mg[-1] + gmin + 1)
         while True:
@@ -166,6 +171,46 @@ class NumericalSemigroup:
             if largest_gap + gmin < bound:
                 return largest_gap
             bound *= 2
+
+
+def _frobenius3(a1: int, a2: int, a3: int) -> int:
+    """The Frobenius number of three generators with gcd 1, exactly,
+    in O(log a1) steps.
+
+    Johnson's reduction (Canad. J. Math. 1960) first: while two
+    generators a, b share a factor d > 1, F(a, b, c) = d * F(a/d, b/d,
+    c) + (d - 1) * c, and a generator of 1 leaves no gaps, F = -1.
+    Then Rodseth's formula (J. reine angew. Math. 1978) on the pairwise
+    coprime a1 < a2 < a3: the ceiling Euclid steps r[i-1] = q * r[i] -
+    r[i+1] from (r[-1], r[0]) = (a1, a3 / a2 mod a1), with p[-1] = 0,
+    p[0] = 1 and p[i+1] = q * p[i] - p[i-1], give fractions r[i]/p[i]
+    falling from infinity to 0. The step v with r[v+1]/p[v+1] <= a3/a2
+    < r[v]/p[v] gives F = -a1 + a2*(r[v] - 1) + a3*(p[v+1] - 1) -
+    min(a2*r[v+1], a3*p[v]).
+    """
+    gens = [a1, a2, a3]
+    scale, offset = 1, 0
+    while True:
+        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            d = math.gcd(gens[i], gens[j])
+            if d > 1:
+                offset += scale * (d - 1) * gens[k]
+                scale *= d
+                gens[i] //= d
+                gens[j] //= d
+                break
+        else:
+            break
+    a1, a2, a3 = sorted(gens)
+    if a1 == 1:
+        return offset - scale
+    # (r, p) is step v + 1 and (r0, p0) step v; both comparisons are
+    # cross-multiplied, and p0 = 0 stands for r0/p0 = infinity.
+    r0, p0, r, p = a1, 0, a3 * pow(a2, -1, a1) % a1, 1
+    while r * a2 > a3 * p:
+        q = -(-r0 // r)
+        r0, p0, r, p = r, p, q * r - r0, q * p - p0
+    return offset + scale * (-a1 + a2 * (r0 - 1) + a3 * (p - 1) - min(a2 * r, a3 * p0))
 
 
 def _coefficients(level: tuple[int, int, int, int, int], rem: int, up: bool) -> range:

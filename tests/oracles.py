@@ -60,6 +60,30 @@ def brute_frobenius(gens: tuple[int, ...]) -> int:
     return max(gaps) if gaps else -1
 
 
+def apery_frobenius(gens: tuple[int, ...]) -> int:
+    """Largest integer outside the semigroup, from the Apery set of the
+    smallest generator a: the least element in each residue class mod
+    a, filled in by round robin (Bocker and Liptak, Algorithmica 2007).
+    For each further generator g, each class mod gcd(a, g) is walked
+    from its least entry, adding g to it a / gcd(a, g) - 1 times.
+    Memory is one entry per residue, so a of 10^5 is cheap where a
+    scan is not."""
+    a = min(gens)
+    least = [math.inf] * a
+    least[0] = 0
+    for g in gens:
+        d = math.gcd(a, g)
+        for start in range(d):
+            n = min(least[start::d])
+            if n == math.inf:
+                continue
+            for _ in range(a // d - 1):
+                n += g
+                n = min(n, least[n % a])
+                least[n % a] = n
+    return max(least) - a
+
+
 def brute_representations(gens: tuple[int, ...], x: int) -> set[tuple[int, ...]]:
     """Every coefficient tuple over the generators, nested loops."""
     found = set()

@@ -95,8 +95,9 @@ ROWS = SUBCOMMANDS + [
     # what a cost linear in the cap could pay.
     "cyclic factorize --r 2/3 --x 2/3 --cap 1500",
     "cyclic factorize --r 2/3 --x 2/3 --cap 100000000",
+    # Three generators in closed form; a table of a*b bytes ran out of memory.
+    "ns frobenius --gens 100003,100019,100043",
     # Failing today.
-    _xfail("ns frobenius --gens 100003,100019,100043", 3, "MemoryError: a table of a*b bytes"),
     _xfail("ns factorize --gens 6,9,20,31 --x 20000", 7, "MemoryError listing every representation"),
     _xfail("cyclic factorize --r 2/3 --x 40", 7, "killed by a signal listing 27,263,194,918 factorizations"),
     _xfail("cyclic factorize --r 2/3 --x 40 --cap 30", 7, "MemoryError listing factorizations"),

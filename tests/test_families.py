@@ -569,6 +569,19 @@ MALFORMED_FAMILIES = {
     },
     "non-object-stream": {"family": "elementary-primary", "primes": 3},
     "non-object": [1],
+    # A key that is no field of the record: a misspelt optional field
+    # is refused, not dropped for its default.
+    "misspelt-optional-field": {
+        "family": "elementary-primary",
+        "prime": {"kind": "congruence", "residue": 1, "modulus": 4},
+    },
+    "field-of-no-record": {"family": "half-prime", "q": 3},
+    "unknown-sequence-field": {
+        "family": "p-adic",
+        "p": 2,
+        "numerators": {"kind": "power", "base": 3, "then": None},
+        "exponents": PADIC_EXPONENTS,
+    },
 }
 
 MALFORMED_TARGETS = {

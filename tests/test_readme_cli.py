@@ -89,4 +89,4 @@ def test_python_quick_start_matches_its_comments():
         else:
             assert eval(code, namespace) == expected, line
             checked.append(comment)
-    assert checked == ["23", "True", '"yes"', "13/8", '["confirmed"]']
+    assert checked == ["23", "43", "True", '"yes"', "13/8", '["confirmed"]']

@@ -10,9 +10,10 @@ from hypothesis import assume, given, strategies as st
 
 from puiseux.errors import NonPositive, NotCofinite
 from puiseux.monoid import FgMonoid
-from puiseux.semigroup import NumericalSemigroup
+from puiseux.semigroup import NumericalSemigroup, _frobenius3
 
 from oracles import (
+    apery_frobenius,
     brute_frobenius,
     brute_rational_factorizations,
     brute_representations,
@@ -180,6 +181,66 @@ def test_frobenius_two_generator_closed_form():
     assert NumericalSemigroup((2, 3)).frobenius() == 1
     for a, b in [(3, 5), (5, 7), (4, 7), (11, 13)]:
         assert NumericalSemigroup((a, b)).frobenius() == a * b - a - b
+
+
+def test_frobenius_three_generator_closed_form():
+    assert NumericalSemigroup((6, 9, 20)).frobenius() == 43
+    # Every pair shares a factor: 2, 3 or 5.
+    assert NumericalSemigroup((6, 10, 15)).frobenius() == 29
+    assert NumericalSemigroup((3, 5, 7)).frobenius() == 4
+    assert NumericalSemigroup((4, 6, 9)).frobenius() == 11
+
+
+@st.composite
+def triples(draw):
+    """Three generators up to 60 with gcd 1, each pair often sharing a
+    factor of its own, as 6, 10 and 15 do."""
+    ab, ac, bc = (draw(st.sampled_from((1, 1, 2, 3, 5))) for _ in range(3))
+    gens = tuple(
+        draw(st.integers(1, 60 // (d * e))) * d * e for d, e in ((ab, ac), (ab, bc), (ac, bc))
+    )
+    assume(math.gcd(*gens) == 1)
+    return gens
+
+
+@given(triples())
+def test_frobenius_of_three_generators_matches_brute_scan(gens):
+    want = brute_frobenius(gens)
+    assert NumericalSemigroup(gens).frobenius() == want
+    # In any order, with repeats or redundant generators left in.
+    assert _frobenius3(*gens) == _frobenius3(*gens[::-1]) == want
+
+
+def test_frobenius_with_a_redundant_third_generator_is_the_two_generator_form():
+    for a, b, c in [(4, 9, 13), (5, 7, 24), (3, 11, 6), (7, 10, 30)]:
+        sg = NumericalSemigroup((a, b, c))
+        assert sg.minimal_generators() == (a, b)
+        assert sg.frobenius() == NumericalSemigroup((a, b)).frobenius() == a * b - a - b
+        assert _frobenius3(a, b, c) == a * b - a - b
+
+
+def test_frobenius_of_three_large_generators_matches_round_robin_oracle():
+    # A reachability table here needs a1 * a2, about 10^10 bytes.
+    gens = (100003, 100019, 100043)
+    start = time.perf_counter()
+    assert NumericalSemigroup(gens).frobenius() == 2001060054
+    assert time.perf_counter() - start < 0.1
+    assert apery_frobenius(gens) == 2001060054
+
+
+def test_frobenius_three_generator_boundary_membership():
+    rng = random.Random(21)
+    seen = 0
+    while seen < 10:
+        a1 = rng.randint(200, 1000)
+        gens = (a1, rng.randint(a1 + 1, 3 * a1), rng.randint(a1 + 1, 3 * a1))
+        sg = NumericalSemigroup(gens)
+        if not sg.is_cofinite or len(sg.minimal_generators()) != 3:
+            continue
+        seen += 1
+        f = sg.frobenius()
+        assert not sg.contains(f), gens
+        assert all(sg.contains(x) for x in range(f + 1, f + a1 + 1)), gens
 
 
 @given(st.lists(st.integers(2, 40), min_size=2, max_size=4))
