@@ -233,9 +233,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 def is_prime(n: int) -> bool:
     """Exact primality for n >= 1.
 
-    Uses trial division by a few small primes, then deterministic
-    Miller-Rabin below the published witness bound (far above 2**64),
-    then full trial division for anything larger.
+    Uses trial division by a few small primes, then Miller-Rabin on a
+    fixed witness set, which decides primality below the published
+    bound _MR_BOUND (far above 2**64). From the bound up a witness
+    still proves n composite; without one, NotFoundWithinLimit names
+    the bound instead of a verdict.
     """
     n = n if type(n) is int else _exact(n)
     if n < 1:
@@ -247,9 +249,13 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < _MR_BOUND:
-        return _miller_rabin(n)
-    return _trial_division(n)
+    if not _miller_rabin(n):
+        return False
+    if n >= _MR_BOUND:
+        raise NotFoundWithinLimit(
+            f"{n} passes every Miller-Rabin base, which decides primality only below {_MR_BOUND}"
+        )
+    return True
 
 
 def _miller_rabin(n: int) -> bool:
@@ -268,15 +274,6 @@ def _miller_rabin(n: int) -> bool:
                 break
         else:
             return False
-    return True
-
-
-def _trial_division(n: int) -> bool:
-    f = 53
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
     return True
 
 
@@ -336,8 +333,9 @@ def prime_index(p: int) -> int:
 def prime_factors(n: int, limit: int = 10**6) -> tuple[int, ...] | None:
     """Distinct prime factors of n >= 1, in increasing order.
 
-    Returns None when a cofactor above limit**2 remains unfactored, so
-    callers can fall back to something slower but sound.
+    Returns None when a cofactor above limit**2 remains unfactored, or
+    one at or above _MR_BOUND that is_prime cannot decide, so callers
+    can fall back to something slower but sound.
     """
     if n < 1:
         raise NonPositive(f"cannot factor {n}")
@@ -351,7 +349,7 @@ def prime_factors(n: int, limit: int = 10**6) -> tuple[int, ...] | None:
             while rest % p == 0:
                 rest //= p
     if rest > 1:
-        if rest <= limit * limit or is_prime(rest):
+        if rest <= limit * limit or rest < _MR_BOUND and is_prime(rest):
             out.append(rest)
         else:
             return None

@@ -20,7 +20,6 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import puiseux as P
@@ -156,34 +155,17 @@ def _format_cyclic(f: P.CyclicFactorization) -> str:
     return _format_terms(f.terms, lambda e: f"r^{e}")
 
 
-def _membership(member: bool, witness, label):
-    """The `ns member` / `fg member` result: a verdict and the generator
-    combination reaching x, when there is one to show."""
-    shown = None
-    if witness is not None:
-        shown = [{"generator": label(g), "mult": c} for g, c in witness]
-    lines = ["true" if member else "false"]
-    if witness:
-        lines.append("witness: " + _format_terms(witness, label))
-    return {"member": member, "witness": shown}, lines
-
-
-def _member_witness(monoid: P.FgMonoid, x: Fraction):
-    """A generator combination reaching x, or None."""
-    if x == 0:
-        return []
-    scale, sg = monoid.to_scaled_integer()
-    t = x / scale
-    if t.denominator != 1:
-        return None
-    rep = sg.any_representation(t.numerator)
+def _membership(sg: P.NumericalSemigroup, t, label):
+    """The `ns member` / `fg member` result: whether t, an int or a
+    Fraction, is in sg, and the generator combination reaching it, each
+    generator shown by label."""
+    rep = sg.any_representation(t.numerator) if t.denominator == 1 else None
     if rep is None:
-        return None
-    return [
-        (g, c)
-        for g, c in zip(monoid.generators, rep)
-        if c > 0
-    ]
+        return {"member": False, "witness": None}, ["false"]
+    witness = [(g, c) for g, c in zip(sg.generators, rep) if c]
+    shown = [{"generator": label(g), "mult": c} for g, c in witness]
+    lines = ["true", "witness: " + _format_terms(witness, label)] if witness else ["true"]
+    return {"member": True, "witness": shown}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +186,7 @@ def ns_frobenius(gens):
 
 @command("ns", "member", opt("--gens", INTS), opt("--x", int))
 def ns_member(gens, x):
-    sg = P.NumericalSemigroup(gens)
-    rep = sg.any_representation(x) if x > 0 else None
-    witness = None
-    if rep is not None:
-        witness = [(g, c) for g, c in zip(sg.generators, rep) if c > 0]
-    return _membership(x == 0 or witness is not None, witness, int)
+    return _membership(P.NumericalSemigroup(gens), x, int)
 
 
 @command("ns", "factorize", opt("--gens", INTS), opt("--x", int))
@@ -235,8 +212,8 @@ def fg_atoms(gens):
 
 @command("fg", "member", opt("--gens", RATIONALS), opt("--x", RATIONAL_OR_ZERO))
 def fg_member(gens, x):
-    witness = _member_witness(P.FgMonoid(gens), x)
-    return _membership(witness is not None, witness, format_rational)
+    q, sg = P.FgMonoid(gens).to_scaled_integer()
+    return _membership(sg, x / q, lambda g: format_rational(g * q))
 
 
 @command("fg", "factorize", opt("--gens", RATIONALS), opt("--x", RATIONAL_OR_ZERO))

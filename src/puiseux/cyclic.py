@@ -290,26 +290,18 @@ def cyclic_trade(
         raise ParseError(f"the factorization is over ratio {z.ratio}, not {r}")
     if _exact(t) < 1:
         raise BadIndex(f"exponents start at 1, got {t}")
-    a, b = r.numerator, r.denominator
-    counts = dict(z.terms)
-    if direction == "up":
-        have = counts.get(t, 0)
-        if have < a:
-            raise InsufficientMultiplicity(
-                f"trading up at exponent {t} needs {a} copies, found {have}"
-            )
-        counts[t] = have - a
-        counts[t + 1] = counts.get(t + 1, 0) + b
-    elif direction == "down":
-        have = counts.get(t + 1, 0)
-        if have < b:
-            raise InsufficientMultiplicity(
-                f"trading down at exponent {t} needs {b} copies of exponent {t + 1}, found {have}"
-            )
-        counts[t + 1] = have - b
-        counts[t] = counts.get(t, 0) + a
-    else:
+    if direction not in ("up", "down"):
         raise ParseError(f"direction must be 'up' or 'down', got {direction!r}")
+    a, b = r.numerator, r.denominator
+    source, target, take, give = (t, t + 1, a, b) if direction == "up" else (t + 1, t, b, a)
+    counts = dict(z.terms)
+    have = counts.get(source, 0)
+    if have < take:
+        raise InsufficientMultiplicity(
+            f"trading {direction} at exponent {t} needs {take} copies of r^{source}, found {have}"
+        )
+    counts[source] = have - take
+    counts[target] = counts.get(target, 0) + give
     return CyclicFactorization(r, tuple((e, m) for e, m in counts.items() if m > 0))
 
 

@@ -300,8 +300,6 @@ class FgMonoid:
         if len(gens) == 2:
             c0s, c1s = pair(t)
             found = union([(0, c0s, c1s)]) if c0s else 0
-        elif len(gens) == 3:
-            found = union(tail(t))
         else:
             # The remainders reaching each level, from the top down; a
             # nonzero one below the level's floor has mask 0 and is left out.

@@ -16,7 +16,6 @@ from .arith import (
     format_rational,
     is_prime,
     nth_prime,
-    padic_valuation_int,
     prime_index,
     record,
 )
@@ -288,8 +287,10 @@ def sum_kprimary_atom_check(k: int, indices: tuple[int, ...], max_index: int) ->
     truncation holding every k-subset drawn from the first max_index primes.
 
     True means the sum is an atom of the truncation: no sum of the
-    truncation's other generators equals it. The verdict is about the
-    truncation; more generators can only turn it False.
+    truncation's other generators equals it. Only the generators below
+    it can enter such a sum, so one membership test in their monoid
+    decides it. The verdict is about the truncation; more generators
+    can only turn it False.
     """
     subset = tuple(sorted(indices))
     if k < 1:
@@ -303,8 +304,8 @@ def sum_kprimary_atom_check(k: int, indices: tuple[int, ...], max_index: int) ->
             f"index {subset[-1]} exceeds the truncation bound {max_index}"
         )
     value = sum((Fraction(1, nth_prime(i)) for i in subset), Fraction(0))
-    monoid = truncate(SumKPrimary(k), math.comb(max_index, k))
-    return value in monoid.atoms()
+    gens = truncate(SumKPrimary(k), math.comb(max_index, k)).generators
+    return not FgMonoid(gens[: gens.index(value)]).contains(value)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +333,13 @@ def padic_candidate_atoms(spec: PAdic, prefix: int) -> PAdicAtomReport:
     atoms and exact multiples of later generators.
 
     Requires certified hypotheses: the numerators are powers of a single
-    prime q different from p, they tend to infinity, and the denominator
-    exponents strictly increase. A generator is kept exactly when its
-    numerator is strictly below every later numerator; under the cited
-    atom criterion the kept generators are the atoms. Each discarded
-    index comes with the exact integer multiple relating it to a kept
-    generator, which holds unconditionally.
+    prime q different from p and they tend to infinity (PAdic itself
+    makes the denominator exponents strictly increase). A generator is
+    kept exactly when its numerator is strictly below every later
+    numerator; under the cited atom criterion the kept generators are
+    the atoms. Each discarded index i comes with the exact integer
+    multiple r_i / r_m relating it to the last later generator r_m whose
+    numerator is at most r_i's, which holds unconditionally.
     """
     if not isinstance(spec, PAdic):
         family = getattr(spec, "json_tag", {"family": type(spec).__name__})["family"]
@@ -355,8 +357,6 @@ def padic_candidate_atoms(spec: PAdic, prefix: int) -> PAdicAtomReport:
         )
     if not nums.tends_to_infinity():
         raise HypothesisViolated("the numerators do not tend to infinity")
-    if not spec.exponents.is_strictly_increasing():
-        raise HypothesisViolated("the denominator exponents do not strictly increase")
 
     kept = []
     exclusions = []
@@ -365,7 +365,8 @@ def padic_candidate_atoms(spec: PAdic, prefix: int) -> PAdicAtomReport:
         if c_i < nums.min_from(i + 1):
             kept.append(i)
             continue
-        last = None
+        # Some numerator past i is at most c_i, so the scan sets last
+        # before min_from(j) can pass c_i.
         j = i + 1
         while nums.min_from(j) <= c_i:
             if nums.value_at(j) <= c_i:
@@ -375,17 +376,10 @@ def padic_candidate_atoms(spec: PAdic, prefix: int) -> PAdicAtomReport:
                 raise NotFoundWithinLimit(
                     f"no end in sight scanning numerators past index {i}"
                 )
-        if last is None:
-            raise HypothesisViolated(f"no numerator after index {i} is at most {c_i}")
-        alpha = spec.exponents
-        beta_i = padic_valuation_int(base, c_i)
-        beta_m = padic_valuation_int(base, nums.value_at(last))
-        coefficient = spec.p ** (alpha.value_at(last) - alpha.value_at(i)) * base ** (
-            beta_i - beta_m
-        )
-        if spec.generator(i) != coefficient * spec.generator(last):
-            raise HypothesisViolated(f"r_{i} = {coefficient} * r_{last} fails")
-        exclusions.append(AtomExclusion(i, last, coefficient))
+        coefficient = spec.generator(i) / spec.generator(last)
+        if coefficient.denominator != 1:
+            raise HypothesisViolated(f"r_{i} / r_{last} = {coefficient} is not an integer")
+        exclusions.append(AtomExclusion(i, last, coefficient.numerator))
     return PAdicAtomReport(prefix=prefix, kept=tuple(kept), exclusions=tuple(exclusions))
 
 

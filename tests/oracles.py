@@ -38,6 +38,18 @@ def naive_valuation(p: int, r: Fraction) -> int:
     return naive_factor(r.numerator).get(p, 0) - naive_factor(r.denominator).get(p, 0)
 
 
+def padic_exclusion_coefficient(
+    p: int, alpha_i: int, alpha_m: int, q: int, c_i: int, c_m: int
+) -> int:
+    """The integer k with c_i / p^alpha_i = k * c_m / p^alpha_m, for
+    numerators c_i >= c_m that are powers of the prime q and exponents
+    alpha_i < alpha_m, from the valuations: p^(alpha_m - alpha_i) *
+    q^(v_q(c_i) - v_q(c_m))."""
+    beta_i = naive_factor(c_i).get(q, 0)
+    beta_m = naive_factor(c_m).get(q, 0)
+    return p ** (alpha_m - alpha_i) * q ** (beta_i - beta_m)
+
+
 def reachable_integers(gens: tuple[int, ...], bound: int) -> set[int]:
     """All semigroup elements up to bound, by forward closure."""
     hit = {0}

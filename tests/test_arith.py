@@ -47,6 +47,18 @@ def test_is_prime_large_composites_and_primes():
     assert is_prime(10**18 + 9)
 
 
+def test_is_prime_at_or_above_the_deterministic_bound():
+    # Both factors are primes near 10**12, far above the small primes.
+    composite = (10**12 + 39) * (10**12 + 61)
+    mersenne = 2**89 - 1  # a prime
+    assert composite >= arith._MR_BOUND and mersenne >= arith._MR_BOUND
+    assert is_prime(composite) is False
+    with pytest.raises(NotFoundWithinLimit, match=str(arith._MR_BOUND)):
+        is_prime(mersenne)
+    assert prime_factors(mersenne) is None
+    assert prime_factors(2 * composite) is None
+
+
 def test_nth_prime_matches_sieve():
     for i, p in enumerate(SIEVE[:500], start=1):
         assert nth_prime(i) == p

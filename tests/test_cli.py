@@ -52,6 +52,13 @@ def test_ns_mingens_member_factorize():
     assert json.loads(result.output) == [[4, 1], [1, 3]]
 
 
+def test_ns_and_fg_member_of_zero_print_one_document():
+    ns = invoke("ns", "member", "--gens", "4,9", "--x", "0", "--json")
+    fg = invoke("fg", "member", "--gens", "4,9", "--x", "0", "--json")
+    assert ns.exit_code == fg.exit_code == 0
+    assert ns.output == fg.output == '{"member": true, "witness": []}\n'
+
+
 def test_fg_member_example_with_witness():
     result = invoke("fg", "member", "--gens", "2/77,3/77", "--x", "1/7")
     assert result.exit_code == 0

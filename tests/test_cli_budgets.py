@@ -29,6 +29,10 @@ PD3 = """'{"family": "power-denominator", "q": 3}'"""
 PADIC = """'{"family": "p-adic", "p": 2, "numerators": {"kind": "power", "base": 3}, \
 "exponents": {"kind": "affine-exponent", "a": 2, "b": 0}}'"""
 Z = """'{"terms": [{"exponent": 1, "mult": 3}]}'"""
+# Composite, with no factor below 10**6, and above the bound where
+# Miller-Rabin on fixed bases decides primality.
+BIG = 10**27 + 7
+BIG_Q = f"""'{{"family": "power-denominator", "q": {BIG}}}'"""
 # 1,200 generators: more walk levels than Python's recursion limit.
 MANY_GENS = ",".join(str(g) for g in range(1200, 2400))
 # The 36 generators of truncate(GeneralizedCyclic((2/5, 4/7, 3)), 36).
@@ -97,12 +101,16 @@ ROWS = SUBCOMMANDS + [
     "cyclic factorize --r 2/3 --x 2/3 --cap 100000000",
     # Three generators in closed form; a table of a*b bytes ran out of memory.
     "ns frobenius --gens 100003,100019,100043",
+    # One membership test over the 1,140 generators' smaller ones, not atoms().
+    "witness sumk-atom --k 3 --indices 1,2,3 --max-index 20",
+    # Above the deterministic Miller-Rabin bound: a base refutes BIG.
+    f"family gen --spec {BIG_Q} --n 1",
+    f"witness kprimary --primes 2,{BIG}",
     # Failing today.
     _xfail("ns factorize --gens 6,9,20,31 --x 20000", 7, "MemoryError listing every representation"),
     _xfail("cyclic factorize --r 2/3 --x 40", 7, "killed by a signal listing 27,263,194,918 factorizations"),
     _xfail("cyclic factorize --r 2/3 --x 40 --cap 30", 7, "MemoryError listing factorizations"),
-    _xfail("witness sumk-atom --k 3 --indices 1,2,3 --max-index 20", 10, "atoms() of 1,140 generators, about 9 s"),
-    _xfail(f"fg atoms --gens {GC36}", 10, "no answer within 8 s", id="fg atoms --gens <truncate(GeneralizedCyclic((2/5, 4/7, 3)), 36)>"),
+    _xfail(f"fg atoms --gens {GC36}", 15, "no answer within 8 s", id="fg atoms --gens <truncate(GeneralizedCyclic((2/5, 4/7, 3)), 36)>"),
 ]
 
 

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from puiseux.arith import is_prime, nth_prime, prime_index
 from puiseux.errors import (
@@ -40,7 +41,7 @@ from puiseux.witnesses import (
     sum_kprimary_atom_check,
 )
 
-from oracles import brute_rational_member
+from oracles import brute_rational_member, padic_exclusion_coefficient
 
 F = Fraction
 
@@ -258,6 +259,26 @@ def test_sum_atom_check_is_atom_membership():
         ), (k, indices, max_index)
 
 
+def test_sum_atom_check_matches_the_truncation_atoms():
+    # The reference is the predicate the check used before: membership
+    # in atoms() of the whole truncation.
+    from itertools import combinations
+    from math import comb
+
+    from puiseux.families import SumKPrimary
+
+    for k in (2, 3):
+        for max_index in range(k, 9):
+            atoms = set(truncate(SumKPrimary(k), comb(max_index, k)).atoms())
+            for indices in combinations(range(1, max_index + 1), k):
+                value = sum(F(1, nth_prime(i)) for i in indices)
+                assert sum_kprimary_atom_check(k, indices, max_index) == (value in atoms), (
+                    k,
+                    indices,
+                    max_index,
+                )
+
+
 def test_sum_atom_check_validation():
     with pytest.raises(NonPositive):
         sum_kprimary_atom_check(0, (), 3)
@@ -320,6 +341,33 @@ def test_padic_kept_indices_resist_truncation_membership():
         assert FgMonoid(
             tuple(g for n, g in enumerate(gens, start=1) if n != exc.index)
         ).contains(gens[exc.index - 1])
+
+
+@given(
+    p=st.sampled_from((2, 3, 5, 7)),
+    q=st.sampled_from((2, 3, 5, 7)),
+    powers=st.lists(st.integers(0, 6), min_size=1, max_size=6),
+    tail_power=st.integers(0, 3),
+    slope=st.integers(1, 3),
+    offset=st.integers(0, 3),
+)
+def test_padic_exclusion_coefficients_match_the_valuation_formula(
+    p, q, powers, tail_power, slope, offset
+):
+    assume(p != q)
+    nums = ExplicitSeq(tuple(q**e for e in powers), GeometricSeq(q**tail_power, q))
+    spec = PAdic(p, nums, AffineSeq(slope, offset))
+    prefix = len(powers) + 2
+    report = padic_candidate_atoms(spec, prefix)
+    excluded = {exc.index for exc in report.exclusions}
+    assert sorted(excluded | set(report.kept)) == list(range(1, prefix + 1))
+    alpha = spec.exponents
+    for exc in report.exclusions:
+        i, m = exc.index, exc.kept_index
+        assert exc.coefficient == padic_exclusion_coefficient(
+            p, alpha.value_at(i), alpha.value_at(m), q, nums.value_at(i), nums.value_at(m)
+        )
+        assert generator_at(spec, i) == exc.coefficient * generator_at(spec, m)
 
 
 # ---------------------------------------------------------------------------
