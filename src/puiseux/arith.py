@@ -54,13 +54,17 @@ def record(cls: type) -> type:
     Kept: the fields are the class's own annotations in order, a class
     attribute of the same name being the default. __init__ takes them
     by position or keyword, then calls __post_init__ if the class has
-    one. == holds between instances of one class with equal field
-    tuples, hash is the hash of the field tuple (a tuple even for one
-    field), repr is Name(field=value, ...), and __match_args__ names the
-    fields. Assigning or deleting an attribute raises
-    dataclasses.FrozenInstanceError. Instances keep their __dict__, so
-    functools.cached_property works and private constructors may fill
-    fields through it.
+    one. A call passing every field by position, and nothing else,
+    writes the values straight into the instance __dict__ in one loop.
+    Any other call first binds its arguments in Python, as a def with
+    these parameters would, at a higher cost, so hot call sites pass
+    every field by position. == holds between instances of one class
+    with equal field tuples, hash is the hash of the field tuple (a
+    tuple even for one field), repr is Name(field=value, ...), and
+    __match_args__ names the fields. Assigning or deleting an attribute
+    raises dataclasses.FrozenInstanceError. Instances keep their
+    __dict__, so functools.cached_property works and private
+    constructors may fill fields through it.
 
     Added: unless the class defines its own, as_mapping() returns the
     JSON form: the class attribute json_tag (a dict, empty if absent),
@@ -122,7 +126,9 @@ def record(cls: type) -> type:
         def __init__(self, *args, **kwargs):
             if kwargs or len(args) != count:
                 args = bind(args, kwargs)
-            self.__dict__.update(zip(names, args))
+            fields = self.__dict__
+            for i, name in enumerate(names):
+                fields[name] = args[i]
             if post_init:
                 self.__post_init__()
 

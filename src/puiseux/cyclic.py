@@ -171,16 +171,19 @@ def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -
     witness is its shortest factorization, (x/r) * r^1 for an integer
     r. The cap is only recorded."""
     r, x, stray = _checked(r, x, cap)
+    # Every CyclicMembership below gets all four fields by position, the
+    # record constructor's fast path.
     if x < 0:
-        return CyclicMembership("non-member", cap, certificate="negative rationals never belong")
+        return CyclicMembership("non-member", cap, None, "negative rationals never belong")
     if x == 0:
-        return CyclicMembership("member", cap, witness=CyclicFactorization(r, ()))
+        return CyclicMembership("member", cap, CyclicFactorization(r, ()), None)
     a, b = r.numerator, r.denominator
     if stray > 1:
         return CyclicMembership(
             "non-member",
             cap,
-            certificate=f"the denominator of {x} has the factor {stray} outside the ratio's denominator",
+            None,
+            f"the denominator of {x} has the factor {stray} outside the ratio's denominator",
         )
 
     # Numerator screen: clearing denominators leaves every term divisible
@@ -189,7 +192,8 @@ def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -
         return CyclicMembership(
             "non-member",
             cap,
-            certificate=f"every member's numerator is divisible by {a}, {x.numerator} is not",
+            None,
+            f"every member's numerator is divisible by {a}, {x.numerator} is not",
         )
 
     digits, stuck = _base(a, b, x)
@@ -198,7 +202,8 @@ def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -
         return CyclicMembership(
             "non-member",
             cap,
-            certificate=f"no representation: the {'shortest' if a < b else 'longest'} "
+            None,
+            f"no representation: the {'shortest' if a < b else 'longest'} "
             f"factorization would need {digits[stuck - 1]}*r^{stuck}, more than is left of the target",
         )
     if a > b >= 2:
@@ -211,7 +216,7 @@ def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -
             k, digits[t] = divmod(digits[t] + b * k, a)
             t += 1
     terms = tuple((t, c) for t, c in enumerate(digits, start=1) if c)
-    return CyclicMembership("member", cap, witness=CyclicFactorization._sorted(r, terms))
+    return CyclicMembership("member", cap, CyclicFactorization._sorted(r, terms), None)
 
 
 def cyclic_factorizations(

@@ -23,13 +23,24 @@ from .errors import NonPositive
 from .semigroup import NumericalSemigroup, _coefficients, _leaves, _levels
 
 
-def _order_key(q: Fraction) -> tuple[int, Fraction]:
-    """An exact sort key for rationals: floor(q * 2**64), then q.
+def _by_value(values) -> list[tuple[int, Fraction, int, int]]:
+    """values sorted increasing, each decorated for that one sort as
+    (floor(q * 2**64), q, n, d) with q = n/d its reduced Fraction.
 
+    Each value is made an exact Fraction first, floats and bools
+    refused, and its numerator and denominator are read once, here.
     The floor is monotone in q, so almost every comparison is settled
     by one integer compare, and q itself orders the rare ties exactly.
+    Equal values end up side by side.
     """
-    return (q.numerator << 64) // q.denominator, q
+    out = []
+    for q in values:
+        if type(q) is not Fraction:
+            q = _exact(q, Fraction)
+        n, d = q.as_integer_ratio()
+        out.append(((n << 64) // d, q, n, d))
+    out.sort()
+    return out
 
 
 @record
@@ -46,27 +57,20 @@ class Factorization:
     terms: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        terms = []
+        merged: dict[Fraction, int] = {}
         for atom, mult in self.terms:
             if type(atom) is not Fraction:
                 atom = _exact(atom, Fraction)
             if type(mult) is not int:
                 mult = _exact(mult)
-            # A Fraction's denominator is positive, so its sign is the numerator's.
-            if atom.numerator <= 0:
-                raise NonPositive(f"atoms must be positive, got {atom}")
             if mult < 1:
                 raise NonPositive(f"multiplicities must be >= 1, got {mult}")
-            terms.append((atom, mult))
-        # Results built from a sorted atom tuple are already strictly
-        # increasing; only other input needs merging and sorting.
-        keys = [_order_key(atom) for atom, _ in terms]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            merged: dict[Fraction, int] = {}
-            for atom, mult in terms:
-                merged[atom] = merged.get(atom, 0) + mult
-            terms = sorted(merged.items(), key=lambda term: _order_key(term[0]))
-        object.__setattr__(self, "terms", tuple(terms))
+            merged[atom] = merged.get(atom, 0) + mult
+        entries = _by_value(merged)
+        # A Fraction's denominator is positive, so its sign is the numerator's.
+        if entries and entries[0][2] <= 0:
+            raise NonPositive(f"atoms must be positive, got {entries[0][1]}")
+        object.__setattr__(self, "terms", tuple((atom, merged[atom]) for _, atom, _, _ in entries))
 
     @classmethod
     def _sorted(cls, terms: tuple[tuple[Fraction, int], ...]) -> "Factorization":
@@ -106,24 +110,24 @@ class FgMonoid:
 
     Generators are normalized to a strictly increasing tuple of reduced
     fractions; floats and bools are refused. An empty tuple gives the
-    trivial monoid. The atoms and the reduction to a numerical
-    semigroup are computed once per instance and cached beside the
-    record's one field, so equality, hashing and repr see the generators
-    only.
+    trivial monoid. Each generator's numerator and denominator are read
+    once, at construction, and kept as int tuples beside the record's
+    one field; the atoms and the reduction to a numerical semigroup are
+    computed from them once per instance and cached there too. Equality,
+    hashing and repr see the generators only.
     """
 
     generators: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        unique: dict[tuple[int, int], Fraction] = {}
-        for g in self.generators:
-            if type(g) is not Fraction:
-                g = _exact(g, Fraction)
-            unique[g.numerator, g.denominator] = g
-        gens = tuple(sorted(unique.values(), key=_order_key))
-        if gens and gens[0].numerator <= 0:
-            raise NonPositive(f"generators must be positive, got {gens[0]}")
-        object.__setattr__(self, "generators", gens)
+        entries = _by_value(self.generators)
+        if entries and entries[0][2] <= 0:
+            raise NonPositive(f"generators must be positive, got {entries[0][1]}")
+        # Equal values sort side by side; the first of each run is kept.
+        kept = [e for e, before in zip(entries, [None, *entries]) if e != before]
+        _, gens, nums, dens = zip(*kept) if kept else ((),) * 4
+        fields = self.__dict__
+        fields["generators"], fields["_nums"], fields["_dens"] = gens, nums, dens
 
     def to_scaled_integer(self) -> tuple[Fraction, NumericalSemigroup]:
         """The scale q and semigroup N with self = q * N and gcd(N) = 1.
@@ -138,8 +142,9 @@ class FgMonoid:
 
     @cached_property
     def _reduction(self) -> tuple[Fraction, NumericalSemigroup]:
-        common = math.lcm(*(g.denominator for g in self.generators))
-        nums = [g.numerator * (common // g.denominator) for g in self.generators]
+        dens = self._dens
+        common = math.lcm(*dens)
+        nums = [n * (common // d) for n, d in zip(self._nums, dens)]
         d = math.gcd(*nums)
         return Fraction(d, common), NumericalSemigroup(tuple(n // d for n in nums))
 
@@ -171,41 +176,41 @@ class FgMonoid:
 
     @cached_property
     def _atoms(self) -> tuple[Fraction, ...]:
-        gens = self.generators
+        gens, nums, dens = self.generators, self._nums, self._dens
         seen = 1  # lcm of the denominators of the generators before g
         out = []
-        for i, g in enumerate(gens):
-            d = g.denominator
+        for i, d in enumerate(dens):
             r = seen % d
             if r:
                 seen *= d // math.gcd(d, r)
-            elif g >= 2 * gens[0]:
-                # Ask in the integers of self's reduction, where g and
-                # the smaller generators keep their indices: its walk
-                # started at level i stays within the i smallest.
+            elif nums[i] * dens[0] >= 2 * nums[0] * d:
+                # g is at least twice the smallest: ask in the integers
+                # of self's reduction, where g and the smaller generators
+                # keep their indices. Its walk started at level i stays
+                # within the i smallest.
                 ns = self._reduction[1]
                 if ns._find(i, ns.generators[i], True) is not None:
                     continue
-            out.append(g)
+            out.append(gens[i])
         return tuple(out)
 
     @cached_property
     def _atom_semigroup(self) -> NumericalSemigroup:
         # The atoms generate the same monoid, so they share self's scale q.
-        q = self._reduction[0]
-        return NumericalSemigroup(
-            tuple(a.numerator * q.denominator // (a.denominator * q.numerator) for a in self._atoms)
-        )
+        qn, qd = self._reduction[0].as_integer_ratio()
+        ratios = map(Fraction.as_integer_ratio, self._atoms)
+        return NumericalSemigroup(tuple(n * qd // (d * qn) for n, d in ratios))
 
     def _target(self, x: Fraction | int) -> int | None:
         """x / q, with q the scale of to_scaled_integer, when that is a
         nonnegative integer; 0 for x = 0 (also in the trivial monoid)
         and None otherwise. Members of self are among the integers."""
         x = x if type(x) is Fraction else _exact(x, Fraction)
-        if x <= 0 or not self.generators:
-            return 0 if x == 0 else None
-        q = self._reduction[0]
-        t, r = divmod(x.numerator * q.denominator, x.denominator * q.numerator)
+        n, d = x.as_integer_ratio()
+        if n <= 0 or not self.generators:
+            return 0 if n == 0 else None
+        qn, qd = self._reduction[0].as_integer_ratio()
+        t, r = divmod(n * qd, d * qn)
         return None if r else t
 
     def factorizations(self, x: Fraction | int) -> list[Factorization]:

@@ -207,6 +207,18 @@ def brute_cyclic_factorizations(
     return found
 
 
+def old_generator_normalization(gens) -> tuple[Fraction, ...]:
+    """Generators normalized as FgMonoid did before its keyed sort: one
+    Fraction per reduced (numerator, denominator), the later input
+    winning, then sorted by (floor(q * 2**64), q). Positivity is left
+    to the caller."""
+    unique: dict[tuple[int, int], Fraction] = {}
+    for g in gens:
+        q = Fraction(g)
+        unique[q.numerator, q.denominator] = q
+    return tuple(sorted(unique.values(), key=lambda q: ((q.numerator << 64) // q.denominator, q)))
+
+
 def brute_atoms(gens: tuple[Fraction, ...], ) -> set[Fraction]:
     """Generators not reachable from the others, checked by brute
     membership."""

@@ -13,6 +13,7 @@ from oracles import (
     brute_atoms,
     brute_rational_factorizations,
     brute_rational_member,
+    old_generator_normalization,
 )
 
 F = Fraction
@@ -90,6 +91,55 @@ def test_generators_are_sorted_distinct_fractions(gens):
     got = FgMonoid(gens).generators
     assert got == want
     assert all(type(g) is Fraction for g in got)
+
+
+@st.composite
+def tied_generators(draw):
+    """Generators whose floor(q * 2**64) keys tie, with repeats and signs.
+
+    Each base q has a denominator above 2**32. Its twins q + c / t with
+    t >= 2**66 differ from q by less than 2**-64, so they often share
+    its floor key; a repeat of q arrives as a str, an unreduced str or
+    a Fraction. Integers, zero and negatives among them, repeat as int,
+    str and unreduced str.
+    """
+    out = []
+    for _ in range(draw(st.integers(0, 5))):
+        q = F(draw(st.integers(-2, 2**48)), draw(st.integers(2**32 + 1, 2**40)))
+        out.append(q)
+        for _ in range(draw(st.integers(0, 2))):
+            out.append(q + F(draw(st.integers(-3, 3)), draw(st.integers(2**66, 2**100))))
+        k = draw(st.integers(2, 2**30))
+        out.append(draw(st.sampled_from((str(q), f"{q.numerator * k}/{q.denominator * k}", F(q)))))
+    for m in draw(st.lists(st.integers(-2, 40), max_size=3)):
+        out.extend(draw(st.lists(st.sampled_from((m, str(m), f"{3 * m}/3", F(m))), min_size=1, max_size=3)))
+    return draw(st.permutations(out))
+
+
+@given(tied_generators())
+def test_generators_match_the_old_normalization(gens):
+    want = old_generator_normalization(gens)
+    if want and want[0] <= 0:
+        with pytest.raises(NonPositive):
+            FgMonoid(gens)
+        return
+    got = FgMonoid(gens).generators
+    assert got == want
+    assert all(type(g) is Fraction for g in got)
+
+
+def test_ties_finer_than_the_sort_key():
+    # q and q + 2**-80 share floor(q * 2**64); the Fraction orders them.
+    q = F(2**33 + 1, 2**33 + 7)
+    near = q + F(1, 2**80)
+    assert (q.numerator << 64) // q.denominator == (near.numerator << 64) // near.denominator
+    want = (q - F(1, 2**80), q, near)
+    for gens in ((near, str(q), q - F(1, 2**80), q), (f"{2 * q.numerator}/{2 * q.denominator}", near, q - F(1, 2**80))):
+        assert FgMonoid(gens).generators == want == old_generator_normalization(gens)
+    assert FgMonoid((2, "2", "6/3", F(2), "1/3")).generators == (F(1, 3), F(2))
+    for bad in ((near, 0), (q, "-1/3"), ("0/5",)):
+        with pytest.raises(NonPositive):
+            FgMonoid(bad)
 
 
 def test_empty_monoid_is_trivial():
@@ -207,6 +257,14 @@ def test_cached_results_are_stable_and_hidden():
         assert fresh.to_scaled_integer() == reduction and fresh.atoms() == atoms
         assert m == untouched and hash(m) == hash(untouched) and repr(m) == repr(untouched)
         assert {m: 1}[untouched] == 1
+        # The int parts kept at construction are no fields either: a
+        # monoid holding only its generators compares, hashes and
+        # prints the same.
+        assert vars(m)["_nums"] == tuple(g.numerator for g in m.generators)
+        assert vars(m)["_dens"] == tuple(g.denominator for g in m.generators)
+        bare = object.__new__(FgMonoid)
+        vars(bare)["generators"] = m.generators
+        assert bare == m and hash(bare) == hash(m) and repr(bare) == repr(m)
 
 
 def test_atoms_generate_back():

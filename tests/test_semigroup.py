@@ -148,6 +148,10 @@ def test_pickle_round_trip_after_queries():
     assert (sg2, m2) == (sg, m)
     assert sg2.any_representation(13) == sg.any_representation(13)
     assert m2.lengths(2) == m.lengths(2)
+    # The monoid's kept int parts travel with it.
+    assert m2.atoms() == m.atoms() and m2.to_scaled_integer() == m.to_scaled_integer()
+    fresh = pickle.loads(pickle.dumps(FgMonoid(m.generators)))
+    assert fresh.atoms() == m.atoms() and fresh.to_scaled_integer() == m.to_scaled_integer()
 
 
 def test_minimal_generators():
