@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 
-from .arith import _exact, format_rational, record
+from .arith import _exact, cached_value, format_rational, record
 from .errors import NonPositive
 from .semigroup import NumericalSemigroup, _coefficients, _leaves, _levels
 
@@ -140,7 +139,7 @@ class FgMonoid:
             raise NonPositive("the trivial monoid has no scaled integer form")
         return self._reduction
 
-    @cached_property
+    @cached_value
     def _reduction(self) -> tuple[Fraction, NumericalSemigroup]:
         dens = self._dens
         common = math.lcm(*dens)
@@ -174,7 +173,7 @@ class FgMonoid:
         """
         return self._atoms
 
-    @cached_property
+    @cached_value
     def _atoms(self) -> tuple[Fraction, ...]:
         gens, nums, dens = self.generators, self._nums, self._dens
         seen = 1  # lcm of the denominators of the generators before g
@@ -194,7 +193,7 @@ class FgMonoid:
             out.append(gens[i])
         return tuple(out)
 
-    @cached_property
+    @cached_value
     def _atom_semigroup(self) -> NumericalSemigroup:
         # The atoms generate the same monoid, so they share self's scale q.
         qn, qd = self._reduction[0].as_integer_ratio()

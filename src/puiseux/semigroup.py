@@ -20,10 +20,9 @@ can be walked directly.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Callable, Iterator
 
-from .arith import _exact, record
+from .arith import _exact, cached_value, record
 from .errors import NonPositive, NotCofinite
 
 
@@ -51,7 +50,7 @@ class NumericalSemigroup:
         """True when gcd of the generators is 1, i.e. the gap set is finite."""
         return math.gcd(*self.generators) == 1
 
-    @cached_property
+    @cached_value
     def _walk(self) -> tuple[list, Callable, Callable, Callable]:
         # Kept in the instance __dict__ beside the record's one field;
         # ==, hash and repr read the generators only.

@@ -249,3 +249,55 @@ def subset_in_colex(universe_size: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of 1..universe_size in colexicographic order."""
     subsets = list(itertools.combinations(range(1, universe_size + 1), k))
     return sorted(subsets, key=lambda s: tuple(reversed(s)))
+
+
+def old_cyclic_factorizations(r: Fraction, x: Fraction, cap: int = 8) -> list:
+    """cyclic_factorizations as one iterative depth-first walk of the
+    trade box, every subtree visited again for each prefix reaching it:
+    the listing before it shared its (exponent, copies) states. Kept
+    verbatim to pin the new listing's order."""
+    from puiseux.cyclic import CyclicFactorization, _base, _checked
+    from puiseux.errors import NotAtomic
+
+    r, x, stray = _checked(r, x, cap)
+    a, b = r.numerator, r.denominator
+    if a == 1 and b >= 2:
+        raise NotAtomic(f"powers of {r} generate a monoid without atoms")
+    if x < 0 or stray > 1:
+        return []
+    if x == 0:
+        return [CyclicFactorization(r, ())]
+
+    if b == 1:
+        # The monoid is a times the naturals and its one atom is a = r^1.
+        cap = 1
+
+    c, stuck = _base(a, b, x)
+    last = len(c)
+    # Trades only move copies up, so no factorization fits under a cap
+    # that c does not.
+    if stuck is not None or last > cap:
+        return []
+    out: list = []
+    # (t, have, terms, js) of each open exponent: its copies, the terms
+    # fixed before it and the trade counts left to try. Exponent 0 holds
+    # nothing and trades nothing on: the walk starts there.
+    stack = [(0, 0, (), iter((0,)))]
+    while stack:
+        t, have, terms, js = stack[-1]
+        for j in js:
+            # j trades leave m copies of exponent t, and exponent t + 1
+            # gets its digit plus b copies per trade.
+            m = have - a * j
+            fixed = terms + ((t, m),) if m else terms
+            nxt = (c[t] if t < last else 0) + b * j
+            if t + 1 == cap or not nxt and t >= last:
+                # Exponent t + 1 trades nothing on, and nothing is left past it.
+                out.append(fixed + ((t + 1, nxt),) if nxt else fixed)
+                continue
+            stack.append((t + 1, nxt, fixed, iter(range(nxt // a, -1, -1))))
+            break
+        else:
+            stack.pop()
+    # r is a positive Fraction, exponents increase from 1, every kept m >= 1.
+    return [CyclicFactorization._sorted(r, terms) for terms in out]

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from puiseux.cyclic import (
     CyclicFactorization,
@@ -25,7 +25,7 @@ from puiseux.errors import (
 from puiseux.monoid import Factorization, FgMonoid
 from puiseux.semigroup import NumericalSemigroup
 
-from oracles import brute_cyclic_factorizations
+from oracles import brute_cyclic_factorizations, old_cyclic_factorizations
 
 F = Fraction
 
@@ -131,6 +131,47 @@ def test_factorizations_walk_past_the_recursion_limit():
 def test_factorizations_reject_unit_numerator_small_ratio():
     with pytest.raises(NotAtomic):
         cyclic_factorizations(F(1, 2), F(3, 4), 4)
+
+
+# Every a/b in lowest terms with a, b <= 7, both directions and the
+# integers, except 1/b with b >= 2, whose monoid has no atoms.
+LISTED_RATIOS = [
+    F(a, b) for a in range(1, 8) for b in range(1, 8) if math.gcd(a, b) == 1 and (a > 1 or b == 1)
+]
+
+
+def test_listing_keeps_the_old_walks_order():
+    sizes = []
+
+    @settings(max_examples=200)
+    @given(
+        # perfbench's four ratios again, for more long listings.
+        r=st.sampled_from(LISTED_RATIOS) | st.sampled_from([F(2, 3), F(3, 2), F(3, 5), F(5, 3)]),
+        cap=st.one_of(st.integers(1, 10), st.just(10**8)),
+        spots=st.permutations(range(4)),
+        mults=st.lists(st.integers(0, 12), min_size=3, max_size=3),
+    )
+    def check(r, cap, spots, mults):
+        # x is drawn as perfbench draws it. A shrinking ratio's copies
+        # sit in the four exponents up to the cap, where many paths of
+        # the trade box meet in one state; a growing ratio's sit in the
+        # four lowest. At cap 10^8 a shrinking ratio's sit low too, with
+        # fewer than a copies each: no trade applies, and the one answer
+        # must not cost work that grows with the cap.
+        x = F(0)
+        for i, m in zip(spots, mults):
+            if r < 1 and cap < 10**8:
+                x += m * r ** max(1, cap - i)
+            else:
+                x += (m % r.numerator if r < 1 else m) * r ** min(1 + i, cap)
+        found = [z.terms for z in cyclic_factorizations(r, x, cap)]
+        assert found == [z.terms for z in old_cyclic_factorizations(r, x, cap)], (r, x, cap)
+        sizes.append(len(found))
+
+    check()
+    # Some listings are long enough that the states' shared suffixes
+    # carry most of the answer.
+    assert sum(size >= 500 for size in sizes) >= 3
 
 
 def test_membership_members():
