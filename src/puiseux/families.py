@@ -28,6 +28,7 @@ from .arith import (
     nth_prime,
     parse_rational,
     prime_factors,
+    prime_stride,
     primes,
     record,
 )
@@ -174,6 +175,11 @@ def ExplicitSeq(values: tuple[int, ...], then: IntSeq | None = None) -> IntSeq:
 def _check_index(n: int) -> None:
     if n < 1:
         raise BadIndex(f"sequence indices start at 1, got {n}")
+
+
+def _check_count(count: int) -> None:
+    if _exact(count) < 0:
+        raise NonPositive(f"the count must be >= 0, got {count}")
 
 
 def _prime_power_base_int(v: int) -> int | None:
@@ -329,6 +335,16 @@ def class_prime(j: int, t: int) -> int:
     return nth_prime(2 ** (j - 1) * (2 * t - 1))
 
 
+def class_primes(j: int, count: int) -> list[int]:
+    """The first count primes of partition class j, in order: the primes
+    at positions 2^(j-1) * (2t - 1) for t = 1..count, read as one stride
+    of the prime cache instead of count nth_prime calls."""
+    if j < 1:
+        raise BadIndex(f"partition classes start at 1, got {j}")
+    _check_count(count)
+    return prime_stride(2 ** (j - 1), 2**j, count)
+
+
 @record
 class AllPrimes:
     """Every prime, in increasing order."""
@@ -439,9 +455,11 @@ class CalkinWilfTargets:
     positive reals.
 
     The n-th term is fusc(n)/fusc(n+1), where fusc is Stern's diatomic
-    sequence (Calkin and Wilf, Recounting the rationals, 2000). It is
-    read off the binary digits of n in O(log n) steps, instead of
+    sequence (Calkin and Wilf, Recounting the rationals, 2000). value_at
+    reads it off the binary digits of n in O(log n) steps, instead of
     applying Newman's map q -> 1/(2*floor(q) - q + 1) n - 1 times.
+    first(count) lists the first count terms, one step of Newman's map
+    each.
     """
 
     json_tag = {"kind": "calkin-wilf"}
@@ -458,10 +476,23 @@ class CalkinWilfTargets:
                 b += a
         return Fraction(a, b)
 
+    def first(self, count: int) -> list[Fraction]:
+        _check_count(count)
+        out = []
+        # q = a/b in lowest terms steps to 1/(2*floor(q) - q + 1), which
+        # is b/((2*floor(q) + 1)*b - a), again in lowest terms.
+        a, b = 1, 1
+        for _ in range(count):
+            out.append(Fraction(a, b))
+            a, b = b, (2 * (a // b) + 1) * b - a
+        return out
+
 
 @record
 class ExplicitTargets:
-    """A finite list of positive rational targets."""
+    """A finite list of positive rational targets. first(count) lists the
+    first count of them, and, as value_at, raises BadIndex past the
+    end of the list."""
 
     json_tag = {"kind": "explicit"}
     values: tuple[Fraction, ...]
@@ -477,6 +508,12 @@ class ExplicitTargets:
         if n > len(self.values):
             raise BadIndex(f"only {len(self.values)} targets are listed")
         return self.values[n - 1]
+
+    def first(self, count: int) -> list[Fraction]:
+        _check_count(count)
+        if count > len(self.values):
+            raise BadIndex(f"only {len(self.values)} targets are listed")
+        return list(self.values[:count])
 
 
 TargetSeq = Union[CalkinWilfTargets, ExplicitTargets]

@@ -36,7 +36,7 @@ from .families import (
     PartitionClassPrimes,
     SumKPrimary,
     TargetSeq,
-    class_prime,
+    class_primes,
     classify,
     denominator_support,
     generator_at,
@@ -136,6 +136,10 @@ def dense_atom_monoid(
     numerators; the generators are then exactly the atoms, and
     different class indices give monoids with disjoint denominator
     supports.
+
+    The chain is read in one pass: the targets come from
+    targets.first(count) and the primes from class_primes, each listed
+    once, and p^e grows by one multiplication per exponent step.
     """
     if _exact(class_index) < 1:
         raise BadIndex(f"partition classes start at 1, got {class_index}")
@@ -144,13 +148,14 @@ def dense_atom_monoid(
     if targets is None:
         targets = CalkinWilfTargets()
     entries = []
-    for k in range(1, count + 1):
-        target = targets.value_at(k)
-        p = class_prime(class_index, k)
-        e = 1
-        while p**e <= 2 * k:
+    atoms = []
+    for k, target, p in zip(
+        range(1, count + 1), targets.first(count), class_primes(class_index, count)
+    ):
+        e, scale = 1, p
+        while scale <= 2 * k:
             e += 1
-        scale = p**e
+            scale *= p
         # m = floor(target * scale + 1/2) and |target - m/scale| < 1/k,
         # both cleared of denominators.
         a, b = target.numerator, target.denominator
@@ -163,11 +168,8 @@ def dense_atom_monoid(
                 f"atom {atom} strays from target {target} by 1/{k} or more"
             )
         entries.append(DenseAtomEntry(k, target, p, e, m, atom))
-    return DenseAtomConstruction(
-        class_index=class_index,
-        entries=tuple(entries),
-        monoid=FgMonoid(tuple(e.atom for e in entries)),
-    )
+        atoms.append(atom)
+    return DenseAtomConstruction(class_index, tuple(entries), FgMonoid(atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -301,3 +301,45 @@ def old_cyclic_factorizations(r: Fraction, x: Fraction, cap: int = 8) -> list:
             stack.pop()
     # r is a positive Fraction, exponents increase from 1, every kept m >= 1.
     return [CyclicFactorization._sorted(r, terms) for terms in out]
+
+
+def old_dense_atom_monoid(class_index: int, count: int, targets=None):
+    """dense_atom_monoid as a loop over k that asks for the k-th target
+    and the k-th class prime anew and recomputes p**e on every exponent
+    step: the construction before it read its chain in one pass. Kept
+    verbatim to pin the new build's records and errors."""
+    from puiseux.arith import _exact
+    from puiseux.errors import BadIndex, HypothesisViolated, NonPositive
+    from puiseux.families import CalkinWilfTargets, class_prime
+    from puiseux.monoid import FgMonoid
+    from puiseux.witnesses import DenseAtomConstruction, DenseAtomEntry
+
+    if _exact(class_index) < 1:
+        raise BadIndex(f"partition classes start at 1, got {class_index}")
+    if _exact(count) < 0:
+        raise NonPositive(f"the atom count must be >= 0, got {count}")
+    if targets is None:
+        targets = CalkinWilfTargets()
+    entries = []
+    for k in range(1, count + 1):
+        target = targets.value_at(k)
+        p = class_prime(class_index, k)
+        e = 1
+        while p**e <= 2 * k:
+            e += 1
+        scale = p**e
+        a, b = target.numerator, target.denominator
+        m = (2 * a * scale + b) // (2 * b)
+        if m % p == 0:
+            m = m + 1 if m - 1 < 1 else m - 1
+        atom = Fraction(m, scale)
+        if not k * abs(a * scale - m * b) < b * scale:
+            raise HypothesisViolated(
+                f"atom {atom} strays from target {target} by 1/{k} or more"
+            )
+        entries.append(DenseAtomEntry(k, target, p, e, m, atom))
+    return DenseAtomConstruction(
+        class_index=class_index,
+        entries=tuple(entries),
+        monoid=FgMonoid(tuple(e.atom for e in entries)),
+    )

@@ -106,11 +106,21 @@ ROWS = SUBCOMMANDS + [
     # Above the deterministic Miller-Rabin bound: a base refutes BIG.
     f"family gen --spec {BIG_Q} --n 1",
     f"witness kprimary --primes 2,{BIG}",
+    # Prime positions 2^39 and 2^44 are refused at once, past the prime
+    # cache's bound of 100,000; 2^5 * (2 * 1563 - 1) = 100,000 is reached.
+    "family dense-atoms --class-index 40 --count 1",
+    """family gen --spec '{"family": "elementary-primary", "primes": {"kind": "partition-class", "index": 45}}' --n 1""",
+    "family dense-atoms --class-index 6 --count 1563",
     # Failing today.
     _xfail("ns factorize --gens 6,9,20,31 --x 20000", 7, "MemoryError listing every representation"),
     _xfail("cyclic factorize --r 2/3 --x 40", 7, "killed by a signal listing 27,263,194,918 factorizations"),
     _xfail("cyclic factorize --r 2/3 --x 40 --cap 30", 7, "MemoryError listing factorizations"),
     _xfail(f"fg atoms --gens {GC36}", 15, "no answer within 8 s", id="fg atoms --gens <truncate(GeneralizedCyclic((2/5, 4/7, 3)), 36)>"),
+    _xfail(
+        """family gen --spec '{"family": "elementary-primary", "primes": {"kind": "congruence", "residue": 1, "modulus": 1000003}}' --n 3""",
+        9,
+        "no answer within 8 s: the congruence stream scans primes() past the prime cache's bound",
+    ),
 ]
 
 

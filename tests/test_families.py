@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from puiseux import families
+from puiseux import arith, families
 from puiseux.arith import is_prime, nth_odd_prime, nth_prime, prime_index
 from puiseux.cyclic import (
     CyclicFactorization,
@@ -16,7 +16,7 @@ from puiseux.cyclic import (
     cyclic_trade,
     generalized_cyclic_embed,
 )
-from puiseux.errors import BadIndex, BadProgression, NonPositive, NotPrime, ParseError
+from puiseux.errors import BadIndex, BadProgression, NonPositive, NotFoundWithinLimit, NotPrime, ParseError
 from puiseux.families import (
     AffineSeq,
     AllPrimes,
@@ -43,6 +43,7 @@ from puiseux.families import (
     classify,
     colex_subset,
     class_prime,
+    class_primes,
     denominator_support,
     family_from_mapping,
     generator_at,
@@ -197,6 +198,28 @@ def test_class_prime_values():
     assert class_prime(3, 1) == nth_prime(4) == 7
 
 
+def test_class_primes_are_one_stride_of_class_prime():
+    for j in range(1, 9):
+        assert class_primes(j, 0) == []
+        got = class_primes(j, 300)
+        assert got == [class_prime(j, t) for t in range(1, 301)], j
+        for count in (1, 2, 3, 299):
+            assert class_primes(j, count) == got[:count], (j, count)
+
+
+def test_class_primes_refuses_bad_input_and_the_cache_bound():
+    with pytest.raises(BadIndex):
+        class_primes(0, 3)
+    with pytest.raises(NonPositive):
+        class_primes(1, -1)
+    cached = len(arith._PRIME_CACHE)
+    with pytest.raises(NotFoundWithinLimit, match="549755813888 is past the bound 100000"):
+        class_primes(40, 1)
+    with pytest.raises(NotFoundWithinLimit, match="100001 is past the bound 100000"):
+        nth_prime(100_001)
+    assert len(arith._PRIME_CACHE) == cached
+
+
 def test_congruence_primes():
     stream = CongruencePrimes(1, 4)
     got = [stream.prime_at(n) for n in range(1, 6)]
@@ -271,11 +294,26 @@ def test_calkin_wilf_targets():
     assert t.value_at(2**k - 1) == F(k)
 
 
+def test_calkin_wilf_first_lists_value_at():
+    t = CalkinWilfTargets()
+    want = [t.value_at(n) for n in range(1, 5001)]
+    assert t.first(5000) == want
+    for count in range(0, 40):
+        assert t.first(count) == want[:count]
+    with pytest.raises(NonPositive):
+        t.first(-1)
+
+
 def test_explicit_targets():
     t = ExplicitTargets((F(1, 2), F(5)))
     assert t.value_at(2) == F(5)
     with pytest.raises(BadIndex):
         t.value_at(3)
+    assert [t.first(n) for n in (0, 1, 2)] == [[], [F(1, 2)], [F(1, 2), F(5)]]
+    with pytest.raises(BadIndex, match="only 2 targets are listed"):
+        t.first(3)
+    with pytest.raises(NonPositive):
+        t.first(-1)
     assert targets_from_mapping(t.as_mapping()) == t
     assert t.as_mapping()["values"] == ["1/2", "5"]
 

@@ -41,7 +41,7 @@ from puiseux.witnesses import (
     sum_kprimary_atom_check,
 )
 
-from oracles import brute_rational_member, padic_exclusion_coefficient
+from oracles import brute_rational_member, old_dense_atom_monoid, padic_exclusion_coefficient
 
 F = Fraction
 
@@ -166,6 +166,44 @@ def test_dense_atom_monoid_rejects_bad_inputs():
         dense_atom_monoid(0, 5)
     with pytest.raises(NonPositive):
         dense_atom_monoid(1, -1)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except BadIndex as exc:
+        return type(exc), str(exc)
+
+
+_TARGET_LISTS = st.lists(
+    st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6)), max_size=60
+).map(lambda values: ExplicitTargets(tuple(values)))
+
+
+@given(st.integers(1, 6), st.one_of(st.none(), _TARGET_LISTS), st.booleans(), st.data())
+def test_dense_atom_monoid_matches_the_per_index_loop(class_index, targets, past_the_end, data):
+    # An explicit list is read within its length, or with a count up to
+    # 400 that mostly runs past its end, where both builds must refuse
+    # with the same BadIndex message.
+    most = len(targets.values) if targets is not None and not past_the_end else 400
+    count = data.draw(st.integers(0, most))
+    got = _outcome(dense_atom_monoid, class_index, count, targets)
+    want = _outcome(old_dense_atom_monoid, class_index, count, targets)
+    assert got == want
+    if not isinstance(got, tuple):
+        assert got.as_mapping() == want.as_mapping()
+
+
+def test_dense_atom_monoid_refuses_primes_past_the_cache_bound():
+    # Position 2^5 * (2 * 1563 - 1) = 100,000 is the last the cache may
+    # reach; one more class-6 prime is refused before the cache grows.
+    with pytest.raises(NotFoundWithinLimit, match="100064 is past the bound 100000"):
+        dense_atom_monoid(6, 1564)
+    with pytest.raises(NotFoundWithinLimit, match="549755813888 is past the bound 100000"):
+        dense_atom_monoid(40, 1)
+    # A target list too short is refused first, as the loop over k did.
+    with pytest.raises(BadIndex):
+        dense_atom_monoid(40, 1, ExplicitTargets(()))
 
 
 # ---------------------------------------------------------------------------
