@@ -18,6 +18,7 @@ import bisect
 import math
 import re
 from fractions import Fraction
+from itertools import compress, islice
 from operator import attrgetter
 from typing import Iterator
 
@@ -307,36 +308,52 @@ def _miller_rabin(n: int) -> bool:
 # Growing cache of the prime sequence p_1 = 2, p_2 = 3, p_3 = 5, ...
 _PRIME_CACHE = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
-# The cache grows one prime at a time by trial division: about 1.5 s to
-# reach this position with Python 3.11 on a 2-vCPU x86-64 VM. nth_prime
-# and prime_stride refuse a position past it rather than grow the cache
-# for minutes.
+# The cache grows by sieving: about 0.035 s to reach this position from
+# the 15 primes above with Python 3.11 on a 2-vCPU x86-64 VM. nth_prime,
+# prime_stride and prime_index refuse a position past it rather than
+# hold millions of primes.
 _PRIME_INDEX_BOUND = 100_000
 
 
-def _extend_prime_cache() -> None:
-    candidate = _PRIME_CACHE[-1] + 2
-    while True:
+def _sieve_through(top: int, cap: int | None = None) -> None:
+    """Append to the cache every prime up to top, stopping early once it
+    holds cap primes.
+
+    Each block runs from just past the last cached prime q to at most
+    q**2, so every composite in it has a prime factor already cached.
+    Those factors strike their multiples from a bytearray of flags, and
+    itertools.compress reads the survivors out.
+    """
+    lo = _PRIME_CACHE[-1] + 1
+    while lo <= top and (cap is None or len(_PRIME_CACHE) < cap):
+        hi = min(top, _PRIME_CACHE[-1] ** 2)
+        flags = bytearray(b"\x01") * (hi - lo + 1)
         for p in _PRIME_CACHE:
-            if p * p > candidate:
-                _PRIME_CACHE.append(candidate)
-                return
-            if candidate % p == 0:
+            if p * p > hi:
                 break
-        else:
-            _PRIME_CACHE.append(candidate)
-            return
-        candidate += 2
+            first = max(p * p, lo + -lo % p) - lo
+            flags[first::p] = bytes(len(range(first, len(flags), p)))
+        found = compress(range(lo, hi + 1), flags)
+        _PRIME_CACHE.extend(found if cap is None else islice(found, cap - len(_PRIME_CACHE)))
+        lo = hi + 1
+
+
+def _above_nth_prime(n: int) -> int:
+    """An integer above the n-th prime, for n >= 6: p_n < n(ln n + ln ln n)
+    (Rosser and Schoenfeld, 1962). It sizes sieve blocks; the float
+    error, far below 1, is covered by rounding up."""
+    log_n = math.log(n)
+    return int(n * (log_n + math.log(log_n))) + 1
 
 
 def _fill_prime_cache(last: int) -> None:
-    """Grow the cache through position last, or refuse past the bound."""
+    """Grow the cache through position last in one sieve pass (it holds
+    the first 15 primes already), or refuse past the bound."""
     if last > _PRIME_INDEX_BOUND:
         raise NotFoundWithinLimit(
             f"prime index {last} is past the bound {_PRIME_INDEX_BOUND} of the prime cache"
         )
-    while len(_PRIME_CACHE) < last:
-        _extend_prime_cache()
+    _sieve_through(_above_nth_prime(last), _PRIME_INDEX_BOUND)
 
 
 def nth_prime(n: int) -> int:
@@ -371,21 +388,35 @@ def nth_odd_prime(n: int) -> int:
 
 
 def primes() -> Iterator[int]:
-    """Yield 2, 3, 5, 7, ... indefinitely, read from the prime cache."""
+    """Yield 2, 3, 5, 7, ... indefinitely, read from the prime cache.
+    Past its end the cache grows by one sieved block, through twice its
+    last prime, which holds a new prime by Bertrand's postulate."""
     i = 0
     while True:
         if i == len(_PRIME_CACHE):
-            _extend_prime_cache()
+            _sieve_through(2 * _PRIME_CACHE[-1])
         yield _PRIME_CACHE[i]
         i += 1
 
 
 def prime_index(p: int) -> int:
-    """Position of the prime p in the prime sequence (2 is position 1)."""
+    """Position of the prime p in the prime sequence (2 is position 1).
+
+    The cache grows to hold p, but not past position _PRIME_INDEX_BOUND:
+    a prime beyond the one there, if the cache does not hold it yet, is
+    refused with NotFoundWithinLimit naming the bound, and one above
+    n(ln n + ln ln n) for n the bound (about 1.4 million) is refused
+    before any sieving.
+    """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    while _PRIME_CACHE[-1] < p:
-        _extend_prime_cache()
+    if p > _PRIME_CACHE[-1]:
+        if p < _above_nth_prime(_PRIME_INDEX_BOUND):
+            _sieve_through(p, _PRIME_INDEX_BOUND)
+        if p > _PRIME_CACHE[-1]:
+            raise NotFoundWithinLimit(
+                f"prime {p} is past position {_PRIME_INDEX_BOUND}, the bound of the prime cache"
+            )
     return bisect.bisect_left(_PRIME_CACHE, p) + 1
 
 
@@ -400,13 +431,22 @@ def prime_factors(n: int, limit: int = 10**6) -> tuple[int, ...] | None:
         raise NonPositive(f"cannot factor {n}")
     out = []
     rest = n
-    for p in primes():
+    i = 0
+    while True:
+        if i == len(_PRIME_CACHE):
+            # Off the end of the cache: one sieve pass through the largest
+            # prime the loop may still test, since rest only shrinks.
+            _sieve_through(min(limit, math.isqrt(rest)))
+            if i == len(_PRIME_CACHE):
+                break
+        p = _PRIME_CACHE[i]
         if p > limit or p * p > rest:
             break
         if rest % p == 0:
             out.append(p)
             while rest % p == 0:
                 rest //= p
+        i += 1
     if rest > 1:
         if rest <= limit * limit or rest < _MR_BOUND and is_prime(rest):
             out.append(rest)

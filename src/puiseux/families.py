@@ -18,18 +18,19 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 from .arith import (
     _exact,
+    cached_value,
     is_prime,
     json_int,
     nth_odd_prime,
     nth_prime,
     parse_rational,
     prime_factors,
+    prime_in_progression,
     prime_stride,
-    primes,
     record,
 )
 from .errors import BadIndex, BadProgression, NonPositive, NotPrime, ParseError
@@ -358,8 +359,12 @@ class AllPrimes:
 
 # Growing cache shared by every CongruencePrimes stream of one class,
 # like arith's prime cache: (residue, modulus) -> the class's primes
-# found so far, in order, and the prime iterator the scan resumes from.
-_CLASS_PRIMES: dict[tuple[int, int], tuple[list[int], Iterator[int]]] = {}
+# found so far, in order.
+_CLASS_PRIMES: dict[tuple[int, int], list[int]] = {}
+
+# The most terms of residue + k*modulus that CongruencePrimes tests past
+# one class prime in search of the next.
+_CLASS_STEP_BOUND = 100_000
 
 
 @record
@@ -368,6 +373,13 @@ class CongruencePrimes:
 
     Requires gcd(residue, modulus) = 1 so the class contains infinitely
     many primes.
+
+    prime_at(n) reads the n-th from a list shared by every stream of
+    the class, found by stepping through residue + k*modulus and testing
+    each term with is_prime, so a sparse class costs its own terms, not
+    every prime below them. Between one class prime and the next at most
+    _CLASS_STEP_BOUND terms are tested; past that NotFoundWithinLimit
+    names the bound.
     """
 
     json_tag = {"kind": "congruence"}
@@ -383,15 +395,19 @@ class CongruencePrimes:
                 f"gcd({self.residue}, {self.modulus}) > 1, the class holds at most one prime"
             )
 
+    @cached_value
+    def _found(self) -> list[int]:
+        return _CLASS_PRIMES.setdefault((self.residue, self.modulus), [])
+
     def prime_at(self, n: int) -> int:
         _check_index(n)
-        found, rest = _CLASS_PRIMES.setdefault(
-            (self.residue, self.modulus), ([], primes())
-        )
+        found = self._found
         while len(found) < n:
-            p = next(rest)
-            if p % self.modulus == self.residue:
-                found.append(p)
+            if not found and is_prime(self.residue):
+                found.append(self.residue)
+            else:
+                last = found[-1] if found else self.residue
+                found.append(prime_in_progression(last, self.modulus, _CLASS_STEP_BOUND)[1])
         return found[n - 1]
 
 
@@ -446,6 +462,12 @@ def colex_subset(rank: int, k: int) -> tuple[int, ...]:
 # rational target sequences for the dense-atom construction
 
 
+# The Calkin-Wilf sequence's terms found so far, shared by every
+# CalkinWilfTargets: first(count) grows it to count terms if shorter,
+# then copies a slice.
+_CALKIN_WILF: list[Fraction] = [Fraction(1)]
+
+
 @record
 class CalkinWilfTargets:
     """The Calkin-Wilf enumeration of the positive rationals.
@@ -458,8 +480,9 @@ class CalkinWilfTargets:
     sequence (Calkin and Wilf, Recounting the rationals, 2000). value_at
     reads it off the binary digits of n in O(log n) steps, instead of
     applying Newman's map q -> 1/(2*floor(q) - q + 1) n - 1 times.
-    first(count) lists the first count terms, one step of Newman's map
-    each.
+    first(count) returns a fresh list of the first count terms, sliced
+    from a prefix shared by every instance and grown, one step of
+    Newman's map per term, only past the longest count asked for so far.
     """
 
     json_tag = {"kind": "calkin-wilf"}
@@ -478,14 +501,15 @@ class CalkinWilfTargets:
 
     def first(self, count: int) -> list[Fraction]:
         _check_count(count)
-        out = []
-        # q = a/b in lowest terms steps to 1/(2*floor(q) - q + 1), which
-        # is b/((2*floor(q) + 1)*b - a), again in lowest terms.
-        a, b = 1, 1
-        for _ in range(count):
-            out.append(Fraction(a, b))
-            a, b = b, (2 * (a // b) + 1) * b - a
-        return out
+        terms = _CALKIN_WILF
+        if count > len(terms):
+            # q = a/b in lowest terms steps to 1/(2*floor(q) - q + 1),
+            # which is b/((2*floor(q) + 1)*b - a), again in lowest terms.
+            a, b = terms[-1].numerator, terms[-1].denominator
+            for _ in range(count - len(terms)):
+                a, b = b, (2 * (a // b) + 1) * b - a
+                terms.append(Fraction(a, b))
+        return terms[:count]
 
 
 @record

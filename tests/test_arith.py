@@ -1,7 +1,11 @@
+import functools
 import random
 from fractions import Fraction
+from itertools import islice
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import puiseux.arith as arith
 from puiseux.arith import (
@@ -15,6 +19,7 @@ from puiseux.arith import (
     prime_factors,
     prime_in_progression,
     prime_index,
+    prime_stride,
     primes,
 )
 from puiseux.errors import (
@@ -93,6 +98,102 @@ def test_prime_index_matches_the_linear_definition(monkeypatch):
             with pytest.raises(NotPrime):
                 prime_index(n)
     assert arith._PRIME_CACHE == SIEVE[:600]
+
+
+@functools.cache
+def oracle_past_the_bound() -> list[int]:
+    # Through twice the prime at the cache's bound: primes() may sieve
+    # that far past it.
+    return sieve_primes(2 * 1_299_709)
+
+
+def test_the_cache_bound_and_its_prime():
+    assert arith._PRIME_INDEX_BOUND == 100_000
+    assert oracle_past_the_bound()[arith._PRIME_INDEX_BOUND - 1] == 1_299_709
+
+
+def test_sieve_block_sizes_lie_above_the_prime_they_reach():
+    want = oracle_past_the_bound()
+    for n in range(6, arith._PRIME_INDEX_BOUND + 1):
+        assert arith._above_nth_prime(n) > want[n - 1], n
+
+
+def test_sieved_cache_matches_the_oracle_at_every_position_to_the_bound():
+    bound = arith._PRIME_INDEX_BOUND
+    want = oracle_past_the_bound()[:bound]
+    with mock.patch.object(arith, "_PRIME_CACHE", want[:15]):
+        assert nth_prime(bound) == want[-1]
+        # Filled in one sieve pass, and no further than the bound.
+        assert arith._PRIME_CACHE == want
+        assert [nth_prime(n) for n in range(1, bound + 1)] == want
+        assert prime_stride(1, 1, bound) == want
+        stride = want[2::7]
+        assert prime_stride(3, 7, len(stride)) == stride
+        assert [prime_index(p) for p in want] == list(range(1, bound + 1))
+        assert list(islice(primes(), bound)) == want
+        with pytest.raises(NotFoundWithinLimit, match="100001 is past the bound 100000"):
+            nth_prime(bound + 1)
+        assert arith._PRIME_CACHE == want
+
+
+ACCESSES = st.sampled_from(["nth_prime", "prime_stride", "primes", "prime_index"])
+STEPS = st.one_of(st.integers(1, 64), st.integers(1, 40_000))
+
+
+@settings(max_examples=25)
+@given(st.integers(6, 60), st.lists(st.tuples(ACCESSES, STEPS), min_size=1, max_size=10))
+def test_sieved_cache_grown_in_random_steps_matches_the_oracle(start, steps):
+    # From a cache of the first few primes (a fresh process holds 15;
+    # the block size bound needs 6), each access moves the position it
+    # reads by a drawn amount, so that sieve blocks start and end at
+    # many places, the first one at the square of the last cached prime.
+    want = oracle_past_the_bound()
+    bound = arith._PRIME_INDEX_BOUND
+    with mock.patch.object(arith, "_PRIME_CACHE", want[:start]):
+        position = 0
+        for access, step in steps:
+            before, position = position, min(bound, position + step)
+            if access == "nth_prime":
+                assert nth_prime(position) == want[position - 1]
+            elif access == "prime_stride":
+                count = (position - before + 1) // 2
+                assert prime_stride(before + 1, 2, count) == want[before : before + 2 * count : 2]
+            elif access == "primes":
+                assert list(islice(primes(), position)) == want[:position]
+            else:
+                assert prime_index(want[position - 1]) == position
+            cache = arith._PRIME_CACHE
+            assert len(cache) >= position and cache == want[: len(cache)]
+
+
+def test_prime_index_refuses_past_the_bound():
+    want = oracle_past_the_bound()
+    bound = arith._PRIME_INDEX_BOUND
+    with mock.patch.object(arith, "_PRIME_CACHE", want[:15]):
+        # Far past the bound: refused before any sieving.
+        with pytest.raises(NotFoundWithinLimit, match="100000007 is past position 100000"):
+            prime_index(100_000_007)
+        assert arith._PRIME_CACHE == want[:15]
+        # Just past it: the cache grows to the bound, and no further.
+        with pytest.raises(NotFoundWithinLimit, match="1299721 is past position 100000"):
+            prime_index(want[bound])
+        assert arith._PRIME_CACHE == want[:bound]
+        assert prime_index(want[bound - 1]) == bound
+
+
+def test_prime_factors_sieves_once_through_its_limit():
+    want = oracle_past_the_bound()
+    prime = 100_000_000_000_000_000_039
+    with mock.patch.object(arith, "_PRIME_CACHE", want[:15]):
+        # A small cofactor ends the loop inside the cache.
+        assert prime_factors(2**60 * 3) == (2, 3)
+        assert arith._PRIME_CACHE == want[:15]
+        # Past the cache, one pass sieves through the limit: the primes
+        # below 100, then the 78,498 below 10**6, under the cache's bound.
+        assert prime_factors(prime, limit=100) == (prime,)
+        assert arith._PRIME_CACHE == want[:25]
+        assert prime_factors(prime) == (prime,)
+        assert arith._PRIME_CACHE == want[:78_498]
 
 
 def test_prime_factors_matches_naive():

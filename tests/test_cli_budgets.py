@@ -111,16 +111,20 @@ ROWS = SUBCOMMANDS + [
     "family dense-atoms --class-index 40 --count 1",
     """family gen --spec '{"family": "elementary-primary", "primes": {"kind": "partition-class", "index": 45}}' --n 1""",
     "family dense-atoms --class-index 6 --count 1563",
+    # Stepping 1 + k*1000003 finds the class's primes at k = 36, 64, 72.
+    """family gen --spec '{"family": "elementary-primary", "primes": {"kind": "congruence", "residue": 1, "modulus": 1000003}}' --n 3""",
+    # prime_index refuses a prime past position 100,000 before sieving.
+    """family noniso --spec '{"family": "power-denominator", "q": 100000007}' \
+--spec '{"family": "elementary-primary", "primes": {"kind": "partition-class", "index": 2}}'""",
+    # A prime cofactor below the Miller-Rabin bound, after trial division
+    # by every prime below 10**6: one sieve pass.
+    """family classify --spec '{"family": "p-adic", "p": 2, "numerators": {"kind": "power", \
+"base": 100000000000000000039}, "exponents": {"kind": "affine-exponent", "a": 1, "b": 0}}'""",
     # Failing today.
     _xfail("ns factorize --gens 6,9,20,31 --x 20000", 7, "MemoryError listing every representation"),
     _xfail("cyclic factorize --r 2/3 --x 40", 7, "killed by a signal listing 27,263,194,918 factorizations"),
     _xfail("cyclic factorize --r 2/3 --x 40 --cap 30", 7, "MemoryError listing factorizations"),
     _xfail(f"fg atoms --gens {GC36}", 15, "no answer within 8 s", id="fg atoms --gens <truncate(GeneralizedCyclic((2/5, 4/7, 3)), 36)>"),
-    _xfail(
-        """family gen --spec '{"family": "elementary-primary", "primes": {"kind": "congruence", "residue": 1, "modulus": 1000003}}' --n 3""",
-        9,
-        "no answer within 8 s: the congruence stream scans primes() past the prime cache's bound",
-    ),
 ]
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +246,57 @@ def test_congruence_primes_any_order(monkeypatch):
             assert descending.prime_at(n) == want[n - 1], (residue, modulus, n)
 
 
+# Every class of primes mod 2..30 whose residue is coprime to the
+# modulus, with its first 200 primes: mod 29 the 200th prime of class 1
+# lies below 100,000.
+PRIMES_TO_100000 = sieve_primes(100_000)
+CLASS_PRIMES = {
+    (r, m): [p for p in PRIMES_TO_100000 if p % m == r][:200]
+    for m in range(2, 31)
+    for r in range(m)
+    if math.gcd(r, m) == 1
+}
+
+
+@settings(max_examples=3)
+@given(st.integers(0, 2**32))
+def test_congruence_primes_match_the_oracle_in_every_class(seed):
+    # From an empty class cache, every class is read at n = 1..200 in an
+    # order shuffled from the drawn seed: the first read grows the class
+    # in one jump, later ones read or extend it.
+    rng = random.Random(seed)
+    with mock.patch.object(families, "_CLASS_PRIMES", {}):
+        for (residue, modulus), want in CLASS_PRIMES.items():
+            assert len(want) == 200, (residue, modulus)
+            stream = CongruencePrimes(residue, modulus)
+            order = list(range(1, 201))
+            rng.shuffle(order)
+            for n in order:
+                assert stream.prime_at(n) == want[n - 1], (residue, modulus, n)
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(CLASS_PRIMES)), st.integers(1, 200)), max_size=40))
+def test_congruence_primes_interleaved_across_classes(reads):
+    # Fresh streams of several classes, read in an interleaved drawn order.
+    with mock.patch.object(families, "_CLASS_PRIMES", {}):
+        for (residue, modulus), n in reads:
+            assert CongruencePrimes(residue, modulus).prime_at(n) == CLASS_PRIMES[residue, modulus][n - 1]
+
+
+def test_congruence_primes_step_a_sparse_class_within_a_bound(monkeypatch):
+    # The primes 1 + k*1000003 sit at k = 36, 64, 72, 84 and 150: 36,
+    # 28, 8, 12 and 66 steps past the one before.
+    monkeypatch.setattr(families, "_CLASS_PRIMES", {})
+    monkeypatch.setattr(families, "_CLASS_STEP_BOUND", 35)
+    stream = CongruencePrimes(1, 1000003)
+    with pytest.raises(NotFoundWithinLimit, match=r"1 \+ k\*1000003 for k <= 35"):
+        stream.prime_at(1)
+    monkeypatch.setattr(families, "_CLASS_STEP_BOUND", 36)
+    assert [stream.prime_at(n) for n in (1, 2, 3, 4)] == [36000109, 64000193, 72000217, 84000253]
+    with pytest.raises(NotFoundWithinLimit, match=r"84000253 \+ k\*1000003 for k <= 36"):
+        stream.prime_at(5)
+
+
 def test_partition_class_primes():
     stream = PartitionClassPrimes(1)
     # Class 1 holds the primes at odd positions.
@@ -302,6 +354,22 @@ def test_calkin_wilf_first_lists_value_at():
         assert t.first(count) == want[:count]
     with pytest.raises(NonPositive):
         t.first(-1)
+
+
+CALKIN_WILF = [CalkinWilfTargets().value_at(n) for n in range(1, 601)]
+
+
+@given(st.lists(st.integers(0, 600), max_size=8))
+def test_calkin_wilf_first_reads_a_shared_prefix(counts):
+    # From a one-term prefix, grown by counts in the drawn order; the
+    # caller owns each returned list.
+    with mock.patch.object(families, "_CALKIN_WILF", [F(1)]):
+        for count in counts:
+            got = CalkinWilfTargets().first(count)
+            assert got == CALKIN_WILF[:count], count
+            got.append(F(5))
+            got[0] = F(7)
+        assert families._CALKIN_WILF == CALKIN_WILF[: max([1, *counts])]
 
 
 def test_explicit_targets():
