@@ -5,13 +5,14 @@ the explicit escape hatch, finite) generating sequence of positive
 rationals. Specs can be evaluated pointwise, truncated to a concrete
 finitely generated monoid, serialized to JSON, and classified.
 
-Classification is a dispatch table, not a theorem prover: each verdict
-it emits is justified either by exact closed-form reasoning (generator
-infimum, numerator bounds, denominator supports, explicit decomposition
-identities) or by a cited structural result that the code does not
-re-derive. A verdict whose rule statement says "cited result" is tagged
-"[asserted]" in the justification list. Any family/field pair the table
-cannot justify stays "unknown".
+Classification is a table, not a theorem prover: each family's verdicts
+are (field, verdict, rule) rows, fixed for ten families and computed
+from the parameters in four cases. Each verdict is justified either by
+exact closed-form reasoning (generator infimum, numerator bounds,
+denominator supports, explicit decomposition identities) or by a cited
+structural result that the code does not re-derive. A verdict whose rule
+statement says "cited result" is tagged "[asserted]" in the justification
+list. Any family/field pair the table cannot justify stays "unknown".
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fractions import Fraction
 from typing import Union
 
 from .arith import (
+    _PRIME_INDEX_BOUND,
     _exact,
     cached_value,
     is_prime,
@@ -33,7 +35,7 @@ from .arith import (
     prime_stride,
     record,
 )
-from .errors import BadIndex, BadProgression, NonPositive, NotPrime, ParseError
+from .errors import BadIndex, BadProgression, NonPositive, NotFoundWithinLimit, NotPrime, ParseError
 from .monoid import FgMonoid
 
 
@@ -379,7 +381,9 @@ class CongruencePrimes:
     each term with is_prime, so a sparse class costs its own terms, not
     every prime below them. Between one class prime and the next at most
     _CLASS_STEP_BOUND terms are tested; past that NotFoundWithinLimit
-    names the bound.
+    names the bound. A position past arith's _PRIME_INDEX_BOUND is
+    refused so before any term is tested: the class's n-th prime is at
+    least the n-th prime, which nth_prime refuses past that bound.
     """
 
     json_tag = {"kind": "congruence"}
@@ -403,6 +407,11 @@ class CongruencePrimes:
         _check_index(n)
         found = self._found
         while len(found) < n:
+            if n > _PRIME_INDEX_BOUND:
+                raise NotFoundWithinLimit(
+                    f"class prime position {n} is past the bound {_PRIME_INDEX_BOUND}"
+                    " of the prime cache"
+                )
             if not found and is_prime(self.residue):
                 found.append(self.residue)
             else:
@@ -928,142 +937,93 @@ class _Report:
         return ClassificationReport(justification=tuple(self.lines), **self.verdicts)
 
 
+# The (field, verdict, rule) rows of the classification table.
+_DENSE = ("dense", "yes", "generator-infimum-zero")
+_NOT_DENSE = ("dense", "no", "generator-infimum-positive")
+_BOUNDED = ("strongly_bounded", "yes", "numerators-bounded")
+_UNBOUNDED = ("strongly_bounded", "no", "atoms-have-unbounded-numerators")
+_FINITE = ("finite_puiseux", "yes", "denominator-support-finite")
+_INFINITE = ("finite_puiseux", "no", "denominator-support-infinite")
+_DECOMPOSES = ("antimatter", "yes", "every-generator-decomposes")
+_K_SUBSETS_DECOMPOSE = ("antimatter", "yes", "k-subset-generators-decompose")
+_GENERATORS_ATOMS = ("atomic", "yes", "all-generators-are-atoms")
+_FG_ATOMIC = ("atomic", "yes", "finitely-generated-atomic")
+_CYCLIC_ATOMIC = ("atomic", "yes", "cyclic-ratio-atomic")
+_PRIMARY_HEREDITARY = ("hereditarily_atomic", "yes", "primary-denominators-hereditary")
+_CYCLIC_HEREDITARY = ("hereditarily_atomic", "yes", "cyclic-hereditarily-atomic")
+_TWO_POWERS_NOT_HEREDITARY = ("hereditarily_atomic", "no", "power-of-two-submonoid-not-atomic")
+
+# The rows of the families whose verdicts do not depend on their
+# parameters. classify sets a family's rows in order, and the first
+# verdict set for a field wins.
+_FIXED_ROWS = {
+    PowerDenominator: (_DENSE, _DECOMPOSES, _BOUNDED, _FINITE),
+    HalfPrime: (_NOT_DENSE, _UNBOUNDED, _INFINITE),
+    TwoAdicOddPrime: (_DENSE, _GENERATORS_ATOMS, _TWO_POWERS_NOT_HEREDITARY, _BOUNDED, _INFINITE),
+    ElementaryPrimary: (_DENSE, _PRIMARY_HEREDITARY, _BOUNDED, _INFINITE),
+    ElementaryKPrimary: (_DENSE, _K_SUBSETS_DECOMPOSE, _BOUNDED, _INFINITE),
+    PartitionedKPrimary: (_DENSE, _GENERATORS_ATOMS, _BOUNDED, _INFINITE),
+    SumKPrimary: (_DENSE, _GENERATORS_ATOMS, _UNBOUNDED, _INFINITE),
+    PlusMinusPowers: (_DENSE, _DECOMPOSES, _FINITE),
+    # 2/3 = 1/3 + 1/3, so unlike the other listed families not every
+    # generator is an atom; atomicity comes from the prime denominators.
+    BfNotFf: (_NOT_DENSE, _PRIMARY_HEREDITARY, _UNBOUNDED, _INFINITE),
+    ExplicitList: (_NOT_DENSE, _FG_ATOMIC, _BOUNDED, _FINITE),
+}
+_K_PRIMARY = (ElementaryKPrimary, PartitionedKPrimary, SumKPrimary)
+
+
 def classify(spec: FamilySpec) -> ClassificationReport:
-    """Dispatch-table classification of a family spec.
+    """Table classification of a family spec.
 
-    Every verdict is either computed exactly from the closed form or
-    taken from a cited structural result (tagged "[asserted]" in the
-    justification). Pairs the table cannot justify remain "unknown";
-    the table never guesses.
+    Ten families take their rows from _FIXED_ROWS. In four cases the
+    rows are computed: a k-primary family with k = 1 takes
+    ElementaryPrimary's, and _computed_rows reads the parameters of
+    PAdic, Cyclic and GeneralizedCyclic. The table never guesses.
     """
+    rows = _FIXED_ROWS.get(type(spec))
+    if rows is None:
+        rows = _computed_rows(spec)
+    elif type(spec) in _K_PRIMARY and spec.k == 1:
+        rows = _FIXED_ROWS[ElementaryPrimary]
     r = _Report()
+    for field, verdict, rule in rows:
+        r.set(field, verdict, rule)
+    return r.close()
 
-    if isinstance(spec, PowerDenominator):
-        r.set("dense", "yes", "generator-infimum-zero")
-        r.set("antimatter", "yes", "every-generator-decomposes")
-        r.set("strongly_bounded", "yes", "numerators-bounded")
-        r.set("finite_puiseux", "yes", "denominator-support-finite")
 
-    elif isinstance(spec, HalfPrime):
-        r.set("dense", "no", "generator-infimum-positive")
-        r.set("strongly_bounded", "no", "atoms-have-unbounded-numerators")
-        r.set("finite_puiseux", "no", "denominator-support-infinite")
-
-    elif isinstance(spec, TwoAdicOddPrime):
-        r.set("dense", "yes", "generator-infimum-zero")
-        r.set("atomic", "yes", "all-generators-are-atoms")
-        r.set("hereditarily_atomic", "no", "power-of-two-submonoid-not-atomic")
-        r.set("strongly_bounded", "yes", "numerators-bounded")
-        r.set("finite_puiseux", "no", "denominator-support-infinite")
-
-    elif isinstance(spec, ElementaryPrimary) or (
-        isinstance(spec, (ElementaryKPrimary, PartitionedKPrimary, SumKPrimary))
-        and spec.k == 1
-    ):
-        r.set("dense", "yes", "generator-infimum-zero")
-        r.set("hereditarily_atomic", "yes", "primary-denominators-hereditary")
-        r.set("strongly_bounded", "yes", "numerators-bounded")
-        r.set("finite_puiseux", "no", "denominator-support-infinite")
-
-    elif isinstance(spec, ElementaryKPrimary):
-        r.set("dense", "yes", "generator-infimum-zero")
-        r.set("antimatter", "yes", "k-subset-generators-decompose")
-        r.set("strongly_bounded", "yes", "numerators-bounded")
-        r.set("finite_puiseux", "no", "denominator-support-infinite")
-
-    elif isinstance(spec, PartitionedKPrimary):
-        r.set("dense", "yes", "generator-infimum-zero")
-        r.set("atomic", "yes", "all-generators-are-atoms")
-        r.set("strongly_bounded", "yes", "numerators-bounded")
-        r.set("finite_puiseux", "no", "denominator-support-infinite")
-
-    elif isinstance(spec, SumKPrimary):
-        r.set("dense", "yes", "generator-infimum-zero")
-        r.set("atomic", "yes", "all-generators-are-atoms")
-        r.set("strongly_bounded", "no", "atoms-have-unbounded-numerators")
-        r.set("finite_puiseux", "no", "denominator-support-infinite")
-
-    elif isinstance(spec, PAdic):
-        r.set("finite_puiseux", "yes", "denominator-support-finite")
+def _computed_rows(spec: FamilySpec) -> list[tuple[str, str, str]]:
+    """The rows of the families whose verdicts depend on their parameters."""
+    if isinstance(spec, PAdic):
         nums = spec.numerators
         if not nums.tends_to_infinity():
-            r.set("dense", "yes", "generator-infimum-zero")
-            r.set("strongly_bounded", "yes", "numerators-bounded")
+            rows = [_FINITE, _DENSE, _BOUNDED]
             if nums.coprime_to(spec.p):
-                r.set("atomic", "no", "bounded-numerators-not-atomic")
-        else:
-            base = nums.prime_power_base()
-            decreasing = _padic_decreasing_certified(spec)
-            if decreasing:
-                r.set("dense", "yes", "generator-infimum-zero")
-            if base not in (None, 1) and base != spec.p and decreasing:
-                r.set("atomic", "yes", "prime-power-numerators-atomic")
-                r.set("strongly_bounded", "no", "atoms-have-unbounded-numerators")
-
-    elif isinstance(spec, PlusMinusPowers):
-        r.set("dense", "yes", "generator-infimum-zero")
-        r.set("antimatter", "yes", "every-generator-decomposes")
-        r.set("finite_puiseux", "yes", "denominator-support-finite")
-
-    elif isinstance(spec, Cyclic):
-        r.set("finite_puiseux", "yes", "denominator-support-finite")
+                rows.append(("atomic", "no", "bounded-numerators-not-atomic"))
+            return rows
+        base = nums.prime_power_base()
+        if not _padic_decreasing_certified(spec):
+            return [_FINITE]
+        if base in (None, 1, spec.p):
+            return [_FINITE, _DENSE]
+        return [_FINITE, _DENSE, ("atomic", "yes", "prime-power-numerators-atomic"), _UNBOUNDED]
+    if isinstance(spec, Cyclic):
         a, b = spec.r.numerator, spec.r.denominator
-        if spec.r == 1:
-            r.set("dense", "no", "generator-infimum-positive")
-            r.set("atomic", "yes", "finitely-generated-atomic")
-            r.set("strongly_bounded", "yes", "numerators-bounded")
-        elif a == 1:
-            r.set("dense", "yes", "generator-infimum-zero")
-            r.set("antimatter", "yes", "every-generator-decomposes")
-            r.set("strongly_bounded", "yes", "numerators-bounded")
-        elif b == 1:
+        if b == 1:
             # r^n = r^(n-1) * r, so the monoid is r times the naturals.
-            r.set("dense", "no", "generator-infimum-positive")
-            r.set("atomic", "yes", "finitely-generated-atomic")
-            r.set("strongly_bounded", "yes", "numerators-bounded")
-        else:
-            if spec.r < 1:
-                r.set("dense", "yes", "generator-infimum-zero")
-            else:
-                r.set("dense", "no", "generator-infimum-positive")
-            r.set("atomic", "yes", "cyclic-ratio-atomic")
-            r.set("hereditarily_atomic", "yes", "cyclic-hereditarily-atomic")
-            r.set("strongly_bounded", "no", "atoms-have-unbounded-numerators")
-
-    elif isinstance(spec, GeneralizedCyclic):
-        r.set("finite_puiseux", "yes", "denominator-support-finite")
-        if min(spec.ratios) < 1:
-            r.set("dense", "yes", "generator-infimum-zero")
-        else:
-            r.set("dense", "no", "generator-infimum-positive")
-        numerator_gcd = math.gcd(*(rr.numerator for rr in spec.ratios))
-        if numerator_gcd != 1:
-            r.set("hereditarily_atomic", "yes", "shared-numerator-prime-embedding")
+            return [_FINITE, _NOT_DENSE, _FG_ATOMIC, _BOUNDED]
+        if a == 1:
+            return [_FINITE, _DENSE, _DECOMPOSES, _BOUNDED]
+        dense = _DENSE if spec.r < 1 else _NOT_DENSE
+        return [_FINITE, dense, _CYCLIC_ATOMIC, _CYCLIC_HEREDITARY, _UNBOUNDED]
+    if isinstance(spec, GeneralizedCyclic):
+        rows = [_FINITE, _DENSE if min(spec.ratios) < 1 else _NOT_DENSE]
+        if math.gcd(*(rr.numerator for rr in spec.ratios)) != 1:
+            rows.append(("hereditarily_atomic", "yes", "shared-numerator-prime-embedding"))
         elif all(rr.numerator == 1 for rr in spec.ratios):
-            r.set("strongly_bounded", "yes", "numerators-bounded")
-            if all(rr == 1 for rr in spec.ratios):
-                r.set("atomic", "yes", "finitely-generated-atomic")
-            else:
-                r.set("antimatter", "yes", "every-generator-decomposes")
-
-    elif isinstance(spec, BfNotFf):
-        # 2/3 = 1/3 + 1/3, so unlike the other listed families not every
-        # generator is an atom; atomicity comes from the prime denominators.
-        r.set("dense", "no", "generator-infimum-positive")
-        r.set("hereditarily_atomic", "yes", "primary-denominators-hereditary")
-        r.set("strongly_bounded", "no", "atoms-have-unbounded-numerators")
-        r.set("finite_puiseux", "no", "denominator-support-infinite")
-
-    elif isinstance(spec, ExplicitList):
-        r.set("dense", "no", "generator-infimum-positive")
-        r.set("atomic", "yes", "finitely-generated-atomic")
-        r.set("strongly_bounded", "yes", "numerators-bounded")
-        r.set("finite_puiseux", "yes", "denominator-support-finite")
-
-    else:
-        raise ParseError(f"not a family spec: {spec!r}")
-
-    return r.close()
+            rows += [_BOUNDED, _FG_ATOMIC if all(rr == 1 for rr in spec.ratios) else _DECOMPOSES]
+        return rows
+    raise ParseError(f"not a family spec: {spec!r}")
 
 
 def _padic_decreasing_certified(spec: PAdic) -> bool:

@@ -113,6 +113,9 @@ ROWS = SUBCOMMANDS + [
     "family dense-atoms --class-index 6 --count 1563",
     # Stepping 1 + k*1000003 finds the class's primes at k = 36, 64, 72.
     """family gen --spec '{"family": "elementary-primary", "primes": {"kind": "congruence", "residue": 1, "modulus": 1000003}}' --n 3""",
+    # A class prime position past the prime cache's bound of 100,000 is
+    # refused before the class list grows.
+    """family gen --spec '{"family": "elementary-primary", "primes": {"kind": "congruence", "residue": 1, "modulus": 4}}' --n 3000000""",
     # prime_index refuses a prime past position 100,000 before sieving.
     """family noniso --spec '{"family": "power-denominator", "q": 100000007}' \
 --spec '{"family": "elementary-primary", "primes": {"kind": "partition-class", "index": 2}}'""",
@@ -125,6 +128,13 @@ ROWS = SUBCOMMANDS + [
     _xfail("cyclic factorize --r 2/3 --x 40", 7, "killed by a signal listing 27,263,194,918 factorizations"),
     _xfail("cyclic factorize --r 2/3 --x 40 --cap 30", 7, "MemoryError listing factorizations"),
     _xfail(f"fg atoms --gens {GC36}", 15, "no answer within 8 s", id="fg atoms --gens <truncate(GeneralizedCyclic((2/5, 4/7, 3)), 36)>"),
+    _xfail("ns frobenius --gens 100003,100019,100043,100049", 3, "MemoryError from a table of at least a1*a2 bytes"),
+    _xfail(f"family gen --spec {PD2} --n 20000", 20, "ValueError formatting a denominator past 4,300 digits"),
+    _xfail(
+        """family gen --spec '{"family": "plus-minus-powers", "p": 3}' --n 25""",
+        20,
+        "ValueError formatting a denominator past 4,300 digits",
+    ),
 ]
 
 

@@ -60,7 +60,7 @@ from puiseux.semigroup import NumericalSemigroup
 from puiseux.witnesses import approximate, dense_atom_monoid
 
 from conftest import run_cli
-from oracles import sieve_primes, subset_in_colex
+from oracles import old_classify, sieve_primes, subset_in_colex
 from test_json import FAMILIES
 
 F = Fraction
@@ -295,6 +295,18 @@ def test_congruence_primes_step_a_sparse_class_within_a_bound(monkeypatch):
     assert [stream.prime_at(n) for n in (1, 2, 3, 4)] == [36000109, 64000193, 72000217, 84000253]
     with pytest.raises(NotFoundWithinLimit, match=r"84000253 \+ k\*1000003 for k <= 36"):
         stream.prime_at(5)
+
+
+def test_congruence_primes_refuse_a_position_past_the_prime_cache_bound():
+    # The class's n-th prime is never below the n-th prime, which
+    # nth_prime refuses past the same bound; the class list keeps its length.
+    stream = CongruencePrimes(1, 4)
+    stream.prime_at(10)
+    cached = len(families._CLASS_PRIMES[1, 4])
+    with pytest.raises(NotFoundWithinLimit, match="position 100001 is past the bound 100000"):
+        stream.prime_at(arith._PRIME_INDEX_BOUND + 1)
+    assert len(families._CLASS_PRIMES[1, 4]) == cached
+    assert stream.prime_at(10) == 89
 
 
 def test_partition_class_primes():
@@ -1014,6 +1026,14 @@ def test_every_classification_is_pinned(spec, mapping):
     verdicts, *justification = CLASSIFIED[mapping["family"]]
     fields = ClassificationReport.__match_args__[:-1]
     assert classify(spec).as_mapping() == {**dict(zip(fields, verdicts.split())), "justification": justification}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+@given(data=st.data())
+def test_classification_table_matches_the_isinstance_chain(kind, data):
+    # All six verdicts and every justification line, in order.
+    spec = data.draw(FAMILY_KINDS[kind])
+    assert classify(spec) == old_classify(spec)
 
 
 def test_rule_statements_exist_for_cited_rules():
