@@ -18,7 +18,7 @@ import bisect
 import math
 import re
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress, count, islice
 from operator import attrgetter
 from typing import Iterator
 
@@ -255,7 +255,11 @@ def format_rational(r: Fraction | int) -> str:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 318665857834031151167461
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# Growing cache of the prime sequence p_1 = 2, p_2 = 3, p_3 = 5, ...
+_PRIME_CACHE = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+# is_prime's trial divisors: the primes the cache starts with.
+_SMALL_PRIMES = tuple(_PRIME_CACHE)
 
 
 def is_prime(n: int) -> bool:
@@ -305,19 +309,24 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-# Growing cache of the prime sequence p_1 = 2, p_2 = 3, p_3 = 5, ...
-_PRIME_CACHE = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-
 # The cache grows by sieving: about 0.035 s to reach this position from
-# the 15 primes above with Python 3.11 on a 2-vCPU x86-64 VM. nth_prime,
-# prime_stride and prime_index refuse a position past it rather than
-# hold millions of primes.
+# its first 15 primes with Python 3.11 on a 2-vCPU x86-64 VM. The sieve
+# stops there, so every reader of the cache refuses a position past it
+# rather than hold millions of primes.
 _PRIME_INDEX_BOUND = 100_000
 
 
-def _sieve_through(top: int, cap: int | None = None) -> None:
-    """Append to the cache every prime up to top, stopping early once it
-    holds cap primes.
+def _check_prime_position(position: int, what: str = "prime index") -> None:
+    """Refuse a position past the cache's bound with NotFoundWithinLimit."""
+    if position > _PRIME_INDEX_BOUND:
+        raise NotFoundWithinLimit(
+            f"{what} {position} is past the bound {_PRIME_INDEX_BOUND} of the prime cache"
+        )
+
+
+def _sieve_through(top: int) -> None:
+    """Append to the cache every prime up to top, but never more than
+    _PRIME_INDEX_BOUND primes in all.
 
     Each block runs from just past the last cached prime q to at most
     q**2, so every composite in it has a prime factor already cached.
@@ -325,7 +334,7 @@ def _sieve_through(top: int, cap: int | None = None) -> None:
     itertools.compress reads the survivors out.
     """
     lo = _PRIME_CACHE[-1] + 1
-    while lo <= top and (cap is None or len(_PRIME_CACHE) < cap):
+    while lo <= top and len(_PRIME_CACHE) < _PRIME_INDEX_BOUND:
         hi = min(top, _PRIME_CACHE[-1] ** 2)
         flags = bytearray(b"\x01") * (hi - lo + 1)
         for p in _PRIME_CACHE:
@@ -334,7 +343,7 @@ def _sieve_through(top: int, cap: int | None = None) -> None:
             first = max(p * p, lo + -lo % p) - lo
             flags[first::p] = bytes(len(range(first, len(flags), p)))
         found = compress(range(lo, hi + 1), flags)
-        _PRIME_CACHE.extend(found if cap is None else islice(found, cap - len(_PRIME_CACHE)))
+        _PRIME_CACHE.extend(islice(found, _PRIME_INDEX_BOUND - len(_PRIME_CACHE)))
         lo = hi + 1
 
 
@@ -349,11 +358,8 @@ def _above_nth_prime(n: int) -> int:
 def _fill_prime_cache(last: int) -> None:
     """Grow the cache through position last in one sieve pass (it holds
     the first 15 primes already), or refuse past the bound."""
-    if last > _PRIME_INDEX_BOUND:
-        raise NotFoundWithinLimit(
-            f"prime index {last} is past the bound {_PRIME_INDEX_BOUND} of the prime cache"
-        )
-    _sieve_through(_above_nth_prime(last), _PRIME_INDEX_BOUND)
+    _check_prime_position(last)
+    _sieve_through(_above_nth_prime(last))
 
 
 def nth_prime(n: int) -> int:
@@ -376,6 +382,8 @@ def prime_stride(start: int, step: int, count: int) -> list[int]:
     refused as nth_prime refuses them."""
     if count < 1:
         return []
+    if start < 1:
+        raise NonPositive(f"prime index must be >= 1, got {start}")
     last = start + step * (count - 1)
     if last > len(_PRIME_CACHE):
         _fill_prime_cache(last)
@@ -388,15 +396,9 @@ def nth_odd_prime(n: int) -> int:
 
 
 def primes() -> Iterator[int]:
-    """Yield 2, 3, 5, 7, ... indefinitely, read from the prime cache.
-    Past its end the cache grows by one sieved block, through twice its
-    last prime, which holds a new prime by Bertrand's postulate."""
-    i = 0
-    while True:
-        if i == len(_PRIME_CACHE):
-            _sieve_through(2 * _PRIME_CACHE[-1])
-        yield _PRIME_CACHE[i]
-        i += 1
+    """An iterator over 2, 3, 5, 7, ..., each read by nth_prime: past
+    position _PRIME_INDEX_BOUND the next read raises its refusal."""
+    return map(nth_prime, count(1))
 
 
 def prime_index(p: int) -> int:
@@ -412,7 +414,7 @@ def prime_index(p: int) -> int:
         raise NotPrime(f"{p} is not prime")
     if p > _PRIME_CACHE[-1]:
         if p < _above_nth_prime(_PRIME_INDEX_BOUND):
-            _sieve_through(p, _PRIME_INDEX_BOUND)
+            _sieve_through(p)
         if p > _PRIME_CACHE[-1]:
             raise NotFoundWithinLimit(
                 f"prime {p} is past position {_PRIME_INDEX_BOUND}, the bound of the prime cache"
@@ -423,9 +425,11 @@ def prime_index(p: int) -> int:
 def prime_factors(n: int, limit: int = 10**6) -> tuple[int, ...] | None:
     """Distinct prime factors of n >= 1, in increasing order.
 
-    Returns None when a cofactor above limit**2 remains unfactored, or
-    one at or above _MR_BOUND that is_prime cannot decide, so callers
-    can fall back to something slower but sound.
+    Trial division runs through the primes up to the smaller of limit
+    and the last prime the cache may hold. Returns None when the
+    cofactor left lies above that prime's square and is not a prime
+    is_prime can decide, so callers can fall back to something slower
+    but sound.
     """
     if n < 1:
         raise NonPositive(f"cannot factor {n}")
@@ -448,7 +452,8 @@ def prime_factors(n: int, limit: int = 10**6) -> tuple[int, ...] | None:
                 rest //= p
         i += 1
     if rest > 1:
-        if rest <= limit * limit or rest < _MR_BOUND and is_prime(rest):
+        # No prime up to min(limit, the last cached prime) divides rest.
+        if rest <= min(limit, _PRIME_CACHE[-1]) ** 2 or rest < _MR_BOUND and is_prime(rest):
             out.append(rest)
         else:
             return None

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Union
 
 from .arith import (
-    _PRIME_INDEX_BOUND,
+    _check_prime_position,
     _exact,
     cached_value,
     is_prime,
@@ -35,7 +35,7 @@ from .arith import (
     prime_stride,
     record,
 )
-from .errors import BadIndex, BadProgression, NonPositive, NotFoundWithinLimit, NotPrime, ParseError
+from .errors import BadIndex, BadProgression, NonPositive, NotPrime, ParseError
 from .monoid import FgMonoid
 
 
@@ -381,7 +381,7 @@ class CongruencePrimes:
     each term with is_prime, so a sparse class costs its own terms, not
     every prime below them. Between one class prime and the next at most
     _CLASS_STEP_BOUND terms are tested; past that NotFoundWithinLimit
-    names the bound. A position past arith's _PRIME_INDEX_BOUND is
+    names the bound. A position past the prime cache's bound is
     refused so before any term is tested: the class's n-th prime is at
     least the n-th prime, which nth_prime refuses past that bound.
     """
@@ -407,11 +407,7 @@ class CongruencePrimes:
         _check_index(n)
         found = self._found
         while len(found) < n:
-            if n > _PRIME_INDEX_BOUND:
-                raise NotFoundWithinLimit(
-                    f"class prime position {n} is past the bound {_PRIME_INDEX_BOUND}"
-                    " of the prime cache"
-                )
+            _check_prime_position(n, "class prime position")
             if not found and is_prime(self.residue):
                 found.append(self.residue)
             else:
@@ -637,10 +633,7 @@ class PartitionedKPrimary:
             raise NonPositive(f"k must be >= 1, got {self.k}")
 
     def generator(self, n: int) -> Fraction:
-        d = 1
-        for i in range(1, self.k + 1):
-            d *= nth_prime((n - 1) * self.k + i)
-        return Fraction(1, d)
+        return Fraction(1, math.prod(prime_stride((n - 1) * self.k + 1, 1, self.k)))
 
 
 @record
@@ -1001,10 +994,9 @@ def _computed_rows(spec: FamilySpec) -> list[tuple[str, str, str]]:
             if nums.coprime_to(spec.p):
                 rows.append(("atomic", "no", "bounded-numerators-not-atomic"))
             return rows
-        base = nums.prime_power_base()
         if not _padic_decreasing_certified(spec):
             return [_FINITE]
-        if base in (None, 1, spec.p):
+        if nums.prime_power_base() in (None, 1, spec.p):
             return [_FINITE, _DENSE]
         return [_FINITE, _DENSE, ("atomic", "yes", "prime-power-numerators-atomic"), _UNBOUNDED]
     if isinstance(spec, Cyclic):

@@ -16,6 +16,7 @@ from .arith import (
     format_rational,
     is_prime,
     nth_prime,
+    prime_in_progression,
     prime_index,
     record,
 )
@@ -149,9 +150,9 @@ def dense_atom_monoid(
         targets = CalkinWilfTargets()
     entries = []
     atoms = []
-    for k, target, p in zip(
-        range(1, count + 1), targets.first(count), class_primes(class_index, count)
-    ):
+    # The primes first: a refused count leaves the shared target prefix as is.
+    primes = class_primes(class_index, count)
+    for k, target, p in zip(range(1, count + 1), targets.first(count), primes):
         e, scale = 1, p
         while scale <= 2 * k:
             e += 1
@@ -232,28 +233,23 @@ def kprimary_antimatter_witness(
     rest = math.prod(ps[2:]) if len(ps) > 2 else 1
     biggest = ps[-1]
 
-    m = None
-    for cand in range(1, search_limit + 1):
-        value = cand * q + p
-        if value > biggest and is_prime(value):
-            m = cand
-            break
-    if m is None:
-        raise NotFoundWithinLimit(
-            f"no prime of the form m*{q} + {p} above {biggest} with m <= {search_limit}"
-        )
-    p_new = m * q + p
-    n = None
-    for cand in range(1, search_limit + 1):
-        value = cand * p_new + q
-        if is_prime(value):
-            n = cand
-            break
-    if n is None:
-        raise NotFoundWithinLimit(
-            f"no prime of the form n*{p_new} + {q} with n <= {search_limit}"
-        )
-    q_new = n * p_new + q
+    # m*q + p lies above biggest exactly when m > s.
+    s = (biggest - p) // q
+    refusal = NotFoundWithinLimit(
+        f"no prime of the form m*{q} + {p} above {biggest} with m <= {search_limit}"
+    )
+    if s >= search_limit:
+        raise refusal
+    try:
+        k, p_new = prime_in_progression(p + s * q, q, search_limit - s)
+    except NotFoundWithinLimit as exc:
+        # Only the progression's own refusal is reworded; is_prime's
+        # refusal past _MR_BOUND passes through.
+        if str(exc) != f"no prime of the form {p + s * q} + k*{q} for k <= {search_limit - s}":
+            raise
+        raise refusal from None
+    m = s + k
+    n, q_new = prime_in_progression(q, p_new, search_limit)
 
     if p_new * q_new != m * q * q_new + n * p * p_new + p * q:
         raise HypothesisViolated(

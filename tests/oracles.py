@@ -499,3 +499,74 @@ def old_classify(spec):
         raise ParseError(f"not a family spec: {spec!r}")
 
     return r.close()
+
+
+def old_kprimary_antimatter_witness(primes: tuple[int, ...], search_limit: int = 10**5):
+    """kprimary_antimatter_witness with its two searches written as loops
+    over m and n: the witness before it stepped both progressions with
+    prime_in_progression. Kept verbatim to pin m, p', n and q' and the
+    refusals."""
+    from puiseux.arith import format_rational, is_prime
+    from puiseux.errors import HypothesisViolated, NonPositive, NotFoundWithinLimit, NotPrime
+    from puiseux.monoid import Factorization
+    from puiseux.witnesses import AntimatterWitness
+
+    ps = tuple(sorted(primes))
+    if len(ps) < 2:
+        raise NonPositive("at least two primes are needed")
+    if len(set(ps)) != len(ps):
+        raise NonPositive("the primes must be distinct")
+    for p in ps:
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+    p, q = ps[0], ps[1]
+    rest = math.prod(ps[2:]) if len(ps) > 2 else 1
+    biggest = ps[-1]
+
+    m = None
+    for cand in range(1, search_limit + 1):
+        value = cand * q + p
+        if value > biggest and is_prime(value):
+            m = cand
+            break
+    if m is None:
+        raise NotFoundWithinLimit(
+            f"no prime of the form m*{q} + {p} above {biggest} with m <= {search_limit}"
+        )
+    p_new = m * q + p
+    n = None
+    for cand in range(1, search_limit + 1):
+        value = cand * p_new + q
+        if is_prime(value):
+            n = cand
+            break
+    if n is None:
+        raise NotFoundWithinLimit(
+            f"no prime of the form n*{p_new} + {q} with n <= {search_limit}"
+        )
+    q_new = n * p_new + q
+
+    if p_new * q_new != m * q * q_new + n * p * p_new + p * q:
+        raise HypothesisViolated(
+            f"{p_new}*{q_new} = {m}*{q}*{q_new} + {n}*{p}*{p_new} + {p}*{q} fails"
+        )
+    target = Fraction(1, p * q * rest)
+    decomposition = Factorization(
+        (
+            (Fraction(1, p * p_new * rest), m),
+            (Fraction(1, q * q_new * rest), n),
+            (Fraction(1, p_new * q_new * rest), 1),
+        )
+    )
+    if decomposition.evaluate() != target:
+        raise HypothesisViolated(f"the decomposition does not sum to {format_rational(target)}")
+    return AntimatterWitness(
+        primes=ps,
+        m=m,
+        p_prime=p_new,
+        n=n,
+        q_prime=q_new,
+        target=target,
+        decomposition=decomposition,
+    )
+

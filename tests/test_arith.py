@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 from itertools import islice
@@ -102,8 +103,8 @@ def test_prime_index_matches_the_linear_definition(monkeypatch):
 
 @functools.cache
 def oracle_past_the_bound() -> list[int]:
-    # Through twice the prime at the cache's bound: primes() may sieve
-    # that far past it.
+    # Through twice the prime at the cache's bound, so that tests can
+    # name primes past it, which every reader of the cache refuses.
     return sieve_primes(2 * 1_299_709)
 
 
@@ -133,6 +134,17 @@ def test_sieved_cache_matches_the_oracle_at_every_position_to_the_bound():
         assert list(islice(primes(), bound)) == want
         with pytest.raises(NotFoundWithinLimit, match="100001 is past the bound 100000"):
             nth_prime(bound + 1)
+        assert arith._PRIME_CACHE == want
+
+
+def test_primes_stops_at_the_cache_bound():
+    bound = arith._PRIME_INDEX_BOUND
+    want = oracle_past_the_bound()[:bound]
+    with mock.patch.object(arith, "_PRIME_CACHE", want[:15]):
+        stream = primes()
+        assert list(islice(stream, bound)) == want
+        with pytest.raises(NotFoundWithinLimit, match="prime index 100001 is past the bound 100000"):
+            next(stream)
         assert arith._PRIME_CACHE == want
 
 
@@ -194,6 +206,29 @@ def test_prime_factors_sieves_once_through_its_limit():
         assert arith._PRIME_CACHE == want[:25]
         assert prime_factors(prime) == (prime,)
         assert arith._PRIME_CACHE == want[:78_498]
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from([1_299_710, 10**7, 10**12]),
+    st.lists(st.integers(0, 1999), max_size=4),
+    st.lists(st.integers(0, 999), max_size=2),
+)
+def test_prime_factors_stays_within_the_cache_bound(limit, small, large):
+    # Small factors, times up to two primes past the prime at the
+    # cache's bound, 1,299,709. Trial division stops at that prime even
+    # for a larger limit: one prime past it is settled, and a product
+    # of two is left as None rather than grow the cache.
+    want = oracle_past_the_bound()
+    bound = arith._PRIME_INDEX_BOUND
+    n = math.prod(want[i] for i in small) * math.prod(want[bound + i] for i in large)
+    with mock.patch.object(arith, "_PRIME_CACHE", want[:bound]):
+        got = prime_factors(n, limit)
+        assert len(arith._PRIME_CACHE) == bound
+    if len(large) == 2:
+        assert got is None
+    else:
+        assert got == tuple(sorted(naive_factor(n)))
 
 
 def test_prime_factors_matches_naive():

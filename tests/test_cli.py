@@ -341,7 +341,7 @@ def test_verify_run_small_limit_reports_claim_error():
     assert result.exit_code == 0
     (outcome,) = json.loads(result.output)
     assert outcome["status"] == "error"
-    assert outcome["witnesses"] == ["no prime of the form n*71 + 11 with n <= 10"]
+    assert outcome["witnesses"] == ["no prime of the form 11 + k*71 for k <= 10"]
 
     result = invoke("verify", "run", "--claims", "C6", "--limit", "0")
     assert result.exit_code == 2

@@ -458,6 +458,9 @@ def test_partitioned_k_primary_generators():
         F(1, 35),
         F(1, 143),
     ]
+    # A block before the first prime is refused, not read as empty.
+    with pytest.raises(NonPositive):
+        spec.generator(0)
 
 
 def test_sum_k_primary_generators():
@@ -1034,6 +1037,18 @@ def test_classification_table_matches_the_isinstance_chain(kind, data):
     # All six verdicts and every justification line, in order.
     spec = data.draw(FAMILY_KINDS[kind])
     assert classify(spec) == old_classify(spec)
+
+
+def test_padic_classify_factors_no_numerator_it_need_not():
+    # The generators (10^20 + 39)^n / 2^n increase, so no verdict reads
+    # the numerators' prime base: classify factors nothing, where the
+    # base of this prime would take trial division by every prime
+    # below 10**6.
+    spec = PAdic(2, GeometricSeq(1, 100_000_000_000_000_000_039), AffineSeq(1, 0))
+    with mock.patch.object(arith, "_PRIME_CACHE", sieve_primes(47)):
+        report = classify(spec)
+        assert len(arith._PRIME_CACHE) == 15
+        assert report == old_classify(spec)
 
 
 def test_rule_statements_exist_for_cited_rules():

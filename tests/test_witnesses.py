@@ -1,10 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from puiseux import families
 from puiseux.arith import is_prime, nth_prime, prime_index
 from puiseux.errors import (
     BadIndex,
@@ -41,9 +43,17 @@ from puiseux.witnesses import (
     sum_kprimary_atom_check,
 )
 
-from oracles import brute_rational_member, old_dense_atom_monoid, padic_exclusion_coefficient
+from oracles import (
+    brute_rational_member,
+    old_dense_atom_monoid,
+    old_kprimary_antimatter_witness,
+    padic_exclusion_coefficient,
+    sieve_primes,
+)
 
 F = Fraction
+
+FIRST_60_PRIMES = sieve_primes(281)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +211,19 @@ def test_dense_atom_monoid_refuses_primes_past_the_cache_bound():
         dense_atom_monoid(6, 1564)
     with pytest.raises(NotFoundWithinLimit, match="549755813888 is past the bound 100000"):
         dense_atom_monoid(40, 1)
-    # A target list too short is refused first, as the loop over k did.
-    with pytest.raises(BadIndex):
+    # The primes are asked for before the targets, so a target list too
+    # short is refused for the prime position too.
+    with pytest.raises(NotFoundWithinLimit, match="549755813888 is past the bound 100000"):
         dense_atom_monoid(40, 1, ExplicitTargets(()))
+
+
+def test_dense_atom_monoid_refusal_leaves_the_calkin_wilf_prefix():
+    # Class-1 position 2 * 60000 - 1 is past the bound: refused before
+    # the shared prefix of targets grows to 60,000 terms.
+    with mock.patch.object(families, "_CALKIN_WILF", [F(1)]):
+        with pytest.raises(NotFoundWithinLimit, match="119999 is past the bound 100000"):
+            dense_atom_monoid(1, 60_000)
+        assert families._CALKIN_WILF == [F(1)]
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +270,55 @@ def test_kprimary_witness_rejects_bad_inputs():
 
 
 def test_kprimary_witness_search_limit():
-    with pytest.raises(NotFoundWithinLimit):
+    # m = 1 gives p' = 5; 1*5 + 3 = 8 is not prime, so the n-search refuses.
+    with pytest.raises(NotFoundWithinLimit, match=r"^no prime of the form 3 \+ k\*5 for k <= 1$"):
         kprimary_antimatter_witness((2, 3), search_limit=1)
+    # The m-search refusal keeps its text, whether no m up to the limit
+    # clears the largest prime (1*3 + 2 < 7) or none gives a prime (5 + 3 = 8).
+    with pytest.raises(
+        NotFoundWithinLimit, match=r"^no prime of the form m\*3 \+ 2 above 7 with m <= 1$"
+    ):
+        kprimary_antimatter_witness((2, 3, 7), search_limit=1)
+    with pytest.raises(
+        NotFoundWithinLimit, match=r"^no prime of the form m\*5 \+ 3 above 5 with m <= 1$"
+    ):
+        kprimary_antimatter_witness((3, 5), search_limit=1)
+
+
+def test_kprimary_witness_passes_the_primality_bound_refusal_through():
+    # q is the largest prime below _MR_BOUND, so every m*q + 2 with m >= 2
+    # lies past it; the first that passes Miller-Rabin (m = 85) is refused
+    # by is_prime, whose text reaches the caller as it did from the loops.
+    q = 318665857834031151167441
+    assert is_prime(q)
+    with pytest.raises(NotFoundWithinLimit) as got:
+        kprimary_antimatter_witness((2, q))
+    with pytest.raises(NotFoundWithinLimit) as want:
+        old_kprimary_antimatter_witness((2, q))
+    assert "passes every Miller-Rabin base" in str(got.value)
+    assert str(got.value) == str(want.value)
+
+
+def _witness_outcome(search, primes, search_limit):
+    try:
+        w = search(primes, search_limit)
+    except NotFoundWithinLimit as exc:
+        # The m-search refusal keeps its text; the n-search refusal now
+        # has prime_in_progression's wording, so only its type is pinned.
+        return str(exc) if str(exc).startswith("no prime of the form m*") else type(exc)
+    return w.m, w.p_prime, w.n, w.q_prime
+
+
+@given(
+    st.lists(st.sampled_from(FIRST_60_PRIMES), min_size=2, max_size=4, unique=True),
+    st.sampled_from([1, 2, 3, 5, 10, 40, 10**5]),
+)
+def test_kprimary_witness_matches_the_loops(primes, search_limit):
+    # Both progressions stepped by prime_in_progression give the least
+    # m and n the loops over m and n found, and refuse where they did.
+    got = _witness_outcome(kprimary_antimatter_witness, tuple(primes), search_limit)
+    want = _witness_outcome(old_kprimary_antimatter_witness, tuple(primes), search_limit)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
