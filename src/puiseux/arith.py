@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import compress, count, islice
 from operator import attrgetter
@@ -28,6 +29,7 @@ from .errors import (
     NotFoundWithinLimit,
     NotPrime,
     ParseError,
+    PuiseuxError,
 )
 
 INFINITY = math.inf
@@ -56,16 +58,22 @@ def record(cls: type) -> type:
     attribute of the same name being the default. __init__ takes them
     by position or keyword, then calls __post_init__ if the class has
     one. A call passing every field by position, and nothing else,
-    writes the values straight into the instance __dict__ in one loop.
-    Any other call first binds its arguments in Python, as a def with
-    these parameters would, at a higher cost, so hot call sites pass
-    every field by position. == holds between instances of one class
-    with equal field tuples, hash is the hash of the field tuple (a
-    tuple even for one field), repr is Name(field=value, ...), and
+    writes the values straight into the instance in one loop. Any other
+    call first binds its arguments in Python, as a def with these
+    parameters would, at a higher cost, so hot call sites pass every
+    field by position. == holds between instances of one class with
+    equal field tuples, hash is the hash of the field tuple (a tuple
+    even for one field), repr is Name(field=value, ...), and
     __match_args__ names the fields. Assigning or deleting an attribute
-    raises dataclasses.FrozenInstanceError. Instances keep their
-    __dict__, so cached_value works and private constructors may fill
-    fields through it.
+    raises dataclasses.FrozenInstanceError.
+
+    Slots: a class body may set __slots__ to exactly its fields, in
+    order, and then has no defaults. Its instances have no __dict__:
+    the values live in the slots' member descriptors, which private
+    constructors may fill through their __set__, and pickle and copy
+    go through a __getstate__ and __setstate__ that read and write the
+    field tuple. Without __slots__ instances keep their __dict__, the
+    one loop writes into it, and cached_value, which needs it, works.
 
     Added: unless the class defines its own, as_mapping() returns the
     JSON form: the class attribute json_tag (a dict, empty if absent),
@@ -75,11 +83,15 @@ def record(cls: type) -> type:
     apply; inspect.signature shows the shared __init__'s parameters,
     such as (*args, **kwargs), not the fields; no __doc__ is made up for
     a class without one; and there are no field() options, InitVar,
-    ClassVar, inherited fields, ordering, slots or recursion guard in
-    repr.
+    ClassVar, inherited fields, ordering or recursion guard in repr.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    slots = cls.__dict__.get("__slots__")
+    if slots is not None and tuple(slots) != names:
+        raise TypeError(f"{cls.__qualname__}.__slots__ must name the fields {names}, got {slots!r}")
+    # Under __slots__ each field's class attribute is its member descriptor.
+    setters = [cls.__dict__[name].__set__ for name in names] if slots is not None else None
+    defaults = {} if setters is not None else {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     count = len(names)
     post_init = hasattr(cls, "__post_init__")
     setattr_ = object.__setattr__
@@ -127,9 +139,13 @@ def record(cls: type) -> type:
         def __init__(self, *args, **kwargs):
             if kwargs or len(args) != count:
                 args = bind(args, kwargs)
-            fields = self.__dict__
-            for i, name in enumerate(names):
-                fields[name] = args[i]
+            if setters is None:
+                fields = self.__dict__
+                for i, name in enumerate(names):
+                    fields[name] = args[i]
+            else:
+                for set_, value in zip(setters, args):
+                    set_(self, value)
             if post_init:
                 self.__post_init__()
 
@@ -156,7 +172,20 @@ def record(cls: type) -> type:
             out[name] = _json_value(getattr(self, name))
         return out
 
-    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+    methods = [__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__]
+    if setters is not None:
+        # Without a __dict__, pickle and copy need these; __setstate__
+        # writes through the slots, past the frozen __setattr__.
+
+        def __getstate__(self):
+            return tuple(getattr(self, name) for name in names)
+
+        def __setstate__(self, state):
+            for set_, value in zip(setters, state):
+                set_(self, value)
+
+        methods += (__getstate__, __setstate__)
+    for method in methods:
         setattr(cls, method.__name__, method)
     if "as_mapping" not in cls.__dict__:
         cls.as_mapping = as_mapping
@@ -170,7 +199,8 @@ _UNSET = object()
 class cached_value:
     """A method computed once per instance, on first access, then read
     as an attribute: the value goes into the instance __dict__, which
-    the next lookup reads before this non-data descriptor. Unlike
+    the next lookup reads before this non-data descriptor, so it serves
+    records without __slots__ only. Unlike
     functools.cached_property on Python 3.10 and 3.11, it takes no lock
     (about 0.6 us saved per first access on 3.11); two threads racing on
     one first access may both compute the value, the same one, since
@@ -238,13 +268,24 @@ def json_int(value) -> int:
 
 def format_rational(r: Fraction | int) -> str:
     """Serialize a nonnegative rational as 'n/d' in lowest terms,
-    integers without the unit denominator."""
+    integers without the unit denominator.
+
+    A numerator or denominator past Python's int-to-str digit limit
+    (sys.get_int_max_str_digits(), 4300 by default) is refused with
+    PuiseuxError naming the limit; the limit itself is left as it is.
+    """
     r = Fraction(r)
     if r < 0:
         raise NonPositive(f"cannot serialize negative value {r}")
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    try:
+        if r.denominator == 1:
+            return str(r.numerator)
+        return f"{r.numerator}/{r.denominator}"
+    except ValueError:
+        raise PuiseuxError(
+            f"cannot write a rational with more than {sys.get_int_max_str_digits()} digits"
+            " in its numerator or denominator, Python's int-to-str limit"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,10 @@ class CyclicFactorization:
     every term (int exponents >= 1, int multiplicities >= 1; floats and
     bools refused), then merges and sorts. cyclic_factorizations checks
     the ratio once per call instead and builds its results with _sorted.
+    Both fields live in slots, so instances carry no __dict__.
     """
 
+    __slots__ = ("ratio", "terms")
     ratio: Fraction
     terms: tuple[tuple[int, int], ...]
 
@@ -86,9 +88,8 @@ class CyclicFactorization:
         Fraction ratio, and int exponents >= 1, strictly increasing,
         each with an int multiplicity >= 1."""
         z = object.__new__(cls)
-        fields = z.__dict__
-        fields["ratio"] = ratio
-        fields["terms"] = terms
+        _set_ratio(z, ratio)
+        _set_terms(z, terms)
         return z
 
     @property
@@ -112,6 +113,10 @@ class CyclicFactorization:
             "length": self.length,
             "terms": [{"exponent": e, "mult": m} for e, m in self.terms],
         }
+
+
+_set_ratio = CyclicFactorization.ratio.__set__
+_set_terms = CyclicFactorization.terms.__set__
 
 
 @record

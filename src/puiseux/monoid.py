@@ -50,9 +50,11 @@ class Factorization:
     constructor are merged. The constructor checks every term: atoms
     must be exact positive rationals and multiplicities positive ints,
     floats and bools refused. FgMonoid.factorizations checks its atoms
-    once per call instead and builds its results with _sorted.
+    once per call instead and builds its results with _sorted. The
+    one field lives in a slot, so instances carry no __dict__.
     """
 
+    __slots__ = ("terms",)
     terms: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
@@ -77,7 +79,7 @@ class Factorization:
         the constructor would establish: Fraction atoms, strictly
         increasing and positive, each with an int multiplicity >= 1."""
         f = object.__new__(cls)
-        f.__dict__["terms"] = terms
+        _set_terms(f, terms)
         return f
 
     @property
@@ -101,6 +103,9 @@ class Factorization:
                 {"atom": format_rational(a), "mult": m} for a, m in self.terms
             ],
         }
+
+
+_set_terms = Factorization.terms.__set__
 
 
 @record
@@ -239,26 +244,25 @@ class FgMonoid:
             # One atom generates q * N, so it is q itself.
             return [Factorization._sorted(((ats[0], t),))]
         # The scaled atoms have gcd 1, so every t is a possible target.
-        levels, tail, pair, _ = _levels(self._atom_semigroup.generators[::-1])
+        levels, tail, _, _, ranges = _levels(self._atom_semigroup.generators[::-1])
         a1, a0 = ats[-2:]
         a2 = ats[-3] if n > 2 else None  # n == 2 passes c = 0 only
         new = Factorization._sorted
 
         def finish(prefix: tuple, solved) -> list[Factorization]:
-            # solved holds (c, c0s, c1s): c for a2, the third largest
-            # atom, then the ranges of a1 and a0, the largest. c1 = 0
-            # can only come first, and c0 = 0 last.
+            # solved holds (c, r, low) as tail gives them: c for a2, the
+            # third largest atom, and ranges(r, low) the coefficients of
+            # a1 and a0, the largest. c1 = 0 can only come first, and
+            # c0 = 0 last.
             return [
                 new(p + ((a1, c1), (a0, c0)) if c1 and c0 else p + ((a1, c1),) if c1
                     else p + ((a0, c0),) if c0 else p)
-                for c, c0s, c1s in solved
+                for c, r, low in solved
                 for p in (prefix + ((a2, c),) if c else prefix,)
-                for c0, c1 in zip(c0s, c1s)
+                for c0, c1 in zip(*ranges(r, low))
             ]
 
-        if n == 2:
-            return finish((), [(0, *pair(t))])
-        if n == 3:
+        if n <= 3:
             return finish((), tail(t))
         # Level k >= 4 fixes the coefficient of atom n - k, so a leaf's
         # coefficients belong to the atoms from the smallest up.
@@ -279,7 +283,9 @@ class FgMonoid:
         the walk reaches is computed once, level by level, without
         recursion; a nonzero remainder below the level's floor has mask
         0. Over the two smallest atoms the lengths of rem are an
-        arithmetic progression, so that mask is one closed-form integer.
+        arithmetic progression, so that mask is one closed-form integer:
+        tail's (c, r, low) gives the progression's count and its
+        shortest length directly, and no range is built.
         """
         t = self._target(x)
         if not t:
@@ -287,23 +293,27 @@ class FgMonoid:
         gens = self._atom_semigroup.generators
         if len(gens) == 1:
             return (t,)
-        levels, tail, pair, _ = self._atom_semigroup._walk
+        levels, tail, _, _, _ = self._atom_semigroup._walk
         # Each step along a pair's solutions trades g1 copies of the
-        # smallest atom for g0 of the next (both over their gcd), so the
-        # lengths c0 + c1 fall by delta = g1 - g0.
-        delta = (gens[1] - gens[0]) // math.gcd(gens[0], gens[1])
+        # smallest atom for g0 of the next (both over their gcd d), so
+        # the lengths c0 + c1 fall by delta = g1 - g0.
+        d = math.gcd(gens[0], gens[1])
+        g0, g1 = gens[0] // d, gens[1] // d
+        delta = g1 - g0
         unit = (1 << delta) - 1
 
         def union(solved) -> int:
-            # solved holds (c, c0s, c1s) as tail gives them.
+            # solved holds (c, r, low) as tail gives them: the solutions
+            # over the two smallest number (r // g0 - low) // g1 + 1, and
+            # the one with c0 = low is the shortest.
             hit = 0
-            for c, c0s, c1s in solved:
-                hit |= ((1 << len(c0s) * delta) - 1) // unit << c0s[-1] + c1s[-1] + c
+            for c, r, low in solved:
+                count = (r // g0 - low) // g1 + 1
+                hit |= ((1 << count * delta) - 1) // unit << low + (r - low * g0) // g1 + c
             return hit
 
         if len(gens) == 2:
-            c0s, c1s = pair(t)
-            found = union([(0, c0s, c1s)]) if c0s else 0
+            found = union(tail(t))
         else:
             # The remainders reaching each level, from the top down; a
             # nonzero one below the level's floor has mask 0 and is left out.

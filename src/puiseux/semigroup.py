@@ -14,7 +14,10 @@ set-up (_levels) is built once per semigroup. It fixes one coefficient
 per generator from the largest down, and solves the two smallest
 exactly with modular arithmetic instead of search: c0*g0 + c1*g1 = x
 constrains c0 to a single residue class mod g1/gcd, so the solutions
-can be walked directly.
+can be walked directly. The walk hands each level-3 remainder's
+solutions on as (c, r, low) triples, from which a listing builds the
+coefficient ranges and a count (FgMonoid.lengths) reads their number
+and ends without building any.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class NumericalSemigroup:
         return math.gcd(*self.generators) == 1
 
     @cached_value
-    def _walk(self) -> tuple[list, Callable, Callable, Callable]:
+    def _walk(self) -> tuple[list, Callable, Callable, Callable, Callable]:
         # Kept in the instance __dict__ beside the record's one field;
         # ==, hash and repr read the generators only.
         return _levels(self.generators)
@@ -83,14 +86,17 @@ class NumericalSemigroup:
         gens = self.generators
         if len(gens) == 1:
             return [] if x % gens[0] else [(x // gens[0],)]
-        levels, tail, pair, _ = self._walk
+        levels, tail, pair, _, ranges = self._walk
         if x % levels[-1][1]:
             return []
         if len(gens) == 2:
             return list(zip(*pair(x)))
         leaves = [(tail(x), ())] if len(gens) == 3 else _leaves(levels, lambda r, _: tail(r), len(gens), x, True)
         return [
-            (c0, c1, c) + cs[::-1] for solved, cs in leaves for c, c0s, c1s in solved for c0, c1 in zip(c0s, c1s)
+            (c0, c1, c) + cs[::-1]
+            for solved, cs in leaves
+            for c, r, low in solved
+            for c0, c1 in zip(*ranges(r, low))
         ]
 
     def any_representation(self, x: int) -> tuple[int, ...] | None:
@@ -120,7 +126,7 @@ class NumericalSemigroup:
         gens = self.generators
         if x == 0 or k == 1:
             return None if x % gens[0] else (x // gens[0],) + (0,) * (k - 1)
-        levels, _, pair, first = self._walk
+        levels, _, pair, first, _ = self._walk
         if x % levels[k][1]:
             return None
         if k == 2:
@@ -266,14 +272,14 @@ def _leaves(levels: list, solve: Callable, k: int, x: int, up: bool) -> Iterator
                 taken.pop()
 
 
-def _levels(gens: tuple[int, ...]) -> tuple[list, Callable, Callable, Callable]:
+def _levels(gens: tuple[int, ...]) -> tuple[list, Callable, Callable, Callable, Callable]:
     """The set-up of the depth-first walk over two or more generators.
 
     The walk takes gens in the order given (any order, no repeats). It
     fixes the coefficient of gens[k - 1] for k = len(gens) down to 4,
     and solves the first three generators, or the first two, in closed
     form; started at level k, it stays within gens[:k]. Returns (levels,
-    tail, pair, first):
+    tail, pair, first, ranges):
 
     - levels[k] = (g, h, step, inverse, floor) for k >= 2: g = gens[k -
       1] and h the gcd of gens[:k]. The remainder rem reaching level k
@@ -281,16 +287,24 @@ def _levels(gens: tuple[int, ...]) -> tuple[list, Callable, Callable, Callable]:
       the gcd of gens[:k - 1], so c runs over _coefficients(levels[k],
       rem, up). floor is the least of gens[:k - 1], so a nonzero
       remainder below it has no representation.
-    - pair(rem), for rem a multiple of gcd(gens[0], gens[1]), gives the
-      coefficient ranges (c0s, c1s) of gens[0] and gens[1], zipped
+    - pair(rem), for rem a multiple of d = gcd(gens[0], gens[1]), gives
+      the coefficient ranges (c0s, c1s) of gens[0] and gens[1], zipped
       pairwise: c0 falls and c1 rises. Both are empty when rem has no
       representation. (See the module docstring.)
-    - tail(rem), for rem reaching level 3, lists (c, c0s, c1s) for each
-      coefficient c of gens[2], increasing, whose remainder has a
-      representation over gens[0] and gens[1], with pair's ranges for
-      it. Along the loop over c the remainder falls by a constant, so
-      the least admissible c0 moves by a constant mod g1, and no c
-      costs a call to pair.
+    - ranges(r, low) are pair's ranges for rem = r * d, given low, the
+      least c0 in the residue class the solutions need, when low *
+      gens[0] <= rem. With g0, g1 = gens[0] / d, gens[1] / d there are
+      (r // g0 - low) // g1 + 1 solutions, and the one at c0 = low has
+      c1 = (r - low * g0) // g1, the most.
+    - tail(rem), for rem reaching level 3, lists (c, r, low) for each
+      coefficient c of gens[2], increasing, whose remainder rem - c *
+      gens[2] = r * d has a representation over gens[0] and gens[1]:
+      ranges(r, low) lists them, and a caller that only counts them
+      builds no range. Along the loop over c the remainder falls by a
+      constant, so low moves by a constant mod g1, and no c costs a
+      call to pair. Over two generators tail(rem) lists (0, r, low)
+      alone, or nothing when rem has no representation, and first is
+      None.
     - first(rem, up) runs tail's loop with c increasing when up, else
       decreasing, and stops at the first c with a representation: it
       returns (c0, c1, c) with c0 largest, or None.
@@ -308,12 +322,6 @@ def _levels(gens: tuple[int, ...]) -> tuple[list, Callable, Callable, Callable]:
     # low, the least c0 in it, must satisfy low * g0 <= r. pow(v, -1, 1)
     # == 0 keeps the degenerate g1 == 1 case uniform.
     inv = pow(g0, -1, g1)
-    if len(gens) > 2:
-        # One step up of gens[2]'s coefficient lowers r = (rem - c *
-        # gens[2]) / d by fall, and low by shift mod g1.
-        g2, h2, step2, inverse2, _ = levels[3]
-        fall = g2 // h2
-        shift = fall * inv % g1
 
     def ranges(r: int, low: int) -> tuple[range, range]:
         high = low + (r // g0 - low) // g1 * g1
@@ -325,14 +333,29 @@ def _levels(gens: tuple[int, ...]) -> tuple[list, Callable, Callable, Callable]:
         low = r * inv % g1
         return ranges(r, low) if low * g0 <= r else (range(0), range(0))
 
-    def tail(rem: int) -> list[tuple[int, range, range]]:
+    if len(gens) == 2:
+        # No gens[2]: tail's one coefficient is 0, and no walk calls first.
+
+        def pair_tail(rem: int) -> list[tuple[int, int, int]]:
+            r = rem // d
+            low = r * inv % g1
+            return [(0, r, low)] if low * g0 <= r else []
+
+        return levels, pair_tail, pair, None, ranges
+    # One step up of gens[2]'s coefficient lowers r = (rem - c *
+    # gens[2]) / d by fall, and low by shift mod g1.
+    g2, h2, step2, inverse2, _ = levels[3]
+    fall = g2 // h2
+    shift = fall * inv % g1
+
+    def tail(rem: int) -> list[tuple[int, int, int]]:
         c = rem // h2 * inverse2 % step2
         r = (rem - c * g2) // d
         low = r * inv % g1
         out = []
         for c in range(c, rem // g2 + 1, step2):
             if low * g0 <= r:
-                out.append((c, *ranges(r, low)))
+                out.append((c, r, low))
             r -= fall
             low = (low - shift) % g1
         return out
@@ -353,4 +376,4 @@ def _levels(gens: tuple[int, ...]) -> tuple[list, Callable, Callable, Callable]:
             low = (low - dlow) % g1
         return None
 
-    return levels, tail, pair, first
+    return levels, tail, pair, first, ranges

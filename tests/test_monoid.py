@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from puiseux import arith
 from puiseux.errors import NonPositive
@@ -346,6 +346,45 @@ def test_atom_support_matches_brute_force(gens, mults):
     for y in [x + k * q for k in range(-2, 4)] + [F(0), -q, x + q / 2, q / 3]:
         used = {a for terms in brute_rational_factorizations(atoms, y) for a, _ in terms}
         assert m.atom_support(y) == tuple(sorted(used)), (m.generators, y)
+
+
+# The multiplicity ranges and common denominators of the benchmark's
+# fg-enumerate draws; it picks the range by generator count, here the
+# atom count picks it.
+BENCH_MULTIPLICITIES = {1: (10, 30), 2: (10, 30), 3: (8, 16), 4: (5, 11), 5: (4, 8)}
+BENCH_DENOMINATORS = (12, 18, 20, 24, 28, 30)
+
+
+def over_divisors_of(D):
+    """2 to 5 distinct generators n/d with d > 1 dividing D and n in [d / 2, 2 d]."""
+    divisor = st.sampled_from([d for d in range(2, D + 1) if D % d == 0])
+    generator = divisor.flatmap(lambda d: st.builds(F, st.integers((d + 1) // 2, 2 * d), st.just(d)))
+    return st.lists(generator, min_size=2, max_size=5, unique=True)
+
+
+@st.composite
+def benchmark_draws(draw):
+    """(monoid, x) as fg-enumerate draws them: x sums up to three atoms,
+    each taken 4 to 30 times; the shared-denominator sets add gcd steps
+    above 1."""
+    gens = draw(st.one_of(
+        st.sampled_from(BENCH_DENOMINATORS).flatmap(over_divisors_of),
+        st.sampled_from(SHARED_DENOMINATORS).map(list),
+    ))
+    m = FgMonoid(tuple(gens))
+    atoms = m.atoms()
+    lo, hi = BENCH_MULTIPLICITIES[len(atoms)]
+    chosen = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=3, unique=True))
+    x = sum((draw(st.integers(lo, hi)) * a for a in chosen), F(0))
+    return m, x
+
+
+@given(benchmark_draws())
+def test_lengths_match_the_listing_at_benchmark_size(case):
+    m, x = case
+    found = m.factorizations(x)
+    assume(len(found) <= 300)  # fg-enumerate redraws above 300
+    assert m.lengths(x) == tuple(sorted({f.length for f in found}))
 
 
 def test_lengths_beyond_brute_force():

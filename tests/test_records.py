@@ -10,6 +10,7 @@ import copy
 import dataclasses
 import functools
 import pickle
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -109,10 +110,16 @@ def values_of(rec):
     return [getattr(rec, name) for name in rec.__match_args__]
 
 
+def has_default(cls, name):
+    """Whether field name of cls has a default: a class attribute that
+    is not the member descriptor of a slot."""
+    return name in vars(cls) and not isinstance(vars(cls)[name], types.MemberDescriptorType)
+
+
 @functools.cache
 def mirror_class(cls):
     """The frozen dataclass with cls's name, fields and defaults."""
-    spec = [(name, object, vars(cls)[name]) if name in vars(cls) else (name, object) for name in cls.__match_args__]
+    spec = [(name, object, vars(cls)[name]) if has_default(cls, name) else (name, object) for name in cls.__match_args__]
     return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
 
 
@@ -204,7 +211,7 @@ def test_bad_arguments_raise_type_error(name):
     ]
     if names:
         calls.append((values, {names[0]: values[0]}))  # repeated
-        if names[0] not in vars(type(rec)):
+        if not has_default(type(rec), names[0]):
             calls.append(((), {}))  # missing
             calls.append(((), {field: value for field, value in zip(names[1:], values[1:])}))
     for args, kwargs in calls:
@@ -265,3 +272,63 @@ def test_the_field_driven_json_form():
     ]
     assert FgMonoid((F(1, 2), 3)).as_mapping() == {"generators": ["1/2", "3"]}
     assert ElementaryPrimary().as_mapping() == {"family": "elementary-primary", "primes": {"kind": "all"}}
+
+
+def slotted_samples():
+    """Factorization and CyclicFactorization records, constructed and listed."""
+    m = FgMonoid((F(1, 2), F(1, 3), F(2, 5)))
+    return [
+        SAMPLES["Factorization"](),
+        Factorization(()),
+        *m.factorizations(F(3)),
+        SAMPLES["CyclicFactorization"](),
+        *cyclic.cyclic_factorizations(F(2, 3), F(4, 3), 3),
+        cyclic_contains(F(2, 3), F(10, 9)).witness,
+    ]
+
+
+def test_slotted_records_have_no_dict():
+    assert Factorization.__slots__ == ("terms",)
+    assert CyclicFactorization.__slots__ == ("ratio", "terms")
+    found = slotted_samples()
+    assert len(found) > 10
+    for rec in found:
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(TypeError):
+            vars(rec)
+
+
+@pytest.mark.parametrize("rec", slotted_samples(), ids=repr)
+def test_slotted_fields_are_frozen(rec):
+    before = values_of(rec)
+    for field in (*rec.__match_args__, "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, field, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(rec, field)
+    assert values_of(rec) == before
+
+
+@pytest.mark.parametrize("rec", slotted_samples(), ids=repr)
+def test_slotted_pickle_and_copy_round_trip(rec):
+    copies = [pickle.loads(pickle.dumps(rec, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert len(copies) == 6
+    for back in (*copies, copy.copy(rec), copy.deepcopy(rec)):
+        assert type(back) is type(rec) and not hasattr(back, "__dict__")
+        assert back == rec and hash(back) == hash(rec) and repr(back) == repr(rec)
+        assert values_of(back) == values_of(rec)
+        assert back.as_mapping() == rec.as_mapping()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(back, rec.__match_args__[0], 1)
+
+
+def test_slots_must_name_the_fields():
+    from puiseux.arith import record
+
+    for slots in (("b", "a"), ("a",), ("a", "b", "c")):
+        with pytest.raises(TypeError, match="__slots__"):
+            record(type("Pair", (), {"__annotations__": {"a": int, "b": int}, "__slots__": slots}))
+    pair = record(type("Pair", (), {"__annotations__": {"a": int, "b": int}, "__slots__": ("a", "b")}))
+    assert pair(1, b=2) == pair(1, 2) and repr(pair(1, 2)) == "Pair(a=1, b=2)"
+    with pytest.raises(TypeError):
+        pair(1)
