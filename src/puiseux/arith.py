@@ -94,7 +94,6 @@ def record(cls: type) -> type:
     defaults = {} if setters is not None else {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     count = len(names)
     post_init = hasattr(cls, "__post_init__")
-    setattr_ = object.__setattr__
 
     def bind(args, kwargs):
         # The values a def with these parameters would bind, or its TypeError.
@@ -113,41 +112,25 @@ def record(cls: type) -> type:
             raise TypeError(f"{cls.__qualname__}() got {problem} argument {name!r}")
         return values
 
-    # One getter serves == and hash. For one field it reads the bare
-    # value, hash wraps it in the tuple a dataclass hashes, and a lone
-    # positional argument binds without packing a tuple.
-    if count == 1:
-        (field,) = names
-        key = attrgetter(field)
+    # One getter serves == and hash: the field tuple, which a dataclass
+    # hashes; attrgetter would give a lone field bare.
+    key = attrgetter(*names) if count > 1 else lambda self: tuple(getattr(self, name) for name in names)
 
-        def __hash__(self):
-            return hash((key(self),))
+    def __hash__(self):
+        return hash(key(self))
 
-        def __init__(self, value=_UNSET, /, *rest, **kwargs):
-            if rest or kwargs or value is _UNSET:
-                (value,) = bind(() if value is _UNSET else (value, *rest), kwargs)
-            setattr_(self, field, value)
-            if post_init:
-                self.__post_init__()
-
-    else:
-        key = attrgetter(*names) if names else lambda self: ()
-
-        def __hash__(self):
-            return hash(key(self))
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != count:
-                args = bind(args, kwargs)
-            if setters is None:
-                fields = self.__dict__
-                for i, name in enumerate(names):
-                    fields[name] = args[i]
-            else:
-                for set_, value in zip(setters, args):
-                    set_(self, value)
-            if post_init:
-                self.__post_init__()
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = bind(args, kwargs)
+        if setters is None:
+            fields = self.__dict__
+            for i, name in enumerate(names):
+                fields[name] = args[i]
+        else:
+            for set_, value in zip(setters, args):
+                set_(self, value)
+        if post_init:
+            self.__post_init__()
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
@@ -191,9 +174,6 @@ def record(cls: type) -> type:
         cls.as_mapping = as_mapping
     cls.__match_args__ = names
     return cls
-
-
-_UNSET = object()
 
 
 class cached_value:
@@ -463,12 +443,12 @@ def prime_index(p: int) -> int:
     return bisect.bisect_left(_PRIME_CACHE, p) + 1
 
 
-def prime_factors(n: int, limit: int = 10**6) -> tuple[int, ...] | None:
+def prime_factors(n: int) -> tuple[int, ...] | None:
     """Distinct prime factors of n >= 1, in increasing order.
 
-    Trial division runs through the primes up to the smaller of limit
-    and the last prime the cache may hold. Returns None when the
-    cofactor left lies above that prime's square and is not a prime
+    Trial division runs through the primes the cache may hold, up to
+    1,299,709, the one at position _PRIME_INDEX_BOUND. Returns None when
+    the cofactor left lies above that prime's square and is not a prime
     is_prime can decide, so callers can fall back to something slower
     but sound.
     """
@@ -481,11 +461,11 @@ def prime_factors(n: int, limit: int = 10**6) -> tuple[int, ...] | None:
         if i == len(_PRIME_CACHE):
             # Off the end of the cache: one sieve pass through the largest
             # prime the loop may still test, since rest only shrinks.
-            _sieve_through(min(limit, math.isqrt(rest)))
+            _sieve_through(math.isqrt(rest))
             if i == len(_PRIME_CACHE):
                 break
         p = _PRIME_CACHE[i]
-        if p > limit or p * p > rest:
+        if p * p > rest:
             break
         if rest % p == 0:
             out.append(p)
@@ -493,8 +473,8 @@ def prime_factors(n: int, limit: int = 10**6) -> tuple[int, ...] | None:
                 rest //= p
         i += 1
     if rest > 1:
-        # No prime up to min(limit, the last cached prime) divides rest.
-        if rest <= min(limit, _PRIME_CACHE[-1]) ** 2 or rest < _MR_BOUND and is_prime(rest):
+        # No cached prime divides rest.
+        if rest <= _PRIME_CACHE[-1] ** 2 or rest < _MR_BOUND and is_prime(rest):
             out.append(rest)
         else:
             return None

@@ -351,7 +351,15 @@ def cyclic_trade_cmd(r, z, t, direction):
         raise ParseError(
             'factorization JSON needs "terms": [{"exponent": e, "mult": m}, ...]'
         ) from bad
-    moved = P.cyclic_trade(r, P.CyclicFactorization(r, terms), t, direction)
+    # The keys cyclic factorize --json writes, and no others.
+    extra = [key for key in data if key not in ("terms", "length")]
+    extra += [key for term in data["terms"] for key in term if key not in ("exponent", "mult")]
+    if extra:
+        raise ParseError(f"the factorization has no field {extra[0]!r}")
+    zf = P.CyclicFactorization(r, terms)
+    if "length" in data and json_int(data["length"]) != zf.length:
+        raise ParseError(f"the factorization has length {zf.length}, not {data['length']}")
+    moved = P.cyclic_trade(r, zf, t, direction)
     return moved.as_mapping(), [_format_cyclic(moved)]
 
 

@@ -17,6 +17,7 @@ list. Any family/field pair the table cannot justify stays "unknown".
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Union
@@ -30,12 +31,11 @@ from .arith import (
     nth_odd_prime,
     nth_prime,
     parse_rational,
-    prime_factors,
     prime_in_progression,
     prime_stride,
     record,
 )
-from .errors import BadIndex, BadProgression, NonPositive, NotPrime, ParseError
+from .errors import BadIndex, BadProgression, NonPositive, NotFoundWithinLimit, NotPrime, ParseError
 from .monoid import FgMonoid
 
 
@@ -102,16 +102,22 @@ class IntSeq:
 
     def prime_power_base(self) -> int | None:
         """The prime q when every value is a power of q, 1 when every
-        value is 1, None otherwise."""
+        value is 1, None otherwise. Where is_prime cannot decide whether
+        a value's root is prime, its NotFoundWithinLimit is raised,
+        unless the decided values already give None."""
         if self.slope:
             return None
+        base, undecided = 1, None
         # Past the listed values, (scale or offset) * ratio^n: one is 0.
-        base = _combine_bases(
-            _prime_power_base_int(self.scale or self.offset or 1),
-            _prime_power_base_int(self.ratio),
-        )
-        for v in self.values:
-            base = _combine_bases(base, _prime_power_base_int(v))
+        for v in (self.scale or self.offset or 1, self.ratio, *self.values):
+            try:
+                base = _combine_bases(base, _prime_power_base_int(v))
+            except NotFoundWithinLimit as refusal:
+                undecided = refusal
+            if base is None:
+                return None
+        if undecided:
+            raise undecided
         return base
 
     def coprime_to(self, p: int) -> bool:
@@ -186,13 +192,30 @@ def _check_count(count: int) -> None:
 
 
 def _prime_power_base_int(v: int) -> int | None:
-    """The prime q with v = q^e (e >= 1); 1 for v = 1; None otherwise."""
+    """The prime q with v = q^e (e >= 1); 1 for v = 1; None otherwise.
+
+    Decided exactly, with no trial division: v is a prime power exactly
+    when the root r of v = r^e for the largest such e is prime. Where
+    is_prime cannot decide r, its NotFoundWithinLimit propagates.
+    """
     if v == 1:
         return 1
-    ps = prime_factors(v)
-    if ps is not None and len(ps) == 1:
-        return ps[0]
-    return None
+    # r >= 2 needs 2^e <= v, so e < v.bit_length(); e = 1 gives r = v.
+    for e in range(v.bit_length() - 1, 0, -1):
+        r = _integer_root(v, e)
+        if r**e == v:
+            return r if is_prime(r) else None
+
+
+def _integer_root(v: int, e: int) -> int:
+    """floor(v^(1/e)) for v, e >= 1, by Newton's method in integers,
+    falling from a start above the root."""
+    r = 1 << -(-v.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + v // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
 
 
 def _combine_bases(a: int | None, b: int | None) -> int | None:
@@ -449,17 +472,27 @@ def colex_subset(rank: int, k: int) -> tuple[int, ...]:
     {1,4}, ... Unranking uses the combinatorial number system, writing
     rank - 1 = binom(c_k - 1, k) + ... + binom(c_1 - 1, 1) with
     c_k > ... > c_1 >= 1.
+
+    Each c_j is the least c with binom(c, j) > rest, found by doubling
+    c, then bisecting: O(k log rank) binomials.
     """
     if rank < 1 or k < 1:
         raise BadIndex("subset ranks and sizes start at 1")
     rest = rank - 1
     out = []
     for j in range(k, 0, -1):
-        c = j
-        while math.comb(c, j) <= rest:
-            c += 1
-        out.append(c)
-        rest -= math.comb(c - 1, j)
+        # binom(lo, j) <= rest < binom(hi, j); binom(j - 1, j) = 0.
+        lo, hi = j - 1, j
+        while math.comb(hi, j) <= rest:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if math.comb(mid, j) <= rest:
+                lo = mid
+            else:
+                hi = mid
+        out.append(hi)
+        rest -= math.comb(lo, j)
     return tuple(reversed(out))
 
 
@@ -602,6 +635,12 @@ class ElementaryPrimary:
         return Fraction(1, self.primes.prime_at(n))
 
 
+def _check_k(spec) -> None:
+    """The __post_init__ of the k-primary families: k >= 1."""
+    if _exact(spec.k) < 1:
+        raise NonPositive(f"k must be >= 1, got {spec.k}")
+
+
 @record
 class ElementaryKPrimary:
     """Generators 1/(p_1 ... p_k) over k-subsets of primes in colex order."""
@@ -609,9 +648,7 @@ class ElementaryKPrimary:
     json_tag = {"family": "elementary-k-primary"}
     k: int
 
-    def __post_init__(self) -> None:
-        if _exact(self.k) < 1:
-            raise NonPositive(f"k must be >= 1, got {self.k}")
+    __post_init__ = _check_k
 
     def generator(self, n: int) -> Fraction:
         d = 1
@@ -628,9 +665,7 @@ class PartitionedKPrimary:
     json_tag = {"family": "partitioned-k-primary"}
     k: int
 
-    def __post_init__(self) -> None:
-        if _exact(self.k) < 1:
-            raise NonPositive(f"k must be >= 1, got {self.k}")
+    __post_init__ = _check_k
 
     def generator(self, n: int) -> Fraction:
         return Fraction(1, math.prod(prime_stride((n - 1) * self.k + 1, 1, self.k)))
@@ -643,9 +678,7 @@ class SumKPrimary:
     json_tag = {"family": "sum-k-primary"}
     k: int
 
-    def __post_init__(self) -> None:
-        if _exact(self.k) < 1:
-            raise NonPositive(f"k must be >= 1, got {self.k}")
+    __post_init__ = _check_k
 
     def generator(self, n: int) -> Fraction:
         return sum(
@@ -892,42 +925,32 @@ class ClassificationReport:
 
 
 # (field, verdict, implied field, its verdict, rule): a field with that
-# verdict gives the implied field its verdict while it is unknown. Rows
-# are tried in this order on every pass of _Report.close.
+# verdict gives the implied field its verdict while it is unknown. No
+# row gives the verdict an earlier row reads, so one pass in this order
+# reaches every consequence.
 _IMPLIED = (
     ("dense", "no", "hereditarily_atomic", "yes", "not-dense-hereditarily-atomic"),
     ("hereditarily_atomic", "yes", "atomic", "yes", "hereditary-implies-atomic"),
+    ("antimatter", "yes", "atomic", "no", "antimatter-excludes-atoms"),
     ("atomic", "no", "hereditarily_atomic", "no", "hereditary-implies-atomic"),
     ("atomic", "yes", "antimatter", "no", "atomic-excludes-antimatter"),
-    ("antimatter", "yes", "atomic", "no", "antimatter-excludes-atoms"),
 )
 
 
-class _Report:
-    def __init__(self) -> None:
-        # Every field of ClassificationReport but the last, justification.
-        self.verdicts = {f: "unknown" for f in ClassificationReport.__match_args__[:-1]}
-        self.lines: list[str] = []
-
-    def set(self, field: str, verdict: str, rule: str) -> None:
-        if self.verdicts[field] != "unknown":
-            return
-        self.verdicts[field] = verdict
-        tag = " [asserted]" if rule in _ASSERTED else ""
-        self.lines.append(f"{field}={verdict}: {rule}{tag}")
-
-    def close(self) -> ClassificationReport:
-        # Definitional consequences, run to a fixed point. Only fills
-        # fields still unknown; direct verdicts always win.
-        changed = True
-        while changed:
-            changed = False
-            v = self.verdicts
-            for field, verdict, implied, implied_verdict, rule in _IMPLIED:
-                if v[field] == verdict and v[implied] == "unknown":
-                    self.set(implied, implied_verdict, rule)
-                    changed = True
-        return ClassificationReport(justification=tuple(self.lines), **self.verdicts)
+def _decide(rows) -> ClassificationReport:
+    """The report of the (field, verdict, rule) rows, set in order with
+    the first verdict for a field winning, then of the _IMPLIED rows
+    whose premise holds by the time the pass reaches them."""
+    # Every field of ClassificationReport but the last, justification.
+    verdicts = dict.fromkeys(ClassificationReport.__match_args__[:-1], "unknown")
+    lines = []
+    implied = ((to, verdict, rule) for field, given, to, verdict, rule in _IMPLIED if verdicts[field] == given)
+    for field, verdict, rule in itertools.chain(rows, implied):
+        if verdicts[field] == "unknown":
+            verdicts[field] = verdict
+            tag = " [asserted]" if rule in _ASSERTED else ""
+            lines.append(f"{field}={verdict}: {rule}{tag}")
+    return ClassificationReport(justification=tuple(lines), **verdicts)
 
 
 # The (field, verdict, rule) rows of the classification table.
@@ -979,10 +1002,7 @@ def classify(spec: FamilySpec) -> ClassificationReport:
         rows = _computed_rows(spec)
     elif type(spec) in _K_PRIMARY and spec.k == 1:
         rows = _FIXED_ROWS[ElementaryPrimary]
-    r = _Report()
-    for field, verdict, rule in rows:
-        r.set(field, verdict, rule)
-    return r.close()
+    return _decide(rows)
 
 
 def _computed_rows(spec: FamilySpec) -> list[tuple[str, str, str]]:
@@ -996,7 +1016,11 @@ def _computed_rows(spec: FamilySpec) -> list[tuple[str, str, str]]:
             return rows
         if not _padic_decreasing_certified(spec):
             return [_FINITE]
-        if nums.prime_power_base() in (None, 1, spec.p):
+        try:
+            base = nums.prime_power_base()
+        except NotFoundWithinLimit:
+            base = None  # undecided, so no verdict rests on it
+        if base in (None, 1, spec.p):
             return [_FINITE, _DENSE]
         return [_FINITE, _DENSE, ("atomic", "yes", "prime-power-numerators-atomic"), _UNBOUNDED]
     if isinstance(spec, Cyclic):

@@ -247,29 +247,24 @@ class FgMonoid:
         levels, tail, _, _, ranges = _levels(self._atom_semigroup.generators[::-1])
         a1, a0 = ats[-2:]
         a2 = ats[-3] if n > 2 else None  # n == 2 passes c = 0 only
+        # Level k >= 4 fixes the coefficient of atom n - k, so a leaf's
+        # coefficients belong to the atoms from the smallest up.
+        lead = ats[: n - 3]
         new = Factorization._sorted
-
-        def finish(prefix: tuple, solved) -> list[Factorization]:
+        out: list[Factorization] = []
+        for solved, cs in _leaves(levels, lambda r, _: tail(r), n, t, True):
+            prefix = tuple(compress(zip(lead, cs), cs))
             # solved holds (c, r, low) as tail gives them: c for a2, the
             # third largest atom, and ranges(r, low) the coefficients of
             # a1 and a0, the largest. c1 = 0 can only come first, and
             # c0 = 0 last.
-            return [
+            out += [
                 new(p + ((a1, c1), (a0, c0)) if c1 and c0 else p + ((a1, c1),) if c1
                     else p + ((a0, c0),) if c0 else p)
                 for c, r, low in solved
                 for p in (prefix + ((a2, c),) if c else prefix,)
                 for c0, c1 in zip(*ranges(r, low))
             ]
-
-        if n <= 3:
-            return finish((), tail(t))
-        # Level k >= 4 fixes the coefficient of atom n - k, so a leaf's
-        # coefficients belong to the atoms from the smallest up.
-        lead = ats[:n - 3]
-        out: list[Factorization] = []
-        for solved, cs in _leaves(levels, lambda r, _: tail(r), n, t, True):
-            out.extend(finish(tuple(compress(zip(lead, cs), cs)), solved))
         return out
 
     def lengths(self, x: Fraction | int) -> tuple[int, ...]:

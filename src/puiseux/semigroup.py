@@ -91,10 +91,9 @@ class NumericalSemigroup:
             return []
         if len(gens) == 2:
             return list(zip(*pair(x)))
-        leaves = [(tail(x), ())] if len(gens) == 3 else _leaves(levels, lambda r, _: tail(r), len(gens), x, True)
         return [
             (c0, c1, c) + cs[::-1]
-            for solved, cs in leaves
+            for solved, cs in _leaves(levels, lambda r, _: tail(r), len(gens), x, True)
             for c, r, low in solved
             for c0, c1 in zip(*ranges(r, low))
         ]
@@ -132,8 +131,6 @@ class NumericalSemigroup:
         if k == 2:
             c0s, c1s = pair(x)
             return (c0s[0], c1s[0]) if c0s else None
-        if k == 3:
-            return first(x, up)
         for found, cs in _leaves(levels, first, k, x, up):
             return found + cs[::-1]
         return None
@@ -226,7 +223,7 @@ def _coefficients(level: tuple[int, int, int, int, int], rem: int, up: bool) -> 
 
 
 def _leaves(levels: list, solve: Callable, k: int, x: int, up: bool) -> Iterator[tuple]:
-    """Every leaf of the walk of _levels over gens[:k] from x, k >= 4.
+    """Every leaf of the walk of _levels over gens[:k] from x.
 
     Depth first from an explicit stack, each coefficient increasing when
     up, else decreasing, it yields (solve(rem, up), coefficients of
@@ -234,8 +231,14 @@ def _leaves(levels: list, solve: Callable, k: int, x: int, up: bool) -> Iterator
     solve finds truthy. A remainder of 0 ends its branch with zeros
     below, a nonzero one below its level's floor has no representation,
     and a per-call set holds the (level, remainder) pairs whose subtree
-    had no leaf, so no later branch walks them again.
+    had no leaf, so no later branch walks them again. For k <= 3 the one
+    leaf, if solve finds it, is solve(x, up) with no coefficients.
     """
+    if k <= 3:
+        found = solve(x, up)
+        if found:
+            yield found, ()
+        return
     dead: set[tuple[int, int]] = set()
     leaves = 0
     # (level, remainder, coefficients left, leaves before it) of each

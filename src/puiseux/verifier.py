@@ -105,6 +105,11 @@ def _unit_sums(atoms) -> list[tuple[Fraction, ...]]:
 # claims
 
 
+def _random_generators(rng: random.Random) -> tuple[Fraction, ...]:
+    """One to three generators n/d, 1 <= n, d <= 12: C2's and C15's draw."""
+    return tuple(Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(rng.randint(1, 3)))
+
+
 def _c1(params: ClaimParameters):
     """Approximation from below inside every cataloged dense family."""
     rng = random.Random(params.seed)
@@ -143,10 +148,7 @@ def _c2(params: ClaimParameters):
     rounds = 0
     sample = None
     for _ in range(12):
-        gens = tuple(
-            Fraction(rng.randint(1, 12), rng.randint(1, 12))
-            for _ in range(rng.randint(1, 3))
-        )
+        gens = _random_generators(rng)
         monoid = FgMonoid(gens)
         atoms = monoid.atoms()
         x = sum(
@@ -522,10 +524,7 @@ def _c15(params: ClaimParameters):
     rounds = 0
     agreements = 0
     for _ in range(15):
-        gens = tuple(
-            Fraction(rng.randint(1, 12), rng.randint(1, 12))
-            for _ in range(rng.randint(1, 3))
-        )
+        gens = _random_generators(rng)
         monoid = FgMonoid(gens)
         scale, ns = monoid.to_scaled_integer()
         shown = {"generators": [format_rational(g) for g in gens]}

@@ -235,19 +235,11 @@ def kprimary_antimatter_witness(
 
     # m*q + p lies above biggest exactly when m > s.
     s = (biggest - p) // q
-    refusal = NotFoundWithinLimit(
-        f"no prime of the form m*{q} + {p} above {biggest} with m <= {search_limit}"
-    )
     if s >= search_limit:
-        raise refusal
-    try:
-        k, p_new = prime_in_progression(p + s * q, q, search_limit - s)
-    except NotFoundWithinLimit as exc:
-        # Only the progression's own refusal is reworded; is_prime's
-        # refusal past _MR_BOUND passes through.
-        if str(exc) != f"no prime of the form {p + s * q} + k*{q} for k <= {search_limit - s}":
-            raise
-        raise refusal from None
+        raise NotFoundWithinLimit(
+            f"no prime of the form m*{q} + {p} above {biggest} with m <= {search_limit}"
+        )
+    k, p_new = prime_in_progression(p + s * q, q, search_limit - s)
     m = s + k
     n, q_new = prime_in_progression(q, p_new, search_limit)
 
@@ -337,7 +329,9 @@ def padic_candidate_atoms(spec: PAdic, prefix: int) -> PAdicAtomReport:
     numerator; under the cited atom criterion the kept generators are
     the atoms. Each discarded index i comes with the exact integer
     multiple r_i / r_m relating it to the last later generator r_m whose
-    numerator is at most r_i's, which holds unconditionally.
+    numerator is at most r_i's, which holds unconditionally. Where
+    is_prime cannot decide whether the numerators' base is prime, its
+    NotFoundWithinLimit propagates.
     """
     if not isinstance(spec, PAdic):
         family = getattr(spec, "json_tag", {"family": type(spec).__name__})["family"]

@@ -245,6 +245,21 @@ def brute_unit_sums(
     return found
 
 
+def old_colex_subset(rank: int, k: int) -> tuple[int, ...]:
+    """colex_subset as it stepped each c_j up by one from j: the
+    unranking before it doubled, then bisected. Kept verbatim to pin
+    the subsets."""
+    rest = rank - 1
+    out = []
+    for j in range(k, 0, -1):
+        c = j
+        while math.comb(c, j) <= rest:
+            c += 1
+        out.append(c)
+        rest -= math.comb(c - 1, j)
+    return tuple(reversed(out))
+
+
 def subset_in_colex(universe_size: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of 1..universe_size in colexicographic order."""
     subsets = list(itertools.combinations(range(1, universe_size + 1), k))
@@ -345,11 +360,57 @@ def old_dense_atom_monoid(class_index: int, count: int, targets=None):
     )
 
 
+class OldReport:
+    """The classification report as built before one ordered pass over
+    the implication rows: set() keeps the first verdict for a field,
+    and close() runs the rows, in their old order, to a fixed point.
+    Kept verbatim to pin the one pass's verdicts and the order of its
+    justification lines."""
+
+    IMPLIED = (
+        ("dense", "no", "hereditarily_atomic", "yes", "not-dense-hereditarily-atomic"),
+        ("hereditarily_atomic", "yes", "atomic", "yes", "hereditary-implies-atomic"),
+        ("atomic", "no", "hereditarily_atomic", "no", "hereditary-implies-atomic"),
+        ("atomic", "yes", "antimatter", "no", "atomic-excludes-antimatter"),
+        ("antimatter", "yes", "atomic", "no", "antimatter-excludes-atoms"),
+    )
+
+    def __init__(self) -> None:
+        from puiseux.families import ClassificationReport
+
+        self.report = ClassificationReport
+        # Every field of ClassificationReport but the last, justification.
+        self.verdicts = {f: "unknown" for f in ClassificationReport.__match_args__[:-1]}
+        self.lines: list[str] = []
+
+    def set(self, field: str, verdict: str, rule: str) -> None:
+        from puiseux.families import _ASSERTED
+
+        if self.verdicts[field] != "unknown":
+            return
+        self.verdicts[field] = verdict
+        tag = " [asserted]" if rule in _ASSERTED else ""
+        self.lines.append(f"{field}={verdict}: {rule}{tag}")
+
+    def close(self):
+        # Definitional consequences, run to a fixed point. Only fills
+        # fields still unknown; direct verdicts always win.
+        changed = True
+        while changed:
+            changed = False
+            v = self.verdicts
+            for field, verdict, implied, implied_verdict, rule in self.IMPLIED:
+                if v[field] == verdict and v[implied] == "unknown":
+                    self.set(implied, implied_verdict, rule)
+                    changed = True
+        return self.report(justification=tuple(self.lines), **self.verdicts)
+
+
 def old_classify(spec):
-    """classify as a chain of isinstance tests, one _Report.set call per
-    verdict: the classification before it read fixed families' rows from
-    one table. Kept verbatim to pin the table's verdicts and the order
-    of its justification lines."""
+    """classify as a chain of isinstance tests, one OldReport.set call
+    per verdict: the classification before it read fixed families' rows
+    from one table. Kept verbatim to pin the table's verdicts and the
+    order of its justification lines."""
     import math
 
     from puiseux.errors import ParseError
@@ -368,10 +429,9 @@ def old_classify(spec):
         SumKPrimary,
         TwoAdicOddPrime,
         _padic_decreasing_certified,
-        _Report,
     )
 
-    r = _Report()
+    r = OldReport()
 
     if isinstance(spec, PowerDenominator):
         r.set("dense", "yes", "generator-infimum-zero")

@@ -193,37 +193,39 @@ def test_prime_index_refuses_past_the_bound():
         assert prime_index(want[bound - 1]) == bound
 
 
-def test_prime_factors_sieves_once_through_its_limit():
+def test_prime_factors_sieves_once_through_the_cache():
     want = oracle_past_the_bound()
+    bound = arith._PRIME_INDEX_BOUND
     prime = 100_000_000_000_000_000_039
     with mock.patch.object(arith, "_PRIME_CACHE", want[:15]):
         # A small cofactor ends the loop inside the cache.
         assert prime_factors(2**60 * 3) == (2, 3)
         assert arith._PRIME_CACHE == want[:15]
-        # Past the cache, one pass sieves through the limit: the primes
-        # below 100, then the 78,498 below 10**6, under the cache's bound.
-        assert prime_factors(prime, limit=100) == (prime,)
-        assert arith._PRIME_CACHE == want[:25]
+        # Past the cache, one pass sieves through the cofactor's square
+        # root: the 26 primes through 101, for 101 * 103.
+        assert prime_factors(101 * 103) == (101, 103)
+        assert arith._PRIME_CACHE == want[:26]
+        # Then to the cache's bound, the 100,000 primes through 1,299,709,
+        # and no further, whatever the cofactor's square root.
         assert prime_factors(prime) == (prime,)
-        assert arith._PRIME_CACHE == want[:78_498]
+        assert arith._PRIME_CACHE == want[:bound]
 
 
 @settings(max_examples=40)
 @given(
-    st.sampled_from([1_299_710, 10**7, 10**12]),
     st.lists(st.integers(0, 1999), max_size=4),
     st.lists(st.integers(0, 999), max_size=2),
 )
-def test_prime_factors_stays_within_the_cache_bound(limit, small, large):
+def test_prime_factors_stays_within_the_cache_bound(small, large):
     # Small factors, times up to two primes past the prime at the
-    # cache's bound, 1,299,709. Trial division stops at that prime even
-    # for a larger limit: one prime past it is settled, and a product
-    # of two is left as None rather than grow the cache.
+    # cache's bound, 1,299,709. Trial division stops at that prime: one
+    # prime past it is settled, and a product of two is left as None
+    # rather than grow the cache.
     want = oracle_past_the_bound()
     bound = arith._PRIME_INDEX_BOUND
     n = math.prod(want[i] for i in small) * math.prod(want[bound + i] for i in large)
     with mock.patch.object(arith, "_PRIME_CACHE", want[:bound]):
-        got = prime_factors(n, limit)
+        got = prime_factors(n)
         assert len(arith._PRIME_CACHE) == bound
     if len(large) == 2:
         assert got is None
@@ -245,9 +247,14 @@ def test_prime_factors_distinct_and_sorted():
     assert prime_factors(2**10) == (2,)
 
 
-def test_prime_factors_gives_up_past_limit():
-    big = (10**9 + 7) * (10**9 + 9)
-    assert prime_factors(big, limit=10**6) is None
+def test_prime_factors_gives_up_past_the_cache():
+    # Products of two primes past 1,299,709, the last prime the cache
+    # may hold, and above its square.
+    assert prime_factors(1_299_721 * 1_299_743) is None
+    assert prime_factors((10**9 + 7) * (10**9 + 9)) is None
+    # So is its square, though the prime itself is settled.
+    assert prime_factors(1_299_721**2) is None
+    assert prime_factors(6 * 1_299_721) == (2, 3, 1_299_721)
 
 
 def test_padic_valuation_matches_naive():

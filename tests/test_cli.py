@@ -139,6 +139,49 @@ def test_cyclic_trade_rejects_non_integer_exponents(exponent):
     assert result.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "z, key",
+    [
+        ({"terms": [{"exponent": 1, "mult": 3}], "extra": 0}, "extra"),
+        ({"terms": [{"exponent": 1, "mult": 3, "bogus": 1}]}, "bogus"),
+        ({"terms": [{"exponent": 1, "mult": 3, "bogus": 1}], "extra": 0}, "extra"),
+    ],
+)
+def test_cyclic_trade_refuses_unknown_keys(z, key):
+    result = invoke(
+        "cyclic", "trade", "--r", "3/2", "--z", json.dumps(z), "--t", "1", "--direction", "up"
+    )
+    assert result.exit_code == 1
+    assert result.stderr == f"error: the factorization has no field {key!r}\n"
+
+
+def test_cyclic_trade_refuses_a_length_that_disagrees_with_the_terms():
+    z = json.dumps({"terms": [{"exponent": 1, "mult": 3}], "length": 99})
+    result = invoke(
+        "cyclic", "trade", "--r", "3/2", "--z", z, "--t", "1", "--direction", "up"
+    )
+    assert result.exit_code == 1
+    assert result.stderr == "error: the factorization has length 3, not 99\n"
+
+
+def test_cyclic_trade_reads_what_cyclic_factorize_writes():
+    # Each element of the --json listing, length included, round-trips:
+    # trading up two copies of r^t for three of r^(t+1), r = 2/3.
+    listed = json.loads(invoke("cyclic", "factorize", "--r", "2/3", "--x", "4/3", "--cap", "3", "--json").output)
+    assert [z["length"] for z in listed] == [4, 3, 2]
+    for z in listed:
+        t = max(term["exponent"] for term in z["terms"] if term["mult"] >= 2)
+        result = invoke(
+            "cyclic", "trade", "--r", "2/3", "--z", json.dumps(z), "--t", str(t), "--direction", "up", "--json"
+        )
+        assert result.exit_code == 0, result.stderr
+        r = P.parse_rational("2/3")
+        given = P.CyclicFactorization(r, tuple((term["exponent"], term["mult"]) for term in z["terms"]))
+        assert given.as_mapping() == z
+        assert json.loads(result.output) == P.cyclic_trade(r, given, t, "up").as_mapping()
+        assert json.loads(result.output)["length"] == z["length"] + 1
+
+
 def test_cyclic_embed():
     result = invoke("cyclic", "embed", "--ratios", "2/5,4/7", "--i", "1", "--m", "2")
     assert result.exit_code == 0

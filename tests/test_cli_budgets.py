@@ -123,6 +123,14 @@ ROWS = SUBCOMMANDS + [
     # by every prime below 10**6: one sieve pass.
     """family classify --spec '{"family": "p-adic", "p": 2, "numerators": {"kind": "power", \
 "base": 100000000000000000039}, "exponents": {"kind": "affine-exponent", "a": 1, "b": 0}}'""",
+    # Rank 10**16 unranks in O(k log rank) binomials to the primes at
+    # positions 104,271,310 and 141,421,356, which the prime cache's
+    # bound refuses at once; stepping c by one took over 8 s.
+    """family gen --spec '{"family": "elementary-k-primary", "k": 2}' --n 10000000000000000""",
+    # Powers of 1,299,721^2, a square past the prime cache: its exact
+    # square root is the prime.
+    """witness padic-atoms --spec '{"family": "p-adic", "p": 2, "numerators": {"kind": "power", \
+"base": 1689274677841}, "exponents": {"kind": "affine-exponent", "a": 2, "b": 0}}' --prefix 3""",
     # Denominators of 6,021 and 7,818 digits, past Python's int-to-str
     # limit of 4,300: format_rational refuses them.
     f"family gen --spec {PD2} --n 20000",

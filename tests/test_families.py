@@ -60,7 +60,7 @@ from puiseux.semigroup import NumericalSemigroup
 from puiseux.witnesses import approximate, dense_atom_monoid
 
 from conftest import run_cli
-from oracles import old_classify, sieve_primes, subset_in_colex
+from oracles import OldReport, naive_factor, old_classify, old_colex_subset, sieve_primes, subset_in_colex
 from test_json import FAMILIES
 
 F = Fraction
@@ -107,6 +107,33 @@ def test_explicit_sequence_with_tail():
     assert s.min_from(2) == 3
     assert s.min_from(3) == 27
     assert s.prime_power_base() == 3
+
+
+def test_prime_power_base_past_the_prime_cache():
+    # 1,299,721 is the first prime past 1,299,709, the last the prime
+    # cache may hold, so trial division cannot settle its square; the
+    # exact square root does.
+    p = 1_299_721
+    assert GeometricSeq(1, p**2).prime_power_base() == p
+    assert GeometricSeq(p**3, p).prime_power_base() == p
+    assert ExplicitSeq((p**5,), GeometricSeq(1, p)).prime_power_base() == p
+    assert GeometricSeq(1, p * 1_299_743).prime_power_base() is None
+    assert GeometricSeq(1, (p * 1_299_743) ** 2).prime_power_base() is None
+    assert GeometricSeq(1, 2**300).prime_power_base() == 2
+    assert GeometricSeq(1, 6**7).prime_power_base() is None
+
+
+def test_prime_power_base_matches_factoring():
+    for v in range(1, 3000):
+        factors = naive_factor(v)
+        want = 1 if v == 1 else next(iter(factors)) if len(factors) == 1 else None
+        assert families._prime_power_base_int(v) == want, v
+    rng = random.Random(3)
+    for _ in range(200):
+        v, e = rng.randint(2, 10**6), rng.randint(2, 40)
+        assert families._integer_root(v**e, e) == v
+        assert families._integer_root(v**e - 1, e) == v - 1
+        assert families._integer_root(v**e + 1, e) == v
 
 
 def test_explicit_sequence_without_tail_is_finite():
@@ -337,6 +364,20 @@ def test_colex_subsets_enumerate_in_order():
         want = subset_in_colex(8, k)
         got = [colex_subset(rank, k) for rank in range(1, len(want) + 1)]
         assert got == want, k
+
+
+@given(st.integers(1, 20_000), st.integers(1, 6))
+def test_colex_subset_matches_the_linear_unranking(rank, k):
+    assert colex_subset(rank, k) == old_colex_subset(rank, k)
+
+
+@given(st.integers(1, 10**40), st.integers(1, 8))
+def test_colex_subset_unranks_huge_ranks(rank, k):
+    # Far past what stepping c by one reaches: rank - 1 is the sum of
+    # binom(c_j - 1, j) over the strictly increasing c_1 < ... < c_k.
+    got = colex_subset(rank, k)
+    assert len(got) == k and 1 <= got[0] and all(a < b for a, b in zip(got, got[1:]))
+    assert sum(math.comb(c - 1, j) for j, c in enumerate(got, start=1)) == rank - 1
 
 
 def test_calkin_wilf_targets():
@@ -1037,6 +1078,63 @@ def test_classification_table_matches_the_isinstance_chain(kind, data):
     # All six verdicts and every justification line, in order.
     spec = data.draw(FAMILY_KINDS[kind])
     assert classify(spec) == old_classify(spec)
+
+
+def test_one_pass_closure_matches_the_fixed_point_loop():
+    # Every state of direct verdicts on the four fields the implication
+    # rows read, 3^4 = 81, each in every order of its rows: the same
+    # verdicts and the same justification lines, in the same order.
+    fields = ("dense", "hereditarily_atomic", "atomic", "antimatter")
+    states = 0
+    for verdicts in itertools.product(("yes", "no", None), repeat=len(fields)):
+        states += 1
+        direct = [(f, v, f"direct-{f}") for f, v in zip(fields, verdicts) if v]
+        for rows in itertools.permutations(direct):
+            old = OldReport()
+            for row in rows:
+                old.set(*row)
+            assert families._decide(rows) == old.close(), rows
+    assert states == 81
+
+
+def _undecided() -> int:
+    # The least odd n from the Miller-Rabin bound up that passes every
+    # base (the bound itself, a strong pseudoprime to all of them):
+    # is_prime names the bound instead of a verdict.
+    n = arith._MR_BOUND | 1
+    while True:
+        try:
+            is_prime(n)
+        except NotFoundWithinLimit:
+            return n
+        n += 2
+
+
+def test_padic_classify_with_an_undecided_numerator_base():
+    # 3^50 > q, so the generators q^n / 3^(50n) decrease and the verdict
+    # waits on q, which is_prime cannot decide: the rows of an unknown
+    # base, as when trial division gave up on q.
+    q = _undecided()
+    spec = PAdic(3, GeometricSeq(1, q), AffineSeq(50, 0))
+    with pytest.raises(NotFoundWithinLimit):
+        spec.numerators.prime_power_base()
+    # A decided value that is no prime power settles the base anyway.
+    assert ExplicitSeq((q, 6), GeometricSeq(1, 3)).prime_power_base() is None
+    assert ExplicitSeq((q, 5), GeometricSeq(1, 3)).prime_power_base() is None
+    with pytest.raises(NotFoundWithinLimit):
+        ExplicitSeq((q, 9), GeometricSeq(1, 3)).prime_power_base()
+    assert classify(spec).as_mapping() == {
+        "dense": "yes",
+        "atomic": "unknown",
+        "antimatter": "unknown",
+        "strongly_bounded": "unknown",
+        "finite_puiseux": "yes",
+        "hereditarily_atomic": "unknown",
+        "justification": [
+            "finite_puiseux=yes: denominator-support-finite",
+            "dense=yes: generator-infimum-zero",
+        ],
+    }
 
 
 def test_padic_classify_factors_no_numerator_it_need_not():

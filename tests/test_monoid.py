@@ -216,10 +216,14 @@ def test_atoms_match_brute_force():
 
 
 def test_atoms_with_unfactored_denominator():
-    # atoms() factors no denominator: 143 = 11 * 13 is out of reach of
-    # trial division up to 10, and 1/143 must still count against 1/11
-    # and 1/13.
-    assert arith.prime_factors(143, limit=10) is None
+    # atoms() factors no denominator: d, a product of two primes past
+    # the prime cache, is out of reach of prime_factors, and 1/d must
+    # still count against 1/p and 1/q, both d/p and d/q copies of it.
+    p, q = 1_299_721, 1_299_743
+    d = p * q
+    assert arith.prime_factors(d) is None
+    assert FgMonoid((F(1, p), F(1, 7), F(1, d), F(1, q))).atoms() == (F(1, d), F(1, 7))
+    # Small cases for the brute force: 1/143 against 1/11 and 1/13.
     for gens in (
         (F(1, 143), F(1, 11), F(1, 7)),
         (F(1, 7), F(3, 143), F(1, 11), F(1, 13)),

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from puiseux import families
+from puiseux import arith, families
 from puiseux.arith import is_prime, nth_prime, prime_index
 from puiseux.errors import (
     BadIndex,
@@ -273,15 +273,15 @@ def test_kprimary_witness_search_limit():
     # m = 1 gives p' = 5; 1*5 + 3 = 8 is not prime, so the n-search refuses.
     with pytest.raises(NotFoundWithinLimit, match=r"^no prime of the form 3 \+ k\*5 for k <= 1$"):
         kprimary_antimatter_witness((2, 3), search_limit=1)
-    # The m-search refusal keeps its text, whether no m up to the limit
-    # clears the largest prime (1*3 + 2 < 7) or none gives a prime (5 + 3 = 8).
+    # No m up to the limit clears the largest prime (1*3 + 2 < 7): refused
+    # up front, naming m.
     with pytest.raises(
         NotFoundWithinLimit, match=r"^no prime of the form m\*3 \+ 2 above 7 with m <= 1$"
     ):
         kprimary_antimatter_witness((2, 3, 7), search_limit=1)
-    with pytest.raises(
-        NotFoundWithinLimit, match=r"^no prime of the form m\*5 \+ 3 above 5 with m <= 1$"
-    ):
+    # Some m clears it, but none gives a prime (5 + 3 = 8): the m-search
+    # progression refuses in prime_in_progression's words.
+    with pytest.raises(NotFoundWithinLimit, match=r"^no prime of the form 3 \+ k\*5 for k <= 1$"):
         kprimary_antimatter_witness((3, 5), search_limit=1)
 
 
@@ -303,8 +303,10 @@ def _witness_outcome(search, primes, search_limit):
     try:
         w = search(primes, search_limit)
     except NotFoundWithinLimit as exc:
-        # The m-search refusal keeps its text; the n-search refusal now
-        # has prime_in_progression's wording, so only its type is pinned.
+        # The up-front refusal, where no m up to the limit clears the
+        # largest prime, keeps its text. Both progressions' refusals now
+        # have prime_in_progression's wording, so only their type is
+        # pinned.
         return str(exc) if str(exc).startswith("no prime of the form m*") else type(exc)
     return w.m, w.p_prime, w.n, w.q_prime
 
@@ -318,6 +320,9 @@ def test_kprimary_witness_matches_the_loops(primes, search_limit):
     # m and n the loops over m and n found, and refuse where they did.
     got = _witness_outcome(kprimary_antimatter_witness, tuple(primes), search_limit)
     want = _witness_outcome(old_kprimary_antimatter_witness, tuple(primes), search_limit)
+    if isinstance(want, str) and not isinstance(got, str):
+        # The loops named m where the m-search progression ran out.
+        want = NotFoundWithinLimit
     assert got == want
 
 
@@ -421,6 +426,34 @@ def test_padic_atoms_with_an_excluded_index():
     assert exc.kept_index == 2
     assert exc.coefficient == 6
     assert generator_at(spec, 1) == 6 * generator_at(spec, 2)
+
+
+def test_padic_atoms_with_a_numerator_prime_past_the_cache():
+    # 1,299,721 is the first prime past the prime cache; the numerators
+    # are powers of its square, which trial division cannot settle.
+    spec = PAdic(2, GeometricSeq(1, 1_299_721**2), AffineSeq(2, 0))
+    report = padic_candidate_atoms(spec, 3)
+    assert report.kept == (1, 2, 3)
+    assert report.exclusions == ()
+
+
+def test_padic_atoms_refuses_an_undecided_numerator_base():
+    # The least odd n from the Miller-Rabin bound up that passes every
+    # base: is_prime's refusal reaches the caller, not a refutation.
+    n = arith._MR_BOUND | 1
+    while True:
+        try:
+            is_prime(n)
+        except NotFoundWithinLimit:
+            break
+        n += 2
+    spec = PAdic(3, GeometricSeq(1, n), AffineSeq(50, 0))
+    with pytest.raises(NotFoundWithinLimit, match="passes every Miller-Rabin base"):
+        padic_candidate_atoms(spec, 3)
+    # A numerator of 6 refutes the hypothesis whatever n is.
+    spec = PAdic(2, ExplicitSeq((6, n), GeometricSeq(1, 3)), AffineSeq(2, 0))
+    with pytest.raises(HypothesisViolated, match="not all powers of one prime"):
+        padic_candidate_atoms(spec, 3)
 
 
 def test_padic_atoms_rejects_bounded_numerators():
