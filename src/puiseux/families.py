@@ -5,14 +5,17 @@ the explicit escape hatch, finite) generating sequence of positive
 rationals. Specs can be evaluated pointwise, truncated to a concrete
 finitely generated monoid, serialized to JSON, and classified.
 
-Classification is a table, not a theorem prover: each family's verdicts
-are (field, verdict, rule) rows, fixed for ten families and computed
-from the parameters in four cases. Each verdict is justified either by
-exact closed-form reasoning (generator infimum, numerator bounds,
-denominator supports, explicit decomposition identities) or by a cited
-structural result that the code does not re-derive. A verdict whose rule
-statement says "cited result" is tagged "[asserted]" in the justification
-list. Any family/field pair the table cannot justify stays "unknown".
+Each family record gives its rows and its support. rows() are its
+verdicts as (field, verdict, rule) rows. support() is the primes
+dividing its elements' denominators, a tuple of primes of unbounded
+exponent or a prime stream, or None, as for every finitely generated
+spec. Classification is a table, not a theorem prover: each verdict is
+justified either by exact closed-form reasoning (generator infimum,
+numerator bounds, denominator supports, explicit decomposition
+identities) or by a cited structural result that the code does not
+re-derive. A verdict whose rule statement says "cited result" is tagged
+"[asserted]" in the justification list. Any family/field pair the table
+cannot justify stays "unknown".
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .arith import (
     nth_odd_prime,
     nth_prime,
     parse_rational,
+    prime_factors,
     prime_in_progression,
     prime_stride,
     record,
@@ -588,12 +592,36 @@ _TARGETS = _tagged("kind", TargetSeq)
 # family specs
 
 
+# The (field, verdict, rule) rows of the classification table.
+_DENSE = ("dense", "yes", "generator-infimum-zero")
+_NOT_DENSE = ("dense", "no", "generator-infimum-positive")
+_BOUNDED = ("strongly_bounded", "yes", "numerators-bounded")
+_UNBOUNDED = ("strongly_bounded", "no", "atoms-have-unbounded-numerators")
+_FINITE = ("finite_puiseux", "yes", "denominator-support-finite")
+_INFINITE = ("finite_puiseux", "no", "denominator-support-infinite")
+_DECOMPOSES = ("antimatter", "yes", "every-generator-decomposes")
+_K_SUBSETS_DECOMPOSE = ("antimatter", "yes", "k-subset-generators-decompose")
+_GENERATORS_ATOMS = ("atomic", "yes", "all-generators-are-atoms")
+_FG_ATOMIC = ("atomic", "yes", "finitely-generated-atomic")
+_CYCLIC_ATOMIC = ("atomic", "yes", "cyclic-ratio-atomic")
+_PRIMARY_HEREDITARY = ("hereditarily_atomic", "yes", "primary-denominators-hereditary")
+_CYCLIC_HEREDITARY = ("hereditarily_atomic", "yes", "cyclic-hereditarily-atomic")
+_TWO_POWERS_NOT_HEREDITARY = ("hereditarily_atomic", "no", "power-of-two-submonoid-not-atomic")
+
+
+def _always(value):
+    """A method that returns value whatever the record's parameters."""
+    return lambda spec: value
+
+
 @record
 class PowerDenominator:
     """Generators 1/q^n for a prime q."""
 
     json_tag = {"family": "power-denominator"}
     q: int
+
+    rows = _always((_DENSE, _DECOMPOSES, _BOUNDED, _FINITE))
 
     def __post_init__(self) -> None:
         if not is_prime(_exact(self.q)):
@@ -602,12 +630,17 @@ class PowerDenominator:
     def generator(self, n: int) -> Fraction:
         return Fraction(1, self.q**n)
 
+    def support(self) -> tuple[int, ...]:
+        return (self.q,)
+
 
 @record
 class HalfPrime:
     """Generators floor(p/2)/p over the primes in increasing order."""
 
     json_tag = {"family": "half-prime"}
+    rows = _always((_NOT_DENSE, _UNBOUNDED, _INFINITE))
+    support = _always(None)
 
     def generator(self, n: int) -> Fraction:
         p = nth_prime(n)
@@ -619,6 +652,8 @@ class TwoAdicOddPrime:
     """Generators 1/(2^n * p_n) with p_n the n-th odd prime."""
 
     json_tag = {"family": "two-adic-odd-prime"}
+    rows = _always((_DENSE, _GENERATORS_ATOMS, _TWO_POWERS_NOT_HEREDITARY, _BOUNDED, _INFINITE))
+    support = _always(None)
 
     def generator(self, n: int) -> Fraction:
         return Fraction(1, 2**n * nth_odd_prime(n))
@@ -631,14 +666,25 @@ class ElementaryPrimary:
     json_tag = {"family": "elementary-primary"}
     primes: PrimeStream = AllPrimes()
 
+    rows = _always((_DENSE, _PRIMARY_HEREDITARY, _BOUNDED, _INFINITE))
+
     def generator(self, n: int) -> Fraction:
         return Fraction(1, self.primes.prime_at(n))
+
+    def support(self) -> PrimeStream:
+        return self.primes
 
 
 def _check_k(spec) -> None:
     """The __post_init__ of the k-primary families: k >= 1."""
     if _exact(spec.k) < 1:
         raise NonPositive(f"k must be >= 1, got {spec.k}")
+
+
+def _k_primary_rows(*rows):
+    """The rows() of a k-primary family: rows, but ElementaryPrimary's
+    for k = 1, where the generators are 1/p over every prime."""
+    return lambda spec: ElementaryPrimary.rows(spec) if spec.k == 1 else rows
 
 
 @record
@@ -649,6 +695,8 @@ class ElementaryKPrimary:
     k: int
 
     __post_init__ = _check_k
+    rows = _k_primary_rows(_DENSE, _K_SUBSETS_DECOMPOSE, _BOUNDED, _INFINITE)
+    support = _always(None)
 
     def generator(self, n: int) -> Fraction:
         d = 1
@@ -666,6 +714,8 @@ class PartitionedKPrimary:
     k: int
 
     __post_init__ = _check_k
+    rows = _k_primary_rows(_DENSE, _GENERATORS_ATOMS, _BOUNDED, _INFINITE)
+    support = _always(None)
 
     def generator(self, n: int) -> Fraction:
         return Fraction(1, math.prod(prime_stride((n - 1) * self.k + 1, 1, self.k)))
@@ -679,6 +729,8 @@ class SumKPrimary:
     k: int
 
     __post_init__ = _check_k
+    rows = _k_primary_rows(_DENSE, _GENERATORS_ATOMS, _UNBOUNDED, _INFINITE)
+    support = _always(None)
 
     def generator(self, n: int) -> Fraction:
         return sum(
@@ -715,6 +767,26 @@ class PAdic:
     def generator(self, n: int) -> Fraction:
         return Fraction(self.numerators.value_at(n), self.p ** self.exponents.value_at(n))
 
+    def rows(self) -> list[tuple[str, str, str]]:
+        nums = self.numerators
+        if not nums.tends_to_infinity():
+            rows = [_FINITE, _DENSE, _BOUNDED]
+            if nums.coprime_to(self.p):
+                rows.append(("atomic", "no", "bounded-numerators-not-atomic"))
+            return rows
+        if not _padic_decreasing_certified(self):
+            return [_FINITE]
+        try:
+            base = nums.prime_power_base()
+        except NotFoundWithinLimit:
+            base = None  # undecided, so no verdict rests on it
+        if base in (None, 1, self.p):
+            return [_FINITE, _DENSE]
+        return [_FINITE, _DENSE, ("atomic", "yes", "prime-power-numerators-atomic"), _UNBOUNDED]
+
+    def support(self) -> tuple[int, ...]:
+        return (self.p,)
+
 
 @record
 class PlusMinusPowers:
@@ -727,6 +799,8 @@ class PlusMinusPowers:
     json_tag = {"family": "plus-minus-powers"}
     p: int
 
+    rows = _always((_DENSE, _DECOMPOSES, _FINITE))
+
     def __post_init__(self) -> None:
         if not is_prime(_exact(self.p)) or self.p == 2:
             raise NotPrime(f"{self.p} is not an odd prime")
@@ -735,6 +809,9 @@ class PlusMinusPowers:
         level = (n + 1) // 2
         s = self.p ** (2**level)
         return Fraction(s - 1 if n % 2 else s + 1, s * s)
+
+    def support(self) -> tuple[int, ...]:
+        return (self.p,)
 
 
 @record
@@ -752,6 +829,21 @@ class Cyclic:
 
     def generator(self, n: int) -> Fraction:
         return self.r**n
+
+    def rows(self) -> list[tuple[str, str, str]]:
+        a, b = self.r.numerator, self.r.denominator
+        if b == 1:
+            # r^n = r^(n-1) * r, so the monoid is r times the naturals.
+            return [_FINITE, _NOT_DENSE, _FG_ATOMIC, _BOUNDED]
+        if a == 1:
+            return [_FINITE, _DENSE, _DECOMPOSES, _BOUNDED]
+        dense = _DENSE if self.r < 1 else _NOT_DENSE
+        return [_FINITE, dense, _CYCLIC_ATOMIC, _CYCLIC_HEREDITARY, _UNBOUNDED]
+
+    def support(self) -> tuple[int, ...] | None:
+        # Not (): that would certify Cyclic(2) and Cyclic(3), both
+        # isomorphic to the naturals, as sharing no prime.
+        return prime_factors(self.r.denominator) or None
 
 
 @record
@@ -778,6 +870,17 @@ class GeneralizedCyclic:
         power = (n - 1) // k + 1
         return self.ratios[(n - 1) % k] ** power
 
+    def rows(self) -> list[tuple[str, str, str]]:
+        rows = [_FINITE, _DENSE if min(self.ratios) < 1 else _NOT_DENSE]
+        if math.gcd(*(rr.numerator for rr in self.ratios)) != 1:
+            rows.append(("hereditarily_atomic", "yes", "shared-numerator-prime-embedding"))
+        elif all(rr.numerator == 1 for rr in self.ratios):
+            rows += [_BOUNDED, _FG_ATOMIC if all(rr == 1 for rr in self.ratios) else _DECOMPOSES]
+        return rows
+
+    def support(self) -> tuple[int, ...] | None:
+        return prime_factors(math.lcm(*(r.denominator for r in self.ratios))) or None
+
 
 @record
 class BfNotFf:
@@ -788,6 +891,10 @@ class BfNotFf:
     """
 
     json_tag = {"family": "bf-not-ff"}
+    # 2/3 = 1/3 + 1/3, so unlike the other listed families not every
+    # generator is an atom; atomicity comes from the prime denominators.
+    rows = _always((_NOT_DENSE, _PRIMARY_HEREDITARY, _UNBOUNDED, _INFINITE))
+    support = _always(None)
 
     def generator(self, n: int) -> Fraction:
         p = nth_odd_prime((n + 1) // 2)
@@ -800,6 +907,9 @@ class ExplicitList:
 
     json_tag = {"family": "explicit"}
     generators: tuple[Fraction, ...]
+
+    rows = _always((_NOT_DENSE, _FG_ATOMIC, _BOUNDED, _FINITE))
+    support = _always(None)
 
     def __post_init__(self) -> None:
         gens = tuple(_exact(g, Fraction) for g in self.generators)
@@ -857,22 +967,6 @@ def truncate(spec: FamilySpec, n_generators: int) -> FgMonoid:
     if _exact(n_generators) < 0:
         raise NonPositive(f"truncation size must be >= 0, got {n_generators}")
     return FgMonoid(tuple(generator_at(spec, n) for n in range(1, n_generators + 1)))
-
-
-def denominator_support(spec: FamilySpec):
-    """The primes dividing element denominators, if known.
-
-    Returns a tuple of primes for a finite support, the prime stream of
-    an elementary-primary family, or None when the family does not
-    expose a usable support predicate.
-    """
-    if isinstance(spec, PowerDenominator):
-        return (spec.q,)
-    if isinstance(spec, (PAdic, PlusMinusPowers)):
-        return (spec.p,)
-    if isinstance(spec, ElementaryPrimary):
-        return spec.primes
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -953,93 +1047,10 @@ def _decide(rows) -> ClassificationReport:
     return ClassificationReport(justification=tuple(lines), **verdicts)
 
 
-# The (field, verdict, rule) rows of the classification table.
-_DENSE = ("dense", "yes", "generator-infimum-zero")
-_NOT_DENSE = ("dense", "no", "generator-infimum-positive")
-_BOUNDED = ("strongly_bounded", "yes", "numerators-bounded")
-_UNBOUNDED = ("strongly_bounded", "no", "atoms-have-unbounded-numerators")
-_FINITE = ("finite_puiseux", "yes", "denominator-support-finite")
-_INFINITE = ("finite_puiseux", "no", "denominator-support-infinite")
-_DECOMPOSES = ("antimatter", "yes", "every-generator-decomposes")
-_K_SUBSETS_DECOMPOSE = ("antimatter", "yes", "k-subset-generators-decompose")
-_GENERATORS_ATOMS = ("atomic", "yes", "all-generators-are-atoms")
-_FG_ATOMIC = ("atomic", "yes", "finitely-generated-atomic")
-_CYCLIC_ATOMIC = ("atomic", "yes", "cyclic-ratio-atomic")
-_PRIMARY_HEREDITARY = ("hereditarily_atomic", "yes", "primary-denominators-hereditary")
-_CYCLIC_HEREDITARY = ("hereditarily_atomic", "yes", "cyclic-hereditarily-atomic")
-_TWO_POWERS_NOT_HEREDITARY = ("hereditarily_atomic", "no", "power-of-two-submonoid-not-atomic")
-
-# The rows of the families whose verdicts do not depend on their
-# parameters. classify sets a family's rows in order, and the first
-# verdict set for a field wins.
-_FIXED_ROWS = {
-    PowerDenominator: (_DENSE, _DECOMPOSES, _BOUNDED, _FINITE),
-    HalfPrime: (_NOT_DENSE, _UNBOUNDED, _INFINITE),
-    TwoAdicOddPrime: (_DENSE, _GENERATORS_ATOMS, _TWO_POWERS_NOT_HEREDITARY, _BOUNDED, _INFINITE),
-    ElementaryPrimary: (_DENSE, _PRIMARY_HEREDITARY, _BOUNDED, _INFINITE),
-    ElementaryKPrimary: (_DENSE, _K_SUBSETS_DECOMPOSE, _BOUNDED, _INFINITE),
-    PartitionedKPrimary: (_DENSE, _GENERATORS_ATOMS, _BOUNDED, _INFINITE),
-    SumKPrimary: (_DENSE, _GENERATORS_ATOMS, _UNBOUNDED, _INFINITE),
-    PlusMinusPowers: (_DENSE, _DECOMPOSES, _FINITE),
-    # 2/3 = 1/3 + 1/3, so unlike the other listed families not every
-    # generator is an atom; atomicity comes from the prime denominators.
-    BfNotFf: (_NOT_DENSE, _PRIMARY_HEREDITARY, _UNBOUNDED, _INFINITE),
-    ExplicitList: (_NOT_DENSE, _FG_ATOMIC, _BOUNDED, _FINITE),
-}
-_K_PRIMARY = (ElementaryKPrimary, PartitionedKPrimary, SumKPrimary)
-
-
 def classify(spec: FamilySpec) -> ClassificationReport:
-    """Table classification of a family spec.
-
-    Ten families take their rows from _FIXED_ROWS. In four cases the
-    rows are computed: a k-primary family with k = 1 takes
-    ElementaryPrimary's, and _computed_rows reads the parameters of
-    PAdic, Cyclic and GeneralizedCyclic. The table never guesses.
-    """
-    rows = _FIXED_ROWS.get(type(spec))
-    if rows is None:
-        rows = _computed_rows(spec)
-    elif type(spec) in _K_PRIMARY and spec.k == 1:
-        rows = _FIXED_ROWS[ElementaryPrimary]
-    return _decide(rows)
-
-
-def _computed_rows(spec: FamilySpec) -> list[tuple[str, str, str]]:
-    """The rows of the families whose verdicts depend on their parameters."""
-    if isinstance(spec, PAdic):
-        nums = spec.numerators
-        if not nums.tends_to_infinity():
-            rows = [_FINITE, _DENSE, _BOUNDED]
-            if nums.coprime_to(spec.p):
-                rows.append(("atomic", "no", "bounded-numerators-not-atomic"))
-            return rows
-        if not _padic_decreasing_certified(spec):
-            return [_FINITE]
-        try:
-            base = nums.prime_power_base()
-        except NotFoundWithinLimit:
-            base = None  # undecided, so no verdict rests on it
-        if base in (None, 1, spec.p):
-            return [_FINITE, _DENSE]
-        return [_FINITE, _DENSE, ("atomic", "yes", "prime-power-numerators-atomic"), _UNBOUNDED]
-    if isinstance(spec, Cyclic):
-        a, b = spec.r.numerator, spec.r.denominator
-        if b == 1:
-            # r^n = r^(n-1) * r, so the monoid is r times the naturals.
-            return [_FINITE, _NOT_DENSE, _FG_ATOMIC, _BOUNDED]
-        if a == 1:
-            return [_FINITE, _DENSE, _DECOMPOSES, _BOUNDED]
-        dense = _DENSE if spec.r < 1 else _NOT_DENSE
-        return [_FINITE, dense, _CYCLIC_ATOMIC, _CYCLIC_HEREDITARY, _UNBOUNDED]
-    if isinstance(spec, GeneralizedCyclic):
-        rows = [_FINITE, _DENSE if min(spec.ratios) < 1 else _NOT_DENSE]
-        if math.gcd(*(rr.numerator for rr in spec.ratios)) != 1:
-            rows.append(("hereditarily_atomic", "yes", "shared-numerator-prime-embedding"))
-        elif all(rr.numerator == 1 for rr in spec.ratios):
-            rows += [_BOUNDED, _FG_ATOMIC if all(rr == 1 for rr in spec.ratios) else _DECOMPOSES]
-        return rows
-    raise ParseError(f"not a family spec: {spec!r}")
+    """Table classification of a family spec, from the rows its record
+    gives. The table never guesses."""
+    return _decide(spec.rows())
 
 
 def _padic_decreasing_certified(spec: PAdic) -> bool:

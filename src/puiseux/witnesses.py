@@ -39,7 +39,6 @@ from .families import (
     TargetSeq,
     class_primes,
     classify,
-    denominator_support,
     generator_at,
     partition_class_of_index,
     truncate,
@@ -438,8 +437,8 @@ def disjoint_prime_noniso(spec_a: FamilySpec, spec_b: FamilySpec) -> NonIsoCerti
     the supports cannot be proved disjoint; None never asserts that the
     monoids are isomorphic.
     """
-    support_a = denominator_support(spec_a)
-    support_b = denominator_support(spec_b)
+    support_a = spec_a.support()
+    support_b = spec_b.support()
     if support_a is None or support_b is None:
         return None
     reason = _supports_disjoint(support_a, support_b)

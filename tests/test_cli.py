@@ -273,6 +273,28 @@ def test_family_noniso():
     assert result.output == "no certificate\n"
 
 
+def test_family_noniso_certifies_cyclic_ratios_with_coprime_denominators():
+    # (2/3)^n and (2/5)^n: denominators the powers of 3 and of 5.
+    a = '{"family": "cyclic", "r": "2/3"}'
+    b = '{"family": "cyclic", "r": "2/5"}'
+    result = invoke("family", "noniso", "--spec", a, "--spec", b)
+    assert result.exit_code == 0
+    assert result.output == "not isomorphic: the two finite prime sets share no prime\n"
+    result = invoke("family", "noniso", "--spec", a, "--spec", b, "--json")
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {
+        "certificate": {
+            "reason": "the two finite prime sets share no prime",
+            "support_a": {"kind": "finite", "primes": [3]},
+            "support_b": {"kind": "finite", "primes": [5]},
+        }
+    }
+    # Integer ratios: both monoids are isomorphic to the naturals.
+    two, three = '{"family": "cyclic", "r": "2"}', '{"family": "cyclic", "r": "3"}'
+    result = invoke("family", "noniso", "--spec", two, "--spec", three)
+    assert (result.exit_code, result.output) == (0, "no certificate\n")
+
+
 def test_witness_kprimary():
     result = invoke("witness", "kprimary", "--primes", "2,3")
     assert result.exit_code == 0

@@ -45,7 +45,6 @@ from puiseux.families import (
     colex_subset,
     class_prime,
     class_primes,
-    denominator_support,
     family_from_mapping,
     generator_at,
     partition_class_of_index,
@@ -1179,13 +1178,83 @@ def test_rule_statements_exist_for_cited_rules():
 
 
 def test_denominator_support_descriptors():
-    assert denominator_support(PowerDenominator(2)) == (2,)
-    assert denominator_support(PAdic(3, GeometricSeq(1, 2), AffineSeq(1, 0))) == (3,)
-    assert denominator_support(PlusMinusPowers(5)) == (5,)
-    assert denominator_support(ElementaryPrimary()) == AllPrimes()
-    assert denominator_support(ElementaryPrimary(CongruencePrimes(1, 4))) == CongruencePrimes(1, 4)
-    assert denominator_support(ElementaryPrimary(PartitionClassPrimes(2))) == PartitionClassPrimes(2)
-    assert denominator_support(HalfPrime()) is None
+    assert PowerDenominator(2).support() == (2,)
+    assert PAdic(3, GeometricSeq(1, 2), AffineSeq(1, 0)).support() == (3,)
+    assert PlusMinusPowers(5).support() == (5,)
+    assert ElementaryPrimary().support() == AllPrimes()
+    assert ElementaryPrimary(CongruencePrimes(1, 4)).support() == CongruencePrimes(1, 4)
+    assert ElementaryPrimary(PartitionClassPrimes(2)).support() == PartitionClassPrimes(2)
+    assert HalfPrime().support() is None
+    # The cyclic families: the primes of the non-integral ratios'
+    # denominators, in increasing order, and None once finitely generated.
+    assert Cyclic(F(2, 3)).support() == (3,)
+    assert Cyclic(F(7, 12)).support() == (2, 3)
+    assert Cyclic(F(2)).support() is None
+    assert Cyclic(F(1)).support() is None
+    assert GeneralizedCyclic((F(2, 5), F(4, 7), F(3))).support() == (5, 7)
+    assert GeneralizedCyclic((F(5, 4), F(1, 6), F(1, 2))).support() == (2, 3)
+    assert GeneralizedCyclic((F(2), F(3))).support() is None
+
+
+# Every spec of the JSON table, and drawn cyclic and generalized-cyclic specs.
+SUPPORT_CASES = [pytest.param(st.just(spec), id=m["family"]) for spec, m in FAMILIES] + [
+    pytest.param(FAMILY_KINDS[kind], id=f"drawn-{kind}") for kind in ("cyclic", "generalized-cyclic")
+]
+
+
+def _in_stream(p: int, stream) -> bool:
+    if isinstance(stream, CongruencePrimes):
+        return p % stream.modulus == stream.residue
+    if isinstance(stream, PartitionClassPrimes):
+        return partition_class_of_index(prime_index(p))[0] == stream.index
+    return isinstance(stream, AllPrimes)
+
+
+def _denominators(spec) -> tuple[list[int], bool]:
+    """The denominators of the first 12 generators (all of an explicit
+    list's), and whether the spec is finitely generated: for these
+    families, an explicit list or integers only."""
+    count = len(spec.generators) if isinstance(spec, ExplicitList) else 12
+    dens = [generator_at(spec, n).denominator for n in range(1, count + 1)]
+    return dens, isinstance(spec, ExplicitList) or set(dens) == {1}
+
+
+@pytest.mark.parametrize("drawn", SUPPORT_CASES)
+@given(data=st.data())
+def test_support_holds_every_denominator_prime(drawn, data):
+    # A tuple holds every denominator prime, and each of its primes
+    # reaches a higher exponent in the first 12 generators than in the
+    # first 6; a stream holds every denominator prime; a finitely
+    # generated spec gives None.
+    spec = data.draw(drawn)
+    dens, finitely_generated = _denominators(spec)
+    primes = {p for d in dens for p in arith.prime_factors(d)}
+    support = spec.support()
+    if finitely_generated:
+        assert support is None
+    elif isinstance(support, tuple):
+        assert primes <= set(support)
+        for p in support:
+            exponents = [arith.padic_valuation_int(p, d) for d in dens]
+            assert max(exponents[:6]) < max(exponents), (spec, p)
+    elif support is not None:
+        assert all(is_prime(p) and _in_stream(p, support) for p in primes)
+
+
+@pytest.mark.parametrize("drawn", SUPPORT_CASES)
+@given(data=st.data())
+def test_support_agrees_with_the_finite_puiseux_verdict(drawn, data):
+    # The two halves of a record: a finite support is finite_puiseux=yes,
+    # a prime stream finite_puiseux=no, and a spec classified
+    # finite_puiseux=yes gives no support only when finitely generated.
+    spec = data.draw(drawn)
+    support, verdict = spec.support(), classify(spec).finite_puiseux
+    if isinstance(support, tuple):
+        assert verdict == "yes"
+    elif support is not None:
+        assert verdict == "no"
+    elif verdict == "yes":
+        assert _denominators(spec)[1], spec
 
 
 def test_truncation_atoms_power_denominator():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import random
@@ -252,6 +253,22 @@ def test_frobenius_matches_brute_scan(gens):
     gens = tuple(sorted(set(gens)))
     assume(math.gcd(*gens) == 1)
     assert NumericalSemigroup(gens).frobenius() == brute_frobenius(gens)
+
+
+def test_frobenius_of_every_four_generator_set_up_to_20_matches_brute_scan():
+    # Every set of four generators from 2..20 with gcd 1, 3,650 of them,
+    # with or without redundant generators.
+    sets = [gens for gens in itertools.combinations(range(2, 21), 4) if math.gcd(*gens) == 1]
+    assert len(sets) == 3650
+    assert [gens for gens in sets if NumericalSemigroup(gens).frobenius() != brute_frobenius(gens)] == []
+
+
+@pytest.mark.parametrize(
+    "gens", [(64, 75, 93, 119), (97, 113, 131, 151), (150, 211, 317, 429), (1001, 1002, 1003, 1004)]
+)
+def test_frobenius_of_larger_four_generator_sets_matches_round_robin_oracle(gens):
+    assert len(NumericalSemigroup(gens).minimal_generators()) == 4
+    assert NumericalSemigroup(gens).frobenius() == apery_frobenius(gens)
 
 
 def test_frobenius_with_one_is_minus_one():

@@ -20,8 +20,10 @@ from puiseux.families import (
     CongruencePrimes,
     Cyclic,
     ElementaryPrimary,
+    ExplicitList,
     ExplicitSeq,
     ExplicitTargets,
+    GeneralizedCyclic,
     GeometricSeq,
     HalfPrime,
     PAdic,
@@ -557,6 +559,18 @@ def test_noniso_mixed_kinds():
 def test_noniso_needs_descriptors_on_both_sides():
     assert disjoint_prime_noniso(Cyclic(F(2, 3)), HalfPrime()) is None
     assert disjoint_prime_noniso(PowerDenominator(2), HalfPrime()) is None
+    # Finitely generated specs give no support, never an empty one: both
+    # monoids are isomorphic to the naturals.
+    assert disjoint_prime_noniso(Cyclic(F(2)), Cyclic(F(3))) is None
+    assert disjoint_prime_noniso(GeneralizedCyclic((F(2), F(3))), ExplicitList((F(5),))) is None
+
+
+def test_noniso_cyclic_families():
+    cert = disjoint_prime_noniso(Cyclic(F(2, 3)), GeneralizedCyclic((F(3, 5), F(7, 4))))
+    assert cert.support_a == {"kind": "finite", "primes": [3]}
+    assert cert.support_b == {"kind": "finite", "primes": [2, 5]}
+    assert disjoint_prime_noniso(Cyclic(F(2, 3)), GeneralizedCyclic((F(1, 3), F(5)))) is None
+    assert disjoint_prime_noniso(Cyclic(F(1, 3)), ElementaryPrimary(CongruencePrimes(1, 4))) is not None
 
 
 def test_noniso_certificate_mapping():
