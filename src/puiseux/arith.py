@@ -226,8 +226,8 @@ def parse_rational(text: str, allow_zero: bool = False) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if not m:
         raise ParseError(f"not an exact rational token: {text!r}")
-    n = int(m.group(1))
-    d = int(m.group(2)) if m.group(2) else 1
+    n = read_int(m.group(1))
+    d = read_int(m.group(2)) if m.group(2) else 1
     if d == 0:
         raise ParseError(f"zero denominator in {text!r}")
     value = Fraction(n, d)
@@ -238,11 +238,24 @@ def parse_rational(text: str, allow_zero: bool = False) -> Fraction:
     return value
 
 
+def read_int(digits: str) -> int:
+    """int(digits) for a decimal numeral. One past Python's str-to-int
+    digit limit (sys.get_int_max_str_digits()) is refused with
+    PuiseuxError naming the limit; the limit itself is left as it is."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PuiseuxError(
+            f"cannot read an integer with more than {sys.get_int_max_str_digits()} digits,"
+            " Python's str-to-int limit"
+        ) from None
+
+
 def json_int(value) -> int:
     """A JSON integer, or a string of decimal digits with an optional
     minus sign. Booleans and floats are refused, never truncated."""
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
-        return int(value)
+        return read_int(value)
     return _exact(value)
 
 
@@ -443,14 +456,41 @@ def prime_index(p: int) -> int:
     return bisect.bisect_left(_PRIME_CACHE, p) + 1
 
 
+def _prime_power_base_int(v: int) -> int | None:
+    """The prime q with v = q^e (e >= 1); 1 for v = 1; None otherwise.
+
+    Decided exactly, with no trial division: v is a prime power exactly
+    when the root r of v = r^e for the largest such e is prime. Where
+    is_prime cannot decide r, its NotFoundWithinLimit propagates.
+    """
+    if v == 1:
+        return 1
+    # r >= 2 needs 2^e <= v, so e < v.bit_length(); e = 1 gives r = v.
+    for e in range(v.bit_length() - 1, 0, -1):
+        r = _integer_root(v, e)
+        if r**e == v:
+            return r if is_prime(r) else None
+
+
+def _integer_root(v: int, e: int) -> int:
+    """floor(v^(1/e)) for v, e >= 1, by Newton's method in integers,
+    falling from a start above the root."""
+    r = 1 << -(-v.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + v // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def prime_factors(n: int) -> tuple[int, ...] | None:
     """Distinct prime factors of n >= 1, in increasing order.
 
     Trial division runs through the primes the cache may hold, up to
-    1,299,709, the one at position _PRIME_INDEX_BOUND. Returns None when
-    the cofactor left lies above that prime's square and is not a prime
-    is_prime can decide, so callers can fall back to something slower
-    but sound.
+    1,299,709, the one at position _PRIME_INDEX_BOUND. A cofactor left
+    above that prime's square is settled when it is a power of a prime
+    is_prime can decide; otherwise the result is None, so callers can
+    fall back to something slower but sound.
     """
     if n < 1:
         raise NonPositive(f"cannot factor {n}")
@@ -473,11 +513,16 @@ def prime_factors(n: int) -> tuple[int, ...] | None:
                 rest //= p
         i += 1
     if rest > 1:
-        # No cached prime divides rest.
-        if rest <= _PRIME_CACHE[-1] ** 2 or rest < _MR_BOUND and is_prime(rest):
-            out.append(rest)
-        else:
-            return None
+        # No cached prime divides rest, so below the last one's square
+        # it is prime.
+        if rest > _PRIME_CACHE[-1] ** 2:
+            try:
+                rest = _prime_power_base_int(rest)
+            except NotFoundWithinLimit:
+                return None
+            if rest is None:
+                return None
+        out.append(rest)
     return tuple(out)
 
 

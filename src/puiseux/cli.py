@@ -24,7 +24,7 @@ from pathlib import Path
 
 import puiseux as P
 
-from .arith import format_rational, json_int, parse_rational
+from .arith import format_rational, json_int, parse_rational, read_int
 from .errors import ParseError, PuiseuxError
 
 
@@ -69,13 +69,14 @@ CLAIMS = _usage(lambda token: token if token == "all" else tuple(_split(token, "
 
 def _load_mapping(token: str) -> dict:
     """A ``--spec`` or ``--z`` value: the JSON in the file it names, if
-    there is one, else the token itself read as JSON."""
+    there is one, else the token itself read as JSON. Its integers are
+    read with read_int, which refuses one past Python's digit limit."""
     try:
         text, is_file = Path(token).read_text(), True
     except (OSError, ValueError):
         text, is_file = token, False
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=read_int)
     except json.JSONDecodeError as bad:
         if not (is_file or token.lstrip().startswith("{")):
             raise ParseError(f"spec file not found: {token}") from None

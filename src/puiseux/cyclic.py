@@ -13,11 +13,10 @@ ratio r = a (b = 1) is the exception: every power past r^1 is a
 multiple of r, so r is the one atom and x = (x/a) * r^1 is both the
 witness and the only factorization listed.
 
-The listing works on the box's states, (exponent, copies held), since
-the terms from an exponent on depend on its state only. A top-down pass
-counts the paths reaching each state; a bottom-up pass lists each
-state's suffixes once, at and past the first exponent where two paths
-meet; above that exponent a walk prefixes them with its branches.
+The listing is one depth-first walk over the box's states, (exponent,
+copies held). The terms from an exponent on depend on its state only,
+so a state the walk meets again reuses the suffixes of its first visit
+instead of being walked again.
 """
 
 from __future__ import annotations
@@ -242,18 +241,16 @@ def cyclic_factorizations(
     copies of every power past r^1 (for r > 1 it is the longest), and
     every factorization is c plus k_t trades a * r^t -> b * r^(t+1),
     t < cap, for each 0 <= k_t <= (c_t + b * k_(t-1)) / a. Listed with
-    k_t decreasing, the box comes out in order. The terms from exponent
-    t on depend only on the state (t, have), the copies t holds. A
-    top-down pass counts the paths reaching each open state, stopping at
-    the cap or once none is open, so a short answer costs nothing that
-    grows with cap. From the deepest exponent up to share, the first
-    where two paths reach one state, a bottom-up pass lists each state's
-    suffixes once from its children's. Above share, an iterative
-    depth-first walk extends the terms each branch fixed so far, and a
-    branch reaching share takes its state's suffixes. Unshared chains
-    are only walked: listing them level by level would copy every suffix
-    again at every exponent. Raises NotAtomic for ratios 1/b with
-    b >= 2, whose power monoids have no atoms at all.
+    k_t decreasing, the box comes out in order. An iterative depth-first
+    walk extends the terms each branch fixed so far; it stops at the cap
+    or once nothing is left to trade, so a short answer costs nothing
+    that grows with cap. The terms from exponent t on depend only on the
+    state (t, have), the copies t holds, and the walk lists a state's
+    results contiguously while the state is on its stack. So a state met
+    again is not walked again: its suffixes are cut once from the
+    results of its first visit, and each new branch reaching it prefixes
+    them with its own terms. Raises NotAtomic for ratios 1/b with b >= 2,
+    whose power monoids have no atoms at all.
     """
     r, x, stray = _checked(r, x, cap)
     a, b = r.numerator, r.denominator
@@ -274,54 +271,18 @@ def cyclic_factorizations(
     # that c does not.
     if stuck is not None or last > cap:
         return []
-    # Top-down pass: levels[t - 1] maps the copies of each open state at
-    # exponent t, one that is not a leaf of the walk, to the number of
-    # paths reaching it.
-    levels: list[dict[int, int]] = []
-    level = {c[0]: 1} if cap > 1 else {}
-    share = cap
-    while level:
-        levels.append(level)
-        t = len(levels)
-        if t + 1 == cap:
-            break
-        digit = c[t] if t < last else 0
-        level = {}
-        for have, paths in levels[-1].items():
-            # j trades give exponent t + 1 its digit plus b * j copies.
-            for j in range(have // a + 1):
-                nxt = digit + b * j
-                if nxt or t < last:
-                    level[nxt] = level.get(nxt, 0) + paths
-        if share == cap and any(paths > 1 for paths in level.values()):
-            share = t + 1
-    # Bottom-up pass: lists maps the copies of each open state at the
-    # exponent just done to its suffixes, in order.
-    lists: dict[int, list] = {}
-    for t in range(len(levels), share - 1, -1):
-        digit = c[t] if t < last else 0
-        below, lists = lists, {}
-        for have in levels[t - 1]:
-            suffixes = lists[have] = []
-            for j in range(have // a, -1, -1):
-                m = have - a * j
-                head = ((t, m),) if m else ()
-                nxt = digit + b * j
-                if t + 1 == cap or not nxt and t >= last:
-                    suffixes.append(head + ((t + 1, nxt),) if nxt else head)
-                elif m:
-                    suffixes += [head + s for s in below[nxt]]
-                else:
-                    # An empty head: the child's suffixes as they are.
-                    suffixes += below[nxt]
-    # The walk above share. (t, have, terms, js) of each open exponent:
-    # its copies, the terms fixed before it and the trade counts left to
-    # try. Exponent 0 holds nothing and trades nothing on: the walk
-    # starts there.
+    # (t, have, terms, js, first) of each open exponent: its copies, the
+    # terms fixed before it, the trade counts left to try and the index
+    # of its first result in out. Exponent 0 holds nothing and trades
+    # nothing on: the walk starts there. seen maps each finished state
+    # to (first, end, len(terms)), where its results lie in out and how
+    # many terms precede its suffixes in them; once met again, to those
+    # suffixes.
     out: list = []
-    stack = [(0, 0, (), iter((0,)))]
+    seen: dict = {}
+    stack = [(0, 0, (), iter((0,)), 0)]
     while stack:
-        t, have, terms, js = stack[-1]
+        t, have, terms, js, first = stack[-1]
         for j in js:
             # j trades leave m copies of exponent t, and exponent t + 1
             # gets its digit plus b copies per trade.
@@ -331,14 +292,18 @@ def cyclic_factorizations(
             if t + 1 == cap or not nxt and t >= last:
                 # Exponent t + 1 trades nothing on, and nothing is left past it.
                 out.append(fixed + ((t + 1, nxt),) if nxt else fixed)
-            elif t + 1 == share:
-                # The state's suffixes were listed bottom-up.
-                out += [fixed + s for s in lists[nxt]]
-            else:
-                stack.append((t + 1, nxt, fixed, iter(range(nxt // a, -1, -1))))
+            elif (done := seen.get((t + 1, nxt))) is None:
+                stack.append((t + 1, nxt, fixed, iter(range(nxt // a, -1, -1)), len(out)))
                 break
+            else:
+                # A finished state: its suffixes, cut out once.
+                if type(done) is tuple:
+                    start, end, cut = done
+                    done = seen[t + 1, nxt] = [z[cut:] for z in out[start:end]]
+                out += [fixed + s for s in done] if fixed else done
         else:
             stack.pop()
+            seen[t, have] = (first, len(out), len(terms))
     # r is a positive Fraction, exponents increase from 1, every kept m >= 1.
     return [CyclicFactorization._sorted(r, terms) for terms in out]
 

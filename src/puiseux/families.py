@@ -28,6 +28,7 @@ from typing import Union
 from .arith import (
     _check_prime_position,
     _exact,
+    _prime_power_base_int,
     cached_value,
     is_prime,
     json_int,
@@ -193,33 +194,6 @@ def _check_index(n: int) -> None:
 def _check_count(count: int) -> None:
     if _exact(count) < 0:
         raise NonPositive(f"the count must be >= 0, got {count}")
-
-
-def _prime_power_base_int(v: int) -> int | None:
-    """The prime q with v = q^e (e >= 1); 1 for v = 1; None otherwise.
-
-    Decided exactly, with no trial division: v is a prime power exactly
-    when the root r of v = r^e for the largest such e is prime. Where
-    is_prime cannot decide r, its NotFoundWithinLimit propagates.
-    """
-    if v == 1:
-        return 1
-    # r >= 2 needs 2^e <= v, so e < v.bit_length(); e = 1 gives r = v.
-    for e in range(v.bit_length() - 1, 0, -1):
-        r = _integer_root(v, e)
-        if r**e == v:
-            return r if is_prime(r) else None
-
-
-def _integer_root(v: int, e: int) -> int:
-    """floor(v^(1/e)) for v, e >= 1, by Newton's method in integers,
-    falling from a start above the root."""
-    r = 1 << -(-v.bit_length() // e)
-    while True:
-        s = ((e - 1) * r + v // r ** (e - 1)) // e
-        if s >= r:
-            return r
-        r = s
 
 
 def _combine_bases(a: int | None, b: int | None) -> int | None:
@@ -784,8 +758,10 @@ class PAdic:
             return [_FINITE, _DENSE]
         return [_FINITE, _DENSE, ("atomic", "yes", "prime-power-numerators-atomic"), _UNBOUNDED]
 
-    def support(self) -> tuple[int, ...]:
-        return (self.p,)
+    def support(self) -> tuple[int, ...] | None:
+        # A numerator divisible by p may cancel the denominator's powers
+        # of p: 3^n / 3^n is 1 for every n.
+        return (self.p,) if self.numerators.coprime_to(self.p) else None
 
 
 @record

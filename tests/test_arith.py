@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 from unittest import mock
@@ -12,6 +13,7 @@ import puiseux.arith as arith
 from puiseux.arith import (
     format_rational,
     is_prime,
+    json_int,
     nth_odd_prime,
     nth_prime,
     p_adic_valuation,
@@ -29,6 +31,7 @@ from puiseux.errors import (
     NotFoundWithinLimit,
     NotPrime,
     ParseError,
+    PuiseuxError,
 )
 
 from oracles import naive_factor, naive_valuation, sieve_primes
@@ -219,18 +222,18 @@ def test_prime_factors_sieves_once_through_the_cache():
 def test_prime_factors_stays_within_the_cache_bound(small, large):
     # Small factors, times up to two primes past the prime at the
     # cache's bound, 1,299,709. Trial division stops at that prime: one
-    # prime past it is settled, and a product of two is left as None
-    # rather than grow the cache.
+    # prime past it, or its square, is settled, and a product of two
+    # distinct ones is left as None rather than grow the cache.
     want = oracle_past_the_bound()
     bound = arith._PRIME_INDEX_BOUND
     n = math.prod(want[i] for i in small) * math.prod(want[bound + i] for i in large)
     with mock.patch.object(arith, "_PRIME_CACHE", want[:bound]):
         got = prime_factors(n)
         assert len(arith._PRIME_CACHE) == bound
-    if len(large) == 2:
+    if len(set(large)) == 2:
         assert got is None
     else:
-        assert got == tuple(sorted(naive_factor(n)))
+        assert got == tuple(sorted({want[i] for i in small} | {want[bound + i] for i in large}))
 
 
 def test_prime_factors_matches_naive():
@@ -252,8 +255,10 @@ def test_prime_factors_gives_up_past_the_cache():
     # may hold, and above its square.
     assert prime_factors(1_299_721 * 1_299_743) is None
     assert prime_factors((10**9 + 7) * (10**9 + 9)) is None
-    # So is its square, though the prime itself is settled.
-    assert prime_factors(1_299_721**2) is None
+    assert prime_factors((1_299_721 * 1_299_743) ** 2) is None
+    # A power of one such prime is settled by its exact root.
+    assert prime_factors(1_299_721**2) == (1_299_721,)
+    assert prime_factors(12 * 1_299_721**3) == (2, 3, 1_299_721)
     assert prime_factors(6 * 1_299_721) == (2, 3, 1_299_721)
 
 
@@ -324,3 +329,12 @@ def test_prime_in_progression_respects_limit():
 def test_prime_in_progression_rejects_shared_factor():
     with pytest.raises(BadProgression):
         prime_in_progression(4, 2, 100)
+
+
+def test_reading_past_the_digit_limit_is_refused():
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational("7" * limit) == int("7" * limit)
+    for read in (parse_rational, json_int, lambda digits: parse_rational(f"1/{digits}")):
+        with pytest.raises(PuiseuxError, match=f"more than {limit} digits"):
+            read("7" * (limit + 1))
+    assert sys.get_int_max_str_digits() == limit

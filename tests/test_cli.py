@@ -272,6 +272,18 @@ def test_family_noniso():
     result = invoke("family", "noniso", "--spec", a, "--spec", a)
     assert result.output == "no certificate\n"
 
+    # 3^n / 3^n and 5^n / 5^n: every generator of both is 1.
+    specs = [
+        f'{{"family": "p-adic", "p": {p}, "numerators": {{"kind": "power", "base": {p}}}, '
+        '"exponents": {"kind": "affine-exponent", "a": 1, "b": 0}}'
+        for p in (3, 5)
+    ]
+    for spec in specs:
+        result = invoke("family", "gen", "--spec", spec, "--n", "4")
+        assert (result.exit_code, result.output) == (0, "1\n")
+    result = invoke("family", "noniso", "--spec", specs[0], "--spec", specs[1])
+    assert (result.exit_code, result.output) == (0, "no certificate\n")
+
 
 def test_family_noniso_certifies_cyclic_ratios_with_coprime_denominators():
     # (2/3)^n and (2/5)^n: denominators the powers of 3 and of 5.

@@ -33,6 +33,8 @@ Z = """'{"terms": [{"exponent": 1, "mult": 3}]}'"""
 # Miller-Rabin on fixed bases decides primality.
 BIG = 10**27 + 7
 BIG_Q = f"""'{{"family": "power-denominator", "q": {BIG}}}'"""
+# 5,000 digits, past Python's str-to-int limit of 4,300.
+HUGE = "7" * 5000
 # 1,200 generators: more walk levels than Python's recursion limit.
 MANY_GENS = ",".join(str(g) for g in range(1200, 2400))
 # The 36 generators of truncate(GeneralizedCyclic((2/5, 4/7, 3)), 36).
@@ -135,6 +137,20 @@ ROWS = SUBCOMMANDS + [
     # limit of 4,300: format_rational refuses them.
     f"family gen --spec {PD2} --n 20000",
     """family gen --spec '{"family": "plus-minus-powers", "p": 3}' --n 25""",
+    # Integers of 5,000 digits in a spec or a factorization, bare or
+    # quoted: read_int refuses them, the limit kept.
+    pytest.param(
+        f"""family gen --spec '{{"family": "power-denominator", "q": {HUGE}}}' --n 1""",
+        id="family gen --spec <q of 5,000 digits> --n 1",
+    ),
+    pytest.param(
+        f"""family gen --spec '{{"family": "power-denominator", "q": "{HUGE}"}}' --n 1""",
+        id="family gen --spec <q of 5,000 digits, quoted> --n 1",
+    ),
+    pytest.param(
+        f"""cyclic trade --r 3/2 --z '{{"terms": [{{"exponent": 1, "mult": {HUGE}}}]}}' --t 1 --direction up""",
+        id="cyclic trade --r 3/2 --z <mult of 5,000 digits> --t 1 --direction up",
+    ),
     # Failing today.
     _xfail("ns factorize --gens 6,9,20,31 --x 20000", 7, "MemoryError listing every representation"),
     _xfail("cyclic factorize --r 2/3 --x 40", 7, "killed by a signal listing 27,263,194,918 factorizations"),

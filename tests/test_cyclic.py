@@ -20,6 +20,7 @@ from puiseux.errors import (
     InsufficientMultiplicity,
     NonPositive,
     NotAtomic,
+    NotFoundWithinLimit,
     ParseError,
 )
 from puiseux.monoid import Factorization, FgMonoid
@@ -172,6 +173,12 @@ def test_listing_keeps_the_old_walks_order():
     # Some listings are long enough that the states' shared suffixes
     # carry most of the answer.
     assert sum(size >= 500 for size in sizes) >= 3
+    # States met again at several exponents, whose suffixes are cut from
+    # results that came from other reused states: 96,616 results at
+    # r = 2/3, x = 4, cap 9.
+    for r, x, cap in [*((F(2, 3), F(4), cap) for cap in range(1, 10)), (F(5, 3), F(400), 12)]:
+        found = [z.terms for z in cyclic_factorizations(r, x, cap)]
+        assert found == [z.terms for z in old_cyclic_factorizations(r, x, cap)], (r, x, cap)
 
 
 def test_membership_members():
@@ -407,6 +414,14 @@ def test_embedding_witness():
         "base": "2/7",
         "value": "2",
     }
+
+    # The shared numerator gcd 1299721^2 lies past the prime cache's
+    # square; its exact square root is the prime.
+    q = 1_299_721
+    w = generalized_cyclic_embed((F(q**2, 5), F(q**2, 7)), 1, 1)
+    assert (w.prime, w.base, w.coefficient) == (q, F(q, 35), 7 * q)
+    with pytest.raises(NotFoundWithinLimit):
+        generalized_cyclic_embed((F(q * 1_299_743, 5), F(q * 1_299_743, 7)), 1, 1)
 
 
 def test_embedding_requires_shared_prime():

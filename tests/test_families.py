@@ -126,13 +126,13 @@ def test_prime_power_base_matches_factoring():
     for v in range(1, 3000):
         factors = naive_factor(v)
         want = 1 if v == 1 else next(iter(factors)) if len(factors) == 1 else None
-        assert families._prime_power_base_int(v) == want, v
+        assert arith._prime_power_base_int(v) == want, v
     rng = random.Random(3)
     for _ in range(200):
         v, e = rng.randint(2, 10**6), rng.randint(2, 40)
-        assert families._integer_root(v**e, e) == v
-        assert families._integer_root(v**e - 1, e) == v - 1
-        assert families._integer_root(v**e + 1, e) == v
+        assert arith._integer_root(v**e, e) == v
+        assert arith._integer_root(v**e - 1, e) == v - 1
+        assert arith._integer_root(v**e + 1, e) == v
 
 
 def test_explicit_sequence_without_tail_is_finite():
@@ -1180,6 +1180,7 @@ def test_rule_statements_exist_for_cited_rules():
 def test_denominator_support_descriptors():
     assert PowerDenominator(2).support() == (2,)
     assert PAdic(3, GeometricSeq(1, 2), AffineSeq(1, 0)).support() == (3,)
+    assert PAdic(3, GeometricSeq(1, 3), AffineSeq(1, 0)).support() is None
     assert PlusMinusPowers(5).support() == (5,)
     assert ElementaryPrimary().support() == AllPrimes()
     assert ElementaryPrimary(CongruencePrimes(1, 4)).support() == CongruencePrimes(1, 4)

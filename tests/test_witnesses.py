@@ -563,6 +563,12 @@ def test_noniso_needs_descriptors_on_both_sides():
     # monoids are isomorphic to the naturals.
     assert disjoint_prime_noniso(Cyclic(F(2)), Cyclic(F(3))) is None
     assert disjoint_prime_noniso(GeneralizedCyclic((F(2), F(3))), ExplicitList((F(5),))) is None
+    # Numerators divisible by p give no support: 3^n / 3^n and 5^n / 5^n
+    # are 1 for every n, so both monoids are the naturals.
+    padic3 = PAdic(3, GeometricSeq(1, 3), AffineSeq(1, 0))
+    padic5 = PAdic(5, GeometricSeq(1, 5), AffineSeq(1, 0))
+    assert {generator_at(spec, n) for spec in (padic3, padic5) for n in range(1, 6)} == {1}
+    assert disjoint_prime_noniso(padic3, padic5) is None
 
 
 def test_noniso_cyclic_families():
