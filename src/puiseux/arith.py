@@ -19,7 +19,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 from operator import attrgetter
 from typing import Iterator
 
@@ -35,6 +35,8 @@ from .errors import (
 INFINITY = math.inf
 
 _RATIONAL_RE = re.compile(r"^\s*(\d+)\s*(?:/\s*(\d+)\s*)?$")
+# What int() reads in base 10: only the digit limit can refuse a match.
+_NUMERAL_RE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def _exact(value, kind: type = int):
@@ -69,11 +71,20 @@ def record(cls: type) -> type:
 
     Slots: a class body may set __slots__ to exactly its fields, in
     order, and then has no defaults. Its instances have no __dict__:
-    the values live in the slots' member descriptors, which private
-    constructors may fill through their __set__, and pickle and copy
-    go through a __getstate__ and __setstate__ that read and write the
-    field tuple. Without __slots__ instances keep their __dict__, the
-    one loop writes into it, and cached_value, which needs it, works.
+    the values live in the slots' member descriptors, and pickle and
+    copy go through a __getstate__ and __setstate__ that read and write
+    the field tuple. Without __slots__ instances keep their __dict__,
+    the one loop writes into it, and cached_value, which needs it, works.
+
+    Bulk: a slotted class also gets cls._trusted(n, *columns), the one
+    constructor that skips the checks. It returns a list of n new
+    instances, the i-th holding the i-th item of each column, one column
+    per field in order; a column may be longer than n, such as
+    itertools.repeat(value). The instances come from object.__new__ and
+    each column goes into its slot through the member descriptor's
+    __set__, both driven by map, so no Python frame runs per instance.
+    Neither __init__ nor __post_init__ runs: the caller guarantees what
+    they would establish, and that every column holds at least n items.
 
     Added: unless the class defines its own, as_mapping() returns the
     JSON form: the class attribute json_tag (a dict, empty if absent),
@@ -168,6 +179,17 @@ def record(cls: type) -> type:
                 set_(self, value)
 
         methods += (__getstate__, __setstate__)
+
+        # The bulk constructor: the loops over instances run in map, in
+        # C. A slot's __set__ returns None, so any() drains each map to
+        # its end; at a few instances it costs less than a deque.
+        def _trusted(n: int, *columns) -> list:
+            out = list(map(object.__new__, repeat(cls, n)))
+            for set_, column in zip(setters, columns):
+                any(map(set_, out, column))
+            return out
+
+        cls._trusted = staticmethod(_trusted)
     for method in methods:
         setattr(cls, method.__name__, method)
     if "as_mapping" not in cls.__dict__:
@@ -239,12 +261,15 @@ def parse_rational(text: str, allow_zero: bool = False) -> Fraction:
 
 
 def read_int(digits: str) -> int:
-    """int(digits) for a decimal numeral. One past Python's str-to-int
-    digit limit (sys.get_int_max_str_digits()) is refused with
-    PuiseuxError naming the limit; the limit itself is left as it is."""
+    """int(digits). A decimal numeral past Python's str-to-int digit
+    limit (sys.get_int_max_str_digits()) is refused with PuiseuxError
+    naming the limit; the limit itself is left as it is. Anything int()
+    cannot read as a numeral keeps int()'s own ValueError."""
     try:
         return int(digits)
     except ValueError:
+        if not _NUMERAL_RE.fullmatch(digits):
+            raise
         raise PuiseuxError(
             f"cannot read an integer with more than {sys.get_int_max_str_digits()} digits,"
             " Python's str-to-int limit"

@@ -52,7 +52,7 @@ def at_least(low: int):
     """An argparse type for integers no smaller than low."""
 
     def convert(token: str) -> int:
-        value = int(token)
+        value = read_int(token)
         if value < low:
             raise ValueError(f"expected an integer >= {low}, got {value}")
         return value
@@ -63,7 +63,8 @@ def at_least(low: int):
 RATIONAL = _usage(parse_rational)
 RATIONAL_OR_ZERO = _usage(functools.partial(parse_rational, allow_zero=True))
 RATIONALS = _usage(lambda token: tuple(parse_rational(p) for p in _split(token, "rationals")))
-INTS = _usage(lambda token: tuple(int(p) for p in _split(token, "integers")))
+INT = _usage(read_int)
+INTS = _usage(lambda token: tuple(read_int(p) for p in _split(token, "integers")))
 CLAIMS = _usage(lambda token: token if token == "all" else tuple(_split(token, "claim ids")))
 
 
@@ -185,12 +186,12 @@ def ns_frobenius(gens):
     return value, [str(value)]
 
 
-@command("ns", "member", opt("--gens", INTS), opt("--x", int))
+@command("ns", "member", opt("--gens", INTS), opt("--x", INT))
 def ns_member(gens, x):
     return _membership(P.NumericalSemigroup(gens), x, int)
 
 
-@command("ns", "factorize", opt("--gens", INTS), opt("--x", int))
+@command("ns", "factorize", opt("--gens", INTS), opt("--x", INT))
 def ns_factorize(gens, x):
     sg = P.NumericalSemigroup(gens)
     reps = sg.representations(x) if x >= 0 else []
@@ -418,7 +419,7 @@ def witness_sumk_atom(k, indices, max_index):
 @command(
     "verify", "run", opt("--claims", CLAIMS, default="all"), opt("--truncation", at_least(2), default=50),
     opt("--cap", at_least(1), default=8), opt("--limit", at_least(1), default=100_000),
-    opt("--seed", int, default=7), opt("--report", default=None),
+    opt("--seed", INT, default=7), opt("--report", default=None),
 )
 def verify_run(claims, truncation, cap, limit, seed, report):
     params = P.ClaimParameters(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 from .arith import _exact, prime_factors, record
 from .errors import (
@@ -46,9 +47,10 @@ class CyclicFactorization:
 
     The constructor checks the ratio (an exact positive rational) and
     every term (int exponents >= 1, int multiplicities >= 1; floats and
-    bools refused), then merges and sorts. cyclic_factorizations checks
-    the ratio once per call instead and builds its results with _sorted.
-    Both fields live in slots, so instances carry no __dict__.
+    bools refused), then merges and sorts. Both fields live in slots, so
+    instances carry no __dict__. cyclic_factorizations checks the ratio
+    once per call instead and builds all its results at once with
+    record's unchecked bulk constructor, _trusted.
     """
 
     __slots__ = ("ratio", "terms")
@@ -80,17 +82,6 @@ class CyclicFactorization:
         object.__setattr__(self, "ratio", ratio)
         object.__setattr__(self, "terms", tuple(terms))
 
-    @classmethod
-    def _sorted(cls, ratio: Fraction, terms: tuple[tuple[int, int], ...]) -> "CyclicFactorization":
-        """Store ratio and terms as given, unchecked. The caller
-        guarantees what the constructor would establish: a positive
-        Fraction ratio, and int exponents >= 1, strictly increasing,
-        each with an int multiplicity >= 1."""
-        z = object.__new__(cls)
-        _set_ratio(z, ratio)
-        _set_terms(z, terms)
-        return z
-
     @property
     def length(self) -> int:
         return sum(mult for _, mult in self.terms)
@@ -112,10 +103,6 @@ class CyclicFactorization:
             "length": self.length,
             "terms": [{"exponent": e, "mult": m} for e, m in self.terms],
         }
-
-
-_set_ratio = CyclicFactorization.ratio.__set__
-_set_terms = CyclicFactorization.terms.__set__
 
 
 @record
@@ -226,7 +213,8 @@ def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -
             k, digits[t] = divmod(digits[t] + b * k, a)
             t += 1
     terms = tuple((t, c) for t, c in enumerate(digits, start=1) if c)
-    return CyclicMembership("member", cap, CyclicFactorization._sorted(r, terms), None)
+    witness = CyclicFactorization._trusted(1, (r,), (terms,))[0]
+    return CyclicMembership("member", cap, witness, None)
 
 
 def cyclic_factorizations(
@@ -305,7 +293,7 @@ def cyclic_factorizations(
             stack.pop()
             seen[t, have] = (first, len(out), len(terms))
     # r is a positive Fraction, exponents increase from 1, every kept m >= 1.
-    return [CyclicFactorization._sorted(r, terms) for terms in out]
+    return CyclicFactorization._trusted(len(out), repeat(r), out)
 
 
 def cyclic_trade(

@@ -49,9 +49,10 @@ class Factorization:
     Terms are kept sorted by atom; duplicate atoms passed to the
     constructor are merged. The constructor checks every term: atoms
     must be exact positive rationals and multiplicities positive ints,
-    floats and bools refused. FgMonoid.factorizations checks its atoms
-    once per call instead and builds its results with _sorted. The
-    one field lives in a slot, so instances carry no __dict__.
+    floats and bools refused. The one field lives in a slot, so
+    instances carry no __dict__. FgMonoid.factorizations checks its
+    atoms once per call instead and builds all its results at once with
+    record's unchecked bulk constructor, _trusted.
     """
 
     __slots__ = ("terms",)
@@ -72,15 +73,6 @@ class Factorization:
         if entries and entries[0][2] <= 0:
             raise NonPositive(f"atoms must be positive, got {entries[0][1]}")
         object.__setattr__(self, "terms", tuple((atom, merged[atom]) for _, atom, _, _ in entries))
-
-    @classmethod
-    def _sorted(cls, terms: tuple[tuple[Fraction, int], ...]) -> "Factorization":
-        """Store terms as given, unchecked. The caller guarantees what
-        the constructor would establish: Fraction atoms, strictly
-        increasing and positive, each with an int multiplicity >= 1."""
-        f = object.__new__(cls)
-        _set_terms(f, terms)
-        return f
 
     @property
     def length(self) -> int:
@@ -103,9 +95,6 @@ class Factorization:
                 {"atom": format_rational(a), "mult": m} for a, m in self.terms
             ],
         }
-
-
-_set_terms = Factorization.terms.__set__
 
 
 @record
@@ -231,18 +220,18 @@ class FgMonoid:
         increasing, and the three largest are solved in closed form
         (semigroup._levels), so results come out in order. Each leaf of
         the walk builds the terms it fixed once, and its results extend
-        them.
+        them; the records are built once, from all the terms.
         """
         t = self._target(x)
         if not t:
-            return [] if t is None else [Factorization._sorted(())]
+            return [] if t is None else [Factorization(())]
         # The atoms are increasing positive Fractions (normalized with
         # the generators) and every kept c is an int >= 1.
         ats = self._atoms
         n = len(ats)
         if n == 1:
             # One atom generates q * N, so it is q itself.
-            return [Factorization._sorted(((ats[0], t),))]
+            return Factorization._trusted(1, [((ats[0], t),)])
         # The scaled atoms have gcd 1, so every t is a possible target.
         levels, tail, _, _, ranges = _levels(self._atom_semigroup.generators[::-1])
         a1, a0 = ats[-2:]
@@ -250,8 +239,7 @@ class FgMonoid:
         # Level k >= 4 fixes the coefficient of atom n - k, so a leaf's
         # coefficients belong to the atoms from the smallest up.
         lead = ats[: n - 3]
-        new = Factorization._sorted
-        out: list[Factorization] = []
+        out: list[tuple] = []
         for solved, cs in _leaves(levels, lambda r, _: tail(r), n, t, True):
             prefix = tuple(compress(zip(lead, cs), cs))
             # solved holds (c, r, low) as tail gives them: c for a2, the
@@ -259,13 +247,13 @@ class FgMonoid:
             # a1 and a0, the largest. c1 = 0 can only come first, and
             # c0 = 0 last.
             out += [
-                new(p + ((a1, c1), (a0, c0)) if c1 and c0 else p + ((a1, c1),) if c1
-                    else p + ((a0, c0),) if c0 else p)
+                p + ((a1, c1), (a0, c0)) if c1 and c0 else p + ((a1, c1),) if c1
+                else p + ((a0, c0),) if c0 else p
                 for c, r, low in solved
                 for p in (prefix + ((a2, c),) if c else prefix,)
                 for c0, c1 in zip(*ranges(r, low))
             ]
-        return out
+        return Factorization._trusted(len(out), out)
 
     def lengths(self, x: Fraction | int) -> tuple[int, ...]:
         """The set of factorization lengths of x, sorted increasing.

@@ -23,7 +23,7 @@ and ends without building any.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .arith import _exact, cached_value, record
 from .errors import NonPositive, NotCofinite
@@ -222,7 +222,7 @@ def _coefficients(level: tuple[int, int, int, int, int], rem: int, up: bool) -> 
     return cs if up else cs[::-1]
 
 
-def _leaves(levels: list, solve: Callable, k: int, x: int, up: bool) -> Iterator[tuple]:
+def _leaves(levels: list, solve: Callable, k: int, x: int, up: bool) -> Iterable[tuple]:
     """Every leaf of the walk of _levels over gens[:k] from x.
 
     Depth first from an explicit stack, each coefficient increasing when
@@ -232,13 +232,17 @@ def _leaves(levels: list, solve: Callable, k: int, x: int, up: bool) -> Iterator
     below, a nonzero one below its level's floor has no representation,
     and a per-call set holds the (level, remainder) pairs whose subtree
     had no leaf, so no later branch walks them again. For k <= 3 the one
-    leaf, if solve finds it, is solve(x, up) with no coefficients.
+    leaf, if solve finds it, is solve(x, up) with no coefficients, and
+    it comes in a tuple rather than from a generator.
     """
     if k <= 3:
         found = solve(x, up)
-        if found:
-            yield found, ()
-        return
+        return ((found, ()),) if found else ()
+    return _deep_leaves(levels, solve, k, x, up)
+
+
+def _deep_leaves(levels: list, solve: Callable, k: int, x: int, up: bool) -> Iterator[tuple]:
+    """The leaves of _leaves for k >= 4, from the depth-first walk."""
     dead: set[tuple[int, int]] = set()
     leaves = 0
     # (level, remainder, coefficients left, leaves before it) of each

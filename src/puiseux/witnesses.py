@@ -99,8 +99,13 @@ def approximate(
 
 @record
 class DenseAtomEntry:
-    """One constructed atom m / p^e within 1/k of its target."""
+    """One constructed atom m / p^e within 1/k of its target.
 
+    The six fields live in slots, so entries carry no __dict__;
+    dense_atom_monoid builds a chain's entries at once with record's
+    unchecked bulk constructor, _trusted."""
+
+    __slots__ = ("k", "target", "prime", "exponent", "numerator", "atom")
     k: int
     target: Fraction
     prime: int
@@ -139,7 +144,8 @@ def dense_atom_monoid(
 
     The chain is read in one pass: the targets come from
     targets.first(count) and the primes from class_primes, each listed
-    once, and p^e grows by one multiplication per exponent step.
+    once, and p^e grows by one multiplication per exponent step. The
+    entries are built once, from their six columns.
     """
     if _exact(class_index) < 1:
         raise BadIndex(f"partition classes start at 1, got {class_index}")
@@ -147,11 +153,11 @@ def dense_atom_monoid(
         raise NonPositive(f"the atom count must be >= 0, got {count}")
     if targets is None:
         targets = CalkinWilfTargets()
-    entries = []
-    atoms = []
+    exponents, numerators, atoms = [], [], []
     # The primes first: a refused count leaves the shared target prefix as is.
     primes = class_primes(class_index, count)
-    for k, target, p in zip(range(1, count + 1), targets.first(count), primes):
+    ks, chain = range(1, count + 1), targets.first(count)
+    for k, target, p in zip(ks, chain, primes):
         e, scale = 1, p
         while scale <= 2 * k:
             e += 1
@@ -167,8 +173,12 @@ def dense_atom_monoid(
             raise HypothesisViolated(
                 f"atom {atom} strays from target {target} by 1/{k} or more"
             )
-        entries.append(DenseAtomEntry(k, target, p, e, m, atom))
+        exponents.append(e)
+        numerators.append(m)
         atoms.append(atom)
+    # Each column holds count items: targets.first and class_primes list
+    # exactly count, and the loop above refuses or appends to every list.
+    entries = DenseAtomEntry._trusted(count, ks, chain, primes, exponents, numerators, atoms)
     return DenseAtomConstruction(class_index, tuple(entries), FgMonoid(atoms))
 
 

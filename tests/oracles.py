@@ -314,8 +314,7 @@ def old_cyclic_factorizations(r: Fraction, x: Fraction, cap: int = 8) -> list:
             break
         else:
             stack.pop()
-    # r is a positive Fraction, exponents increase from 1, every kept m >= 1.
-    return [CyclicFactorization._sorted(r, terms) for terms in out]
+    return [CyclicFactorization(r, terms) for terms in out]
 
 
 def old_dense_atom_monoid(class_index: int, count: int, targets=None):

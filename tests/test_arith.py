@@ -24,6 +24,7 @@ from puiseux.arith import (
     prime_index,
     prime_stride,
     primes,
+    read_int,
 )
 from puiseux.errors import (
     BadProgression,
@@ -334,7 +335,15 @@ def test_prime_in_progression_rejects_shared_factor():
 def test_reading_past_the_digit_limit_is_refused():
     limit = sys.get_int_max_str_digits()
     assert parse_rational("7" * limit) == int("7" * limit)
-    for read in (parse_rational, json_int, lambda digits: parse_rational(f"1/{digits}")):
+    for read in (parse_rational, json_int, read_int, lambda digits: parse_rational(f"1/{digits}")):
         with pytest.raises(PuiseuxError, match=f"more than {limit} digits"):
             read("7" * (limit + 1))
+    # int()'s own spellings of a numeral count too; anything else keeps
+    # int()'s ValueError, whatever its length.
+    for numeral in (f" -{'7' * limit}1 ", f"+1_{'7' * limit}"):
+        with pytest.raises(PuiseuxError, match=f"more than {limit} digits"):
+            read_int(numeral)
+    for token in ("abc", "4,9", "1/2", "1__2", "7" * limit + "x"):
+        with pytest.raises(ValueError, match="invalid literal"):
+            read_int(token)
     assert sys.get_int_max_str_digits() == limit

@@ -510,6 +510,30 @@ def test_usage_errors_exit_two():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("ns", "frobenius", "--gens", "4,{}"),
+        ("ns", "member", "--gens", "4,9", "--x", "{}"),
+        ("verify", "run", "--claims", "C5", "--limit", "{}"),
+    ],
+    ids=["--gens", "--x", "--limit"],
+)
+def test_integer_options_refuse_past_the_digit_limit(argv):
+    # 5,000 digits, past Python's str-to-int limit of 4,300: read_int's
+    # refusal, never Python's advice to raise the limit.
+    flag = argv[-2]
+    result = invoke(*argv[:-1], argv[-1].format("7" * 5000))
+    assert result.exit_code == 2 and result.stdout == ""
+    assert f"argument {flag}: cannot read an integer with more than" in result.stderr
+    assert "set_int_max_str_digits" not in result.stderr
+    # A token that is no numeral keeps int()'s message.
+    result = invoke(*argv[:-1], argv[-1].format("abc"))
+    assert result.exit_code == 2 and result.stdout == ""
+    assert f"argument {flag}: invalid literal for int() with base 10:" in result.stderr
+    assert "digits" not in result.stderr
+
+
+@pytest.mark.parametrize(
     ("token", "message"),
     [
         ("[1]", "spec must be a JSON object"),

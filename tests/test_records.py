@@ -14,6 +14,7 @@ import types
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from puiseux import cyclic, families, monoid, semigroup, verifier, witnesses
 from puiseux.cyclic import CyclicFactorization, cyclic_contains, generalized_cyclic_embed
@@ -275,27 +276,60 @@ def test_the_field_driven_json_form():
 
 
 def slotted_samples():
-    """Factorization and CyclicFactorization records, constructed and listed."""
+    """Factorization, CyclicFactorization and DenseAtomEntry records,
+    constructed and listed."""
     m = FgMonoid((F(1, 2), F(1, 3), F(2, 5)))
     return [
         SAMPLES["Factorization"](),
         Factorization(()),
         *m.factorizations(F(3)),
+        *FgMonoid((F(2, 3),)).factorizations(F(4)),
         SAMPLES["CyclicFactorization"](),
         *cyclic.cyclic_factorizations(F(2, 3), F(4, 3), 3),
         cyclic_contains(F(2, 3), F(10, 9)).witness,
+        SAMPLES["DenseAtomEntry"](),
+        *dense_atom_monoid(2, 4).entries,
     ]
 
 
 def test_slotted_records_have_no_dict():
     assert Factorization.__slots__ == ("terms",)
     assert CyclicFactorization.__slots__ == ("ratio", "terms")
+    assert witnesses.DenseAtomEntry.__slots__ == ("k", "target", "prime", "exponent", "numerator", "atom")
     found = slotted_samples()
-    assert len(found) > 10
+    assert len(found) > 15
+    assert {type(rec) for rec in found} == {Factorization, CyclicFactorization, witnesses.DenseAtomEntry}
     for rec in found:
         assert not hasattr(rec, "__dict__")
         with pytest.raises(TypeError):
             vars(rec)
+
+
+@st.composite
+def listings(draw):
+    """A listing built by record's bulk constructor, the factorizations of
+    a sum of powers of a ratio or of a sum of generators, and a function
+    rebuilding one of its records with the checked constructor."""
+    if draw(st.booleans()):
+        r = draw(st.sampled_from((F(2, 3), F(3, 2), F(3, 5), F(5, 3), F(4, 3), F(3))))
+        cap = draw(st.integers(1, 5))
+        x = sum((draw(st.integers(0, 3)) * r**t for t in range(1, cap + 1)), F(0))
+        return cyclic.cyclic_factorizations(r, x, cap), lambda z: CyclicFactorization(z.ratio, z.terms)
+    gens = draw(st.lists(st.builds(F, st.integers(1, 30), st.integers(1, 6)), min_size=1, max_size=5))
+    x = sum((draw(st.integers(0, 3)) * g for g in gens), F(0))
+    return FgMonoid(tuple(gens)).factorizations(x), lambda f: Factorization(f.terms)
+
+
+@given(listings())
+def test_listed_records_are_the_checked_records(listing):
+    found, checked = listing
+    assert found
+    for rec in found:
+        again = checked(rec)
+        assert type(rec) is type(again) and not hasattr(rec, "__dict__")
+        assert rec == again and values_of(rec) == values_of(again) and hash(rec) == hash(again)
+        back = pickle.loads(pickle.dumps(rec))
+        assert type(back) is type(rec) and values_of(back) == values_of(rec)
 
 
 @pytest.mark.parametrize("rec", slotted_samples(), ids=repr)
