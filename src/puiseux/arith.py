@@ -67,14 +67,15 @@ def record(cls: type) -> type:
     equal field tuples, hash is the hash of the field tuple (a tuple
     even for one field), repr is Name(field=value, ...), and
     __match_args__ names the fields. Assigning or deleting an attribute
-    raises dataclasses.FrozenInstanceError.
+    raises dataclasses.FrozenInstanceError. Pickle, copy and deepcopy
+    rebuild a record from its field tuple through __init__, so no
+    cached_value travels with it.
 
     Slots: a class body may set __slots__ to exactly its fields, in
     order, and then has no defaults. Its instances have no __dict__:
-    the values live in the slots' member descriptors, and pickle and
-    copy go through a __getstate__ and __setstate__ that read and write
-    the field tuple. Without __slots__ instances keep their __dict__,
-    the one loop writes into it, and cached_value, which needs it, works.
+    the values live in the slots' member descriptors. Without __slots__
+    instances keep their __dict__, the one loop writes into it, and
+    cached_value, which needs it, works.
 
     Bulk: a slotted class also gets cls._trusted(n, *columns), the one
     constructor that skips the checks. It returns a list of n new
@@ -123,8 +124,8 @@ def record(cls: type) -> type:
             raise TypeError(f"{cls.__qualname__}() got {problem} argument {name!r}")
         return values
 
-    # One getter serves == and hash: the field tuple, which a dataclass
-    # hashes; attrgetter would give a lone field bare.
+    # One getter serves ==, hash and pickle: the field tuple, which a
+    # dataclass hashes; attrgetter would give a lone field bare.
     key = attrgetter(*names) if count > 1 else lambda self: tuple(getattr(self, name) for name in names)
 
     def __hash__(self):
@@ -158,6 +159,9 @@ def record(cls: type) -> type:
     def __delattr__(self, name):
         _frozen("delete", name)
 
+    def __reduce__(self):
+        return type(self), key(self)
+
     tag = getattr(cls, "json_tag", {})
 
     def as_mapping(self) -> dict:
@@ -166,20 +170,8 @@ def record(cls: type) -> type:
             out[name] = _json_value(getattr(self, name))
         return out
 
-    methods = [__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__]
+    methods = [__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__, __reduce__]
     if setters is not None:
-        # Without a __dict__, pickle and copy need these; __setstate__
-        # writes through the slots, past the frozen __setattr__.
-
-        def __getstate__(self):
-            return tuple(getattr(self, name) for name in names)
-
-        def __setstate__(self, state):
-            for set_, value in zip(setters, state):
-                set_(self, value)
-
-        methods += (__getstate__, __setstate__)
-
         # The bulk constructor: the loops over instances run in map, in
         # C. A slot's __set__ returns None, so any() drains each map to
         # its end; at a few instances it costs less than a deque.
@@ -202,7 +194,8 @@ class cached_value:
     """A method computed once per instance, on first access, then read
     as an attribute: the value goes into the instance __dict__, which
     the next lookup reads before this non-data descriptor, so it serves
-    records without __slots__ only. Unlike
+    records without __slots__ only. A pickled or copied record is
+    rebuilt from its fields, so the copy computes its own. Unlike
     functools.cached_property on Python 3.10 and 3.11, it takes no lock
     (about 0.6 us saved per first access on 3.11); two threads racing on
     one first access may both compute the value, the same one, since

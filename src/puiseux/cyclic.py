@@ -36,7 +36,6 @@ from .errors import (
     HypothesisViolated,
     ParseError,
 )
-from .monoid import Factorization
 
 DEFAULT_EXPONENT_CAP = 8
 
@@ -96,6 +95,8 @@ class CyclicFactorization:
         return sum((mult * self.ratio**e for e, mult in self.terms), Fraction(0))
 
     def as_factorization(self) -> Factorization:
+        from .monoid import Factorization
+
         return Factorization(tuple((self.ratio**e, mult) for e, mult in self.terms))
 
     def as_mapping(self) -> dict:

@@ -41,7 +41,6 @@ from .arith import (
     record,
 )
 from .errors import BadIndex, BadProgression, NonPositive, NotFoundWithinLimit, NotPrime, ParseError
-from .monoid import FgMonoid
 
 
 # ---------------------------------------------------------------------------
@@ -940,6 +939,8 @@ def truncate(spec: FamilySpec, n_generators: int) -> FgMonoid:
 
     Zero generators give the trivial monoid.
     """
+    from .monoid import FgMonoid
+
     if _exact(n_generators) < 0:
         raise NonPositive(f"truncation size must be >= 0, got {n_generators}")
     return FgMonoid(tuple(generator_at(spec, n) for n in range(1, n_generators + 1)))

@@ -59,11 +59,6 @@ class NumericalSemigroup:
         # ==, hash and repr read the generators only.
         return _levels(self.generators)
 
-    def __getstate__(self) -> dict:
-        # _walk holds closures, which pickle cannot store; a copy builds
-        # its own on first use.
-        return {"generators": self.generators}
-
     def contains(self, x: int) -> bool:
         """Whether x is a nonnegative integer combination of the generators."""
         x = x if type(x) is int else _exact(x)

@@ -332,7 +332,7 @@ def test_listed_records_are_the_checked_records(listing):
         assert type(back) is type(rec) and values_of(back) == values_of(rec)
 
 
-@pytest.mark.parametrize("rec", slotted_samples(), ids=repr)
+@pytest.mark.parametrize("rec", slotted_samples(), ids=lambda rec: type(rec).__name__)
 def test_slotted_fields_are_frozen(rec):
     before = values_of(rec)
     for field in (*rec.__match_args__, "not_a_field"):
@@ -343,7 +343,7 @@ def test_slotted_fields_are_frozen(rec):
     assert values_of(rec) == before
 
 
-@pytest.mark.parametrize("rec", slotted_samples(), ids=repr)
+@pytest.mark.parametrize("rec", slotted_samples(), ids=lambda rec: type(rec).__name__)
 def test_slotted_pickle_and_copy_round_trip(rec):
     copies = [pickle.loads(pickle.dumps(rec, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     assert len(copies) == 6

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import pickle
@@ -9,7 +10,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from puiseux import families
 from puiseux.errors import NonPositive, NotCofinite
+from puiseux.families import CongruencePrimes
 from puiseux.monoid import FgMonoid
 from puiseux.semigroup import NumericalSemigroup, _frobenius3
 
@@ -141,18 +144,29 @@ def test_generators_below_twice_the_smallest_are_minimal_without_a_walk():
 
 
 def test_pickle_round_trip_after_queries():
-    # The cached walk set-up is left out of the pickled state.
+    # A record is rebuilt from its fields: no cached value travels.
     sg = NumericalSemigroup((4, 6, 9))
     m = FgMonoid((F(1, 2), F(1, 3), F(5, 6)))
-    assert sg.contains(13) and m.contains(F(7, 6)) and m.lengths(2)
+    assert sg.contains(13) and m.contains(F(7, 6)) and m.lengths(2) and m.atoms()
     sg2, m2 = pickle.loads(pickle.dumps((sg, m)))
     assert (sg2, m2) == (sg, m)
     assert sg2.any_representation(13) == sg.any_representation(13)
     assert m2.lengths(2) == m.lengths(2)
-    # The monoid's kept int parts travel with it.
+    # The monoid's int parts are rebuilt with it.
     assert m2.atoms() == m.atoms() and m2.to_scaled_integer() == m.to_scaled_integer()
     fresh = pickle.loads(pickle.dumps(FgMonoid(m.generators)))
     assert fresh.atoms() == m.atoms() and fresh.to_scaled_integer() == m.to_scaled_integer()
+    # Queried again, so the caches are full when the copies are made.
+    assert sg.contains(13) and m.lengths(2) and m.atoms()
+    for back in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert back == m and set(vars(back)) == {"generators", "_nums", "_dens"}
+    for back in (pickle.loads(pickle.dumps(sg)), copy.copy(sg), copy.deepcopy(sg)):
+        assert back == sg and set(vars(back)) == {"generators"}
+    # A stream copy reads its class's one shared prime list.
+    stream = CongruencePrimes(1, 4)
+    assert stream.prime_at(20) == 193
+    for back in (pickle.loads(pickle.dumps(stream)), copy.deepcopy(stream)):
+        assert back == stream and back._found is families._CLASS_PRIMES[(1, 4)]
 
 
 def test_minimal_generators():
