@@ -194,7 +194,7 @@ def ns_member(gens, x):
 @command("ns", "factorize", opt("--gens", INTS), opt("--x", INT))
 def ns_factorize(gens, x):
     sg = P.NumericalSemigroup(gens)
-    reps = sg.representations(x) if x >= 0 else []
+    reps = sg.representations(x)
     lines = [
         _format_terms([(g, c) for g, c in zip(sg.generators, rep) if c > 0], str)
         for rep in reps
@@ -314,12 +314,9 @@ def family_noniso(spec):
 # cyclic
 
 
-@command(
-    "cyclic", "member", opt("--r", RATIONAL), opt("--x", RATIONAL_OR_ZERO),
-    opt("--cap", at_least(1), default=8),
-)
-def cyclic_member(r, x, cap):
-    got = P.cyclic_contains(r, x, cap)
+@command("cyclic", "member", opt("--r", RATIONAL), opt("--x", RATIONAL_OR_ZERO))
+def cyclic_member(r, x):
+    got = P.cyclic_contains(r, x)
     lines = [got.status]
     if got.witness is not None:
         lines.append("witness: " + _format_cyclic(got.witness))

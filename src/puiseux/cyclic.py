@@ -112,11 +112,9 @@ class CyclicMembership:
 
     A member carries its shortest factorization as the witness; a
     non-member carries a one line certificate naming the obstruction.
-    The cap is recorded as given; it does not bound the decision.
     """
 
     status: str
-    cap: int
     witness: CyclicFactorization | None = None
     certificate: str | None = None
 
@@ -139,7 +137,7 @@ def _checked(r: Fraction, x: Fraction, cap: int) -> tuple[Fraction, Fraction, in
 
 
 def _base(a: int, b: int, y: Fraction) -> tuple[list[int], int | None]:
-    """The base factorization of y > 0 over the powers of a/b, the one
+    """The base factorization of y >= 0 over the powers of a/b, the one
     with fewer than b copies of every power past the first: the shortest
     when a < b, the longest when a > b.
 
@@ -167,43 +165,28 @@ def _base(a: int, b: int, y: Fraction) -> tuple[list[int], int | None]:
 def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -> CyclicMembership:
     """Decide exactly whether x is a sum of powers of r; a member's
     witness is its shortest factorization, (x/r) * r^1 for an integer
-    r. The cap is only recorded."""
+    r, and a non-member's certificate names the first screen it fails.
+    The cap is checked and otherwise unused."""
     r, x, stray = _checked(r, x, cap)
-    # Every CyclicMembership below gets all four fields by position, the
-    # record constructor's fast path.
-    if x < 0:
-        return CyclicMembership("non-member", cap, None, "negative rationals never belong")
-    if x == 0:
-        return CyclicMembership("member", cap, CyclicFactorization(r, ()), None)
     a, b = r.numerator, r.denominator
-    if stray > 1:
-        return CyclicMembership(
-            "non-member",
-            cap,
-            None,
-            f"the denominator of {x} has the factor {stray} outside the ratio's denominator",
-        )
-
-    # Numerator screen: clearing denominators leaves every term divisible
-    # by a, so a must divide the numerator of x.
-    if a >= 2 and x.numerator % a != 0:
-        return CyclicMembership(
-            "non-member",
-            cap,
-            None,
-            f"every member's numerator is divisible by {a}, {x.numerator} is not",
-        )
-
-    digits, stuck = _base(a, b, x)
-    if stuck is not None:
+    if x < 0:
+        reason = "negative rationals never belong"
+    elif stray > 1:
+        reason = f"the denominator of {x} has the factor {stray} outside the ratio's denominator"
+    elif x.numerator % a:
+        # Clearing denominators leaves every term divisible by a.
+        reason = f"every member's numerator is divisible by {a}, {x.numerator} is not"
+    else:
         # Past the screens s stays a multiple of a: only an overshoot fails.
-        return CyclicMembership(
-            "non-member",
-            cap,
-            None,
+        digits, stuck = _base(a, b, x)
+        reason = None if stuck is None else (
             f"no representation: the {'shortest' if a < b else 'longest'} "
-            f"factorization would need {digits[stuck - 1]}*r^{stuck}, more than is left of the target",
+            f"factorization would need {digits[stuck - 1]}*r^{stuck}, more than is left of the target"
         )
+    # Both records get all three fields by position, the record
+    # constructor's fast path.
+    if reason is not None:
+        return CyclicMembership("non-member", None, reason)
     if a > b >= 2:
         # Trade up greedily: k trades carried from r^(t-1) add b * k copies
         # of r^t, which keeps fewer than a of them and trades the rest on.
@@ -215,7 +198,7 @@ def cyclic_contains(r: Fraction, x: Fraction, cap: int = DEFAULT_EXPONENT_CAP) -
             t += 1
     terms = tuple((t, c) for t, c in enumerate(digits, start=1) if c)
     witness = CyclicFactorization._trusted(1, (r,), (terms,))[0]
-    return CyclicMembership("member", cap, witness, None)
+    return CyclicMembership("member", witness, None)
 
 
 def cyclic_factorizations(

@@ -1045,9 +1045,8 @@ def _padic_decreasing_certified(spec: PAdic) -> bool:
             return False
     # From the horizon on both sequences follow their tails. A geometric
     # or affine tail's ratio never rises and its step never falls, so the
-    # transition at the horizon bounds every later one exactly.
+    # transition at the horizon bounds every later one exactly. PAdic's
+    # exponents strictly increase, so the step is at least 1.
     ratio = Fraction(nums.value_at(horizon + 1), nums.value_at(horizon))
     step = exps.value_at(horizon + 1) - exps.value_at(horizon)
-    if step < 1:
-        return False
     return ratio < Fraction(spec.p) ** min(step, 64)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import time
 
@@ -51,6 +52,9 @@ def test_ns_mingens_member_factorize():
     result = invoke("ns", "factorize", "--gens", "2,3", "--x", "11", "--json")
     assert json.loads(result.output) == [[4, 1], [1, 3]]
 
+    result = invoke("ns", "factorize", "--gens", "4,9", "--x", "-5")
+    assert (result.exit_code, result.output) == (0, "none\n")
+
 
 def test_ns_and_fg_member_of_zero_print_one_document():
     ns = invoke("ns", "member", "--gens", "4,9", "--x", "0", "--json")
@@ -81,6 +85,10 @@ def test_fg_factorize_and_support():
     result = invoke("fg", "factorize", "--gens", "1/2,1/3", "--x", "1")
     assert result.exit_code == 0
     assert result.output == "2*1/2\n3*1/3\n"
+
+    # Zero has one factorization, the empty one.
+    result = invoke("fg", "factorize", "--gens", "1/2,1/3", "--x", "0")
+    assert (result.exit_code, result.output) == (0, "0\n")
 
     result = invoke("fg", "support", "--gens", "1/2,1/3", "--x", "1/5")
     assert result.output == "none\n"
@@ -114,6 +122,13 @@ def test_cyclic_member_and_trade():
     result = invoke("cyclic", "member", "--r", "3/2", "--x", "9/2")
     assert result.exit_code == 0
     assert result.output.splitlines()[0] == "member"
+
+    result = invoke("cyclic", "member", "--r", "2/3", "--x", "2/9")
+    assert (result.exit_code, result.output) == (
+        0,
+        "non-member\ncertificate: no representation: the shortest factorization "
+        "would need 2*r^2, more than is left of the target\n",
+    )
 
     z = json.dumps({"terms": [{"exponent": 1, "mult": 3}]})
     result = invoke(
@@ -180,6 +195,43 @@ def test_cyclic_trade_reads_what_cyclic_factorize_writes():
         assert given.as_mapping() == z
         assert json.loads(result.output) == P.cyclic_trade(r, given, t, "up").as_mapping()
         assert json.loads(result.output)["length"] == z["length"] + 1
+
+
+@pytest.mark.parametrize(
+    "argv, lines, sha256",
+    [
+        # 425 factorizations, many of them through trade states met again
+        # at several exponents.
+        (
+            ("cyclic", "factorize", "--r", "2/3", "--x", "4", "--cap", "6"),
+            425,
+            "7333e504569697d4bf43dd1005dea23d9b9f7c89ca3c8a6ead930b82041b9191",
+        ),
+        # The 12 factorizations of 100 over 6, 9, 20, 31, in ascending
+        # multiplicity vectors.
+        (
+            ("fg", "factorize", "--gens", "6,9,20,31", "--x", "100"),
+            12,
+            "52477ae02359da42d4f4c86a43781ffa9bf29c3598a472877d339ff784848341",
+        ),
+    ],
+)
+def test_pinned_listings(argv, lines, sha256):
+    result = invoke(*argv)
+    assert result.exit_code == 0
+    assert len(result.stdout.splitlines()) == lines
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == sha256
+
+
+def test_pinned_lengths_and_sparse_congruence_class():
+    # Brute force over 6a + 9b + 20c + 31e = 100 gives these lengths.
+    result = invoke("fg", "lengths", "--gens", "6,9,20,31", "--x", "100")
+    assert (result.exit_code, result.output) == (0, "5 6 9 10 11 12\n")
+
+    # A sparse congruence class, stepped through 1 + k*1000003.
+    spec = '{"family": "elementary-primary", "primes": {"kind": "congruence", "residue": 1, "modulus": 1000003}}'
+    result = invoke("family", "gen", "--spec", spec, "--n", "3")
+    assert (result.exit_code, result.output) == (0, "1/72000217\n")
 
 
 def test_cyclic_embed():
@@ -321,6 +373,26 @@ def test_witness_padic_atoms():
     result = invoke("witness", "padic-atoms", "--spec", PADIC_SPEC, "--prefix", "5")
     assert result.exit_code == 0
     assert result.output == "kept: 1 2 3 4 5\n"
+
+    # Numerators 9, 3, then powers of 3: the first generator, 9/2, is
+    # six times the second, 3/4.
+    dipping = json.dumps(
+        {
+            "family": "p-adic",
+            "p": 2,
+            "numerators": {
+                "kind": "explicit",
+                "values": [9, 3],
+                "then": {"kind": "geometric", "scale": 1, "ratio": 3},
+            },
+            "exponents": {"kind": "affine-exponent", "a": 1, "b": 0},
+        }
+    )
+    result = invoke("witness", "padic-atoms", "--spec", dipping, "--prefix", "4")
+    assert (result.exit_code, result.output) == (
+        0,
+        "kept: 2 3 4\nexcluded 1: generator(1) = 6*generator(2)\n",
+    )
 
     bad = json.dumps(
         {
@@ -501,6 +573,8 @@ def test_usage_errors_exit_two():
         ("family", "gen", "--spec", '{"family": "half-prime"}', "--n", "0"),
         ("ns",),
         ("ns", "frobenius", "--gens", "4,9", "--json", "extra"),
+        # Membership is decided exactly: cyclic member takes no cap.
+        ("cyclic", "member", "--r", "2/3", "--x", "4/3", "--cap", "8"),
         ("verify", "run", "--claims", ","),
         ("verify", "run", "--claims", ""),
     ):

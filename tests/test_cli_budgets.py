@@ -68,7 +68,7 @@ SUBCOMMANDS = [
     f"family approx --spec {PD2} --target 5/3 --eps 1/10",
     "family dense-atoms --class-index 1 --count 3",
     f"family noniso --spec {PD2} --spec {PD3}",
-    "cyclic member --r 2/3 --x 4/3 --cap 8",
+    "cyclic member --r 2/3 --x 4/3",
     "cyclic factorize --r 2/3 --x 4/3 --cap 3",
     f"cyclic trade --r 3/2 --z {Z} --t 1 --direction up",
     "cyclic embed --ratios 2/5,4/7 --i 1 --m 2",

@@ -190,7 +190,10 @@ def test_membership_members():
     assert got.status == "member"
     assert got.witness.value() == F(4, 3)
 
-    assert cyclic_contains(F(2, 3), F(0)).status == "member"
+    # Zero takes the general path: its base factorization is empty.
+    for r in (F(2, 3), F(3, 2), F(3)):
+        got = cyclic_contains(r, F(0))
+        assert (got.status, got.witness, got.certificate) == ("member", CyclicFactorization(r, ()), None)
     got = cyclic_contains(F(1), F(5))
     assert got.status == "member" and got.witness.terms == ((1, 5),)
 
@@ -212,6 +215,29 @@ def test_membership_screens():
     assert got.status == "non-member"
 
     assert cyclic_contains(F(2, 3), F(-2)).status == "non-member"
+
+
+@pytest.mark.parametrize(
+    "r, x, certificate",
+    [
+        (F(2, 3), F(-1), "negative rationals never belong"),
+        (F(2, 3), F(1, 5), "the denominator of 1/5 has the factor 5 outside the ratio's denominator"),
+        (F(2, 3), F(1, 3), "every member's numerator is divisible by 2, 1 is not"),
+        (
+            F(2, 3),
+            F(2, 9),
+            "no representation: the shortest factorization would need 2*r^2, more than is left of the target",
+        ),
+        (
+            F(3, 2),
+            F(3, 4),
+            "no representation: the longest factorization would need 1*r^2, more than is left of the target",
+        ),
+    ],
+)
+def test_non_member_certificate_texts(r, x, certificate):
+    got = cyclic_contains(r, x)
+    assert (got.status, got.witness, got.certificate) == ("non-member", None, certificate)
 
 
 def test_membership_exhaustive_refusal_above_one():
@@ -245,7 +271,6 @@ def test_membership_verdict_ignores_cap():
     for cap in (8, 12):
         got = cyclic_contains(F(2, 3), x, cap)
         assert got.status == "member" and got.witness.terms == ((12, 1),)
-        assert got.cap == cap
         assert cyclic_contains(F(2, 3), F(2, 9), cap).status == "non-member"
 
 

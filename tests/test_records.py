@@ -267,7 +267,6 @@ def test_the_field_driven_json_form():
     got = cyclic_contains(F(2, 3), F(4, 3), 8).as_mapping()
     assert list(got.items()) == [
         ("status", "member"),
-        ("cap", 8),
         ("witness", {"length": 2, "terms": [{"exponent": 1, "mult": 2}]}),
         ("certificate", None),
     ]

@@ -93,6 +93,7 @@ def test_representations_of_zero_and_gaps():
     sg = NumericalSemigroup((4, 9))
     assert sg.representations(0) == [(0, 0)]
     assert sg.representations(5) == []
+    assert sg.representations(-5) == []
     assert sg.any_representation(5) is None
     assert sg.any_representation(13) is not None
 
@@ -278,7 +279,18 @@ def test_frobenius_of_every_four_generator_set_up_to_20_matches_brute_scan():
 
 
 @pytest.mark.parametrize(
-    "gens", [(64, 75, 93, 119), (97, 113, 131, 151), (150, 211, 317, 429), (1001, 1002, 1003, 1004)]
+    "gens",
+    [
+        (64, 75, 93, 119),
+        (97, 113, 131, 151),
+        (150, 211, 317, 429),
+        (1001, 1002, 1003, 1004),
+        # The first table, of a1*a2 entries, holds a gap g with
+        # g + a1 past its end, so the table must double.
+        (8, 20, 79, 122),
+        (6, 33, 154, 157),
+        (9, 15, 71, 77),
+    ],
 )
 def test_frobenius_of_larger_four_generator_sets_matches_round_robin_oracle(gens):
     assert len(NumericalSemigroup(gens).minimal_generators()) == 4
