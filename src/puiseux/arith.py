@@ -285,7 +285,7 @@ def format_rational(r: Fraction | int) -> str:
     (sys.get_int_max_str_digits(), 4300 by default) is refused with
     PuiseuxError naming the limit; the limit itself is left as it is.
     """
-    r = Fraction(r)
+    r = r if type(r) is Fraction else _exact(r, Fraction)
     if r < 0:
         raise NonPositive(f"cannot serialize negative value {r}")
     try:
@@ -510,6 +510,7 @@ def prime_factors(n: int) -> tuple[int, ...] | None:
     is_prime can decide; otherwise the result is None, so callers can
     fall back to something slower but sound.
     """
+    n = n if type(n) is int else _exact(n)
     if n < 1:
         raise NonPositive(f"cannot factor {n}")
     out = []
@@ -563,11 +564,12 @@ def p_adic_valuation(p: int, r: Fraction | int) -> int | float:
     v_p(0) is +infinity. For r = n/d in lowest terms the result is
     v_p(n) - v_p(d); only one of the two terms can be nonzero.
 
-    Raises NotPrime when p is not prime and NonPositive when r < 0.
+    Raises NotPrime when p is not prime, NonPositive when r < 0 and
+    ParseError for a float or a bool.
     """
     if not is_prime(p):
         raise NotPrime(f"valuation base must be prime, got {p}")
-    r = Fraction(r)
+    r = r if type(r) is Fraction else _exact(r, Fraction)
     if r < 0:
         raise NonPositive(f"valuation domain is the nonnegative rationals, got {r}")
     if r == 0:
@@ -584,8 +586,11 @@ def prime_in_progression(first: int, step: int, max_steps: int) -> tuple[int, in
 
     Returns (k, first + k*step). Raises BadProgression when
     gcd(first, step) > 1 (at most one term of such a progression can be
-    prime) and NotFoundWithinLimit when no prime shows up in range.
+    prime), NotFoundWithinLimit when no prime shows up in range and
+    ParseError for a float or a bool.
     """
+    if type(first) is not int or type(step) is not int or type(max_steps) is not int:
+        first, step, max_steps = _exact(first), _exact(step), _exact(max_steps)
     if first < 1 or step < 1 or max_steps < 1:
         raise NonPositive("progression parameters must be positive")
     if math.gcd(first, step) != 1:

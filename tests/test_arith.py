@@ -272,7 +272,31 @@ def test_padic_valuation_matches_naive():
 
 
 def test_padic_valuation_of_zero_is_infinite():
+    # The library's one float output, kept on purpose: +inf compares
+    # above every integer valuation.
     assert p_adic_valuation(3, Fraction(0)) == float("inf")
+    assert p_adic_valuation(2, 0) == float("inf")
+
+
+# Floats and bools are refused, never rounded or read as 0 and 1.
+INEXACT_CALLS = [
+    ("prime_factors", (12.0,)),
+    ("prime_factors", (True,)),
+    ("format_rational", (0.5,)),
+    ("format_rational", (True,)),
+    ("p_adic_valuation", (2, 0.1)),
+    ("p_adic_valuation", (2, True)),
+    ("p_adic_valuation", (2.0, 4)),
+    ("prime_in_progression", (1.0, 4, 10)),
+    ("prime_in_progression", (1, 4.0, 10)),
+    ("prime_in_progression", (1, 4, True)),
+]
+
+
+@pytest.mark.parametrize(("name", "args"), INEXACT_CALLS, ids=[f"{n}{a}" for n, a in INEXACT_CALLS])
+def test_inexact_arguments_are_refused(name, args):
+    with pytest.raises(ParseError):
+        getattr(arith, name)(*args)
 
 
 def test_padic_valuation_int():

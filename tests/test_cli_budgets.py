@@ -37,6 +37,9 @@ BIG_Q = f"""'{{"family": "power-denominator", "q": {BIG}}}'"""
 HUGE = "7" * 5000
 # 1,200 generators: more walk levels than Python's recursion limit.
 MANY_GENS = ",".join(str(g) for g in range(1200, 2400))
+# Two coprime 2,201-digit generators, whose Frobenius number has about
+# 4,400 digits, past Python's int-to-str limit of 4,300.
+GENS_2200 = f"{10**2200 + 1},{10**2200 + 3}"
 # The 36 generators of truncate(GeneralizedCyclic((2/5, 4/7, 3)), 36).
 GC36 = (
     "4096/244140625,2048/48828125,1024/9765625,512/1953125,256/390625,16777216/13841287201,"
@@ -157,6 +160,14 @@ ROWS = SUBCOMMANDS + [
     _xfail("cyclic factorize --r 2/3 --x 40 --cap 30", 7, "MemoryError listing factorizations"),
     _xfail(f"fg atoms --gens {GC36}", 15, "no answer within 8 s", id="fg atoms --gens <truncate(GeneralizedCyclic((2/5, 4/7, 3)), 36)>"),
     _xfail("ns frobenius --gens 100003,100019,100043,100049", 3, "MemoryError from a table of at least a1*a2 bytes"),
+    _xfail(
+        f"ns frobenius --gens {GENS_2200}", 20, "a ValueError traceback writing an answer of about 4,400 digits",
+        id="ns frobenius --gens <10^2200+1>,<10^2200+3>",
+    ),
+    _xfail(
+        f"ns frobenius --gens {GENS_2200} --json", 20, "a ValueError traceback writing an answer of about 4,400 digits",
+        id="ns frobenius --gens <10^2200+1>,<10^2200+3> --json",
+    ),
 ]
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from puiseux import verifier
-from puiseux.errors import UnknownClaim
+from puiseux.errors import NonPositive, ParseError, UnknownClaim
 from puiseux.families import BfNotFf, truncate
 from puiseux.monoid import Factorization
 from puiseux.verifier import ClaimParameters, _unit_sums, claim_ids, run_claims
@@ -105,6 +105,48 @@ def test_claim_error_is_contained():
             continue
         got = by_id[want.claim_id]
         assert (got.status, got.witnesses) == (want.status, want.witnesses)
+
+
+# Each field is an exact integer: floats and bools are refused, never
+# read as 50, 3, 10 or 1.
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"truncation": 50.5},
+        {"exponent_cap": 3.0},
+        {"prime_search_limit": 10.0},
+        {"truncation": True},
+        {"seed": 1.5},
+    ],
+    ids=repr,
+)
+def test_parameters_refuse_inexact_values(fields):
+    with pytest.raises(ParseError):
+        ClaimParameters(**fields)
+
+
+# The lower bounds of verify run's options, naming the field.
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("truncation", 1), ("exponent_cap", 0), ("prime_search_limit", 0)],
+)
+def test_parameters_refuse_values_below_their_bounds(field, value):
+    with pytest.raises(NonPositive, match=field):
+        ClaimParameters(**{field: value})
+
+
+def test_parameters_take_their_bounds_and_any_seed():
+    params = ClaimParameters(truncation=2, exponent_cap=1, prime_search_limit=1, seed=-(10**30))
+    assert [o.claim_id for o in run_claims("all", params)] == list(claim_ids())
+
+
+# Every claim draws from its own stream of the seed, so a claim run
+# alone reports what it reports in a full run.
+@pytest.mark.parametrize("params", [ClaimParameters(), ClaimParameters(truncation=100)], ids=["default", "truncation=100"])
+def test_a_claim_run_alone_matches_the_full_run(params):
+    full = {o.claim_id: o for o in run_claims("all", params)}
+    for cid in claim_ids():
+        assert run_claims([cid], params) == [full[cid]], cid
 
 
 def test_c11_counts_match_independent_enumeration():
