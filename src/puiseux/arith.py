@@ -299,6 +299,22 @@ def format_rational(r: Fraction | int) -> str:
         ) from None
 
 
+def format_int(n: int) -> str:
+    """str(n) for an integer n of either sign.
+
+    As in format_rational, an integer past Python's int-to-str digit
+    limit is refused with PuiseuxError naming the limit; the limit
+    itself is left as it is.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        raise PuiseuxError(
+            f"cannot write an integer with more than {sys.get_int_max_str_digits()} digits,"
+            " Python's int-to-str limit"
+        ) from None
+
+
 # ---------------------------------------------------------------------------
 # primality
 

@@ -10,7 +10,9 @@ standard output, with keys sorted so identical invocations stay
 byte-identical. Exit codes: 0 on success, 1 for domain errors (reported
 on standard error as ``error: ...``), 2 for usage errors. Rationals on
 the command line are always ``n/d`` or integer tokens, and list-valued
-flags take one comma-separated token.
+flags take one comma-separated token. A computed value is written
+through format_rational or format_int, which refuse one past Python's
+int-to-str limit as a domain error, before either output is printed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import puiseux as P
 
-from .arith import format_rational, json_int, parse_rational, read_int
+from .arith import format_int, format_rational, json_int, parse_rational, read_int
 from .errors import ParseError, PuiseuxError
 
 
@@ -146,7 +148,7 @@ def _render(fn, leaf, as_json, **options):
 def _format_terms(terms, label) -> str:
     if not terms:
         return "0"
-    return " + ".join(f"{mult}*{label(a)}" for a, mult in terms)
+    return " + ".join(f"{format_int(mult)}*{label(a)}" for a, mult in terms)
 
 
 def _format_factorization(f) -> str:
@@ -183,7 +185,7 @@ def ns_mingens(gens):
 @command("ns", "frobenius", opt("--gens", INTS))
 def ns_frobenius(gens):
     value = P.NumericalSemigroup(gens).frobenius()
-    return value, [str(value)]
+    return value, [format_int(value)]
 
 
 @command("ns", "member", opt("--gens", INTS), opt("--x", INT))
@@ -228,7 +230,7 @@ def fg_factorize(gens, x):
 @command("fg", "lengths", opt("--gens", RATIONALS), opt("--x", RATIONAL_OR_ZERO))
 def fg_lengths(gens, x):
     lengths = list(P.FgMonoid(gens).lengths(x))
-    return lengths, [" ".join(str(n) for n in lengths) if lengths else "none"]
+    return lengths, [" ".join(map(format_int, lengths)) if lengths else "none"]
 
 
 @command("fg", "support", opt("--gens", RATIONALS), opt("--x", RATIONAL_OR_ZERO))
@@ -279,7 +281,7 @@ def family_approx(spec, target, eps, limit):
     kwargs = {} if limit is None else {"scan_limit": limit}
     got = P.approximate(_load_family(spec), target, eps, **kwargs)
     return got.as_mapping(), [
-        f"{format_rational(got.value)} = {got.multiplier}"
+        f"{format_rational(got.value)} = {format_int(got.multiplier)}"
         f"*{format_rational(got.generator)} (generator {got.generator_index})"
     ]
 
@@ -295,7 +297,7 @@ def family_dense_atoms(class_index, count, spec):
     made = P.dense_atom_monoid(class_index, count, targets)
     return made.as_mapping(), [
         f"{e.k}: target {format_rational(e.target)} atom "
-        f"{format_rational(e.atom)} = {e.numerator}/{e.prime}^{e.exponent}"
+        f"{format_rational(e.atom)} = {format_int(e.numerator)}/{e.prime}^{format_int(e.exponent)}"
         for e in made.entries
     ]
 
@@ -368,8 +370,8 @@ def cyclic_trade_cmd(r, z, t, direction):
 def cyclic_embed(ratios, i, m):
     w = P.generalized_cyclic_embed(ratios, i, m)
     return w.as_mapping(), [
-        f"{format_rational(w.value)} = {w.coefficient}"
-        f"*({format_rational(w.base)})^{w.power}"
+        f"{format_rational(w.value)} = {format_int(w.coefficient)}"
+        f"*({format_rational(w.base)})^{format_int(w.power)}"
     ]
 
 
@@ -394,7 +396,7 @@ def witness_padic_atoms(spec, prefix):
     lines = ["kept: " + " ".join(str(i) for i in report.kept)]
     lines += [
         f"excluded {exc.index}: generator({exc.index}) = "
-        f"{exc.coefficient}*generator({exc.kept_index})"
+        f"{format_int(exc.coefficient)}*generator({exc.kept_index})"
         for exc in report.exclusions
     ]
     return report.as_mapping(), lines

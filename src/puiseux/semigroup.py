@@ -6,7 +6,11 @@ integers is finite and the largest missing value is the Frobenius
 number; when gcd(G) = d > 1 the semigroup lives inside the multiples
 of d and has no Frobenius number. frobenius() has closed forms for two
 and three minimal generators, and a reachability table for four or
-more.
+more. From that table it keeps the Apery set Ap: the least member of
+each class mod a1, the smallest generator. Once Ap exists, contains(x)
+is x >= Ap[x mod a1], and any_representation and representations
+answer a gap without a walk. Before, and for fewer generators, each
+query walks; no query fills the table itself.
 
 Membership, minimal generators, any_representation and the listing of
 representations share one iterative depth-first walk (_leaves), whose
@@ -40,6 +44,11 @@ class NumericalSemigroup:
 
     generators: tuple[int, ...]
 
+    # Ap, indexed by class mod a1 = generators[0], once frobenius() has
+    # filled its table. Not a field: it goes in the instance __dict__,
+    # so a copy, rebuilt from the generators, has none.
+    _apery = None
+
     def __post_init__(self) -> None:
         gens = tuple(sorted({g if type(g) is int else _exact(g) for g in self.generators}))
         if not gens:
@@ -60,8 +69,12 @@ class NumericalSemigroup:
         return _levels(self.generators)
 
     def contains(self, x: int) -> bool:
-        """Whether x is a nonnegative integer combination of the generators."""
+        """Whether x is a nonnegative integer combination of the
+        generators: x >= Ap[x mod a1] once Ap exists, else a walk."""
         x = x if type(x) is int else _exact(x)
+        apery = self._apery
+        if apery is not None:
+            return x >= apery[x % len(apery)]
         return x == 0 or x > 0 and self._find(len(self.generators), x, True) is not None
 
     def representations(self, x: int) -> list[tuple[int, ...]]:
@@ -73,10 +86,11 @@ class NumericalSemigroup:
         largest, and so on.
 
         Every leaf of the walk of _leaves, each coefficient increasing,
-        lists the solutions tail gives it, in walk order.
+        lists the solutions tail gives it, in walk order. Once Ap exists
+        a gap gives [] without a walk.
         """
         x = x if type(x) is int else _exact(x)
-        if x < 0:
+        if x < 0 or self._gap(x):
             return []
         gens = self.generators
         if len(gens) == 1:
@@ -98,10 +112,17 @@ class NumericalSemigroup:
 
         It has the largest coefficient on the largest generator, then on
         the next largest, down to the third smallest; over the two
-        smallest, the largest coefficient on the smallest.
+        smallest, the largest coefficient on the smallest. Once Ap
+        exists a gap gives None without a walk; a member's
+        representation always comes from the walk.
         """
         x = x if type(x) is int else _exact(x)
-        return None if x < 0 else self._find(len(self.generators), x, False)
+        return None if x < 0 or self._gap(x) else self._find(len(self.generators), x, False)
+
+    def _gap(self, x: int) -> bool:
+        """Whether Ap exists and proves x >= 0 a gap."""
+        apery = self._apery
+        return apery is not None and x < apery[x % len(apery)]
 
     def minimal_generators(self) -> tuple[int, ...]:
         """The unique inclusion-minimal generating set, increasing: a
@@ -136,10 +157,14 @@ class NumericalSemigroup:
         Raises NotCofinite when gcd of the generators exceeds 1. Two
         and three minimal generators have closed forms: a*b - a - b for
         two, and _frobenius3 for three. Four or more fall back to a
-        reachability table that grows until the top
-        min-generator-width window is fully reachable, which certifies
-        that no gap lies beyond the table.
+        reachability table, doubled until every class mod a1, the
+        smallest generator, has a member in it. Each class's first
+        member is then its least, so the table gives the Apery set Ap,
+        which is kept, and F = max(Ap) - a1; a later call reads Ap.
         """
+        apery = self._apery
+        if apery is not None:
+            return max(apery) - len(apery)
         if not self.is_cofinite:
             raise NotCofinite(
                 f"gcd{self.generators} > 1, the complement is infinite"
@@ -164,9 +189,14 @@ class NumericalSemigroup:
                     if table[i - g]:
                         table[i] = 1
                         break
-            largest_gap = max(i for i in range(bound) if not table[i])
-            if largest_gap + gmin < bound:
-                return largest_gap
+            # The table is exact below bound, so each class's first
+            # member in it is its least; with one in every class, F =
+            # max(Ap) - a1 lies below bound too.
+            firsts = [table[r::gmin].find(1) for r in range(gmin)]
+            if min(firsts) >= 0:
+                apery = tuple(r + gmin * j for r, j in enumerate(firsts))
+                self.__dict__["_apery"] = apery
+                return max(apery) - gmin
             bound *= 2
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .arith import _exact, format_rational, is_prime, nth_odd_prime, prime_factors, prime_index, record
 from .cyclic import cyclic_factorizations, generalized_cyclic_embed
-from .errors import GcdOne, HypothesisViolated, NonPositive, PuiseuxError, UnknownClaim
+from .errors import GcdOne, HypothesisViolated, NonPositive, ParseError, PuiseuxError, UnknownClaim
 from .families import (
     AffineSeq,
     BfNotFf,
@@ -70,10 +70,13 @@ class ClaimParameters:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        _exact(self.seed)
-        for name, low in (("truncation", 2), ("exponent_cap", 1), ("prime_search_limit", 1)):
-            if _exact(getattr(self, name)) < low:
-                raise NonPositive(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name, low in (("truncation", 2), ("exponent_cap", 1), ("prime_search_limit", 1), ("seed", None)):
+            try:
+                value = _exact(getattr(self, name))
+            except ParseError as bad:
+                raise ParseError(f"{name}: {bad}") from None
+            if low is not None and value < low:
+                raise NonPositive(f"{name} must be >= {low}, got {value}")
 
 
 @record

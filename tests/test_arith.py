@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import puiseux.arith as arith
 from puiseux.arith import (
+    format_int,
     format_rational,
     is_prime,
     json_int,
@@ -370,4 +371,16 @@ def test_reading_past_the_digit_limit_is_refused():
     for token in ("abc", "4,9", "1/2", "1__2", "7" * limit + "x"):
         with pytest.raises(ValueError, match="invalid literal"):
             read_int(token)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_writing_past_the_digit_limit_is_refused():
+    limit = sys.get_int_max_str_digits()
+    assert format_int(-(10 ** (limit - 1))) == "-1" + "0" * (limit - 1)
+    assert format_int(-1) == "-1"
+    for n in (10**limit, -(10**limit)):
+        with pytest.raises(PuiseuxError, match=f"cannot write an integer with more than {limit} digits"):
+            format_int(n)
+    with pytest.raises(PuiseuxError, match=f"cannot write a rational with more than {limit} digits"):
+        format_rational(Fraction(1, 10**limit))
     assert sys.get_int_max_str_digits() == limit

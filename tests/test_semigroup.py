@@ -163,6 +163,12 @@ def test_pickle_round_trip_after_queries():
         assert back == m and set(vars(back)) == {"generators", "_nums", "_dens"}
     for back in (pickle.loads(pickle.dumps(sg)), copy.copy(sg), copy.deepcopy(sg)):
         assert back == sg and set(vars(back)) == {"generators"}
+    # Four generators: frobenius() keeps the Apery set, and no copy has it.
+    sg4 = NumericalSemigroup((8, 20, 79, 122))
+    assert sg4.frobenius() == 213 and sg4.contains(214) and sg4._apery is not None
+    for back in (pickle.loads(pickle.dumps(sg4)), copy.copy(sg4), copy.deepcopy(sg4)):
+        assert back == sg4 and set(vars(back)) == {"generators"} and back._apery is None
+        assert back.frobenius() == 213 and back._apery == sg4._apery
     # A stream copy reads its class's one shared prime list.
     stream = CongruencePrimes(1, 4)
     assert stream.prime_at(20) == 193
@@ -295,6 +301,45 @@ def test_frobenius_of_every_four_generator_set_up_to_20_matches_brute_scan():
 def test_frobenius_of_larger_four_generator_sets_matches_round_robin_oracle(gens):
     assert len(NumericalSemigroup(gens).minimal_generators()) == 4
     assert NumericalSemigroup(gens).frobenius() == apery_frobenius(gens)
+
+
+# The three sets above whose first table must double, and a seeded
+# sample of the 3,650 four-generator sets from 2..20.
+APERY_SETS = [(8, 20, 79, 122), (6, 33, 154, 157), (9, 15, 71, 77)] + random.Random(37).sample(
+    [gens for gens in itertools.combinations(range(2, 21), 4) if math.gcd(*gens) == 1], 400
+)
+
+
+def test_frobenius_keeps_the_least_member_of_each_class():
+    kept = 0
+    for gens in APERY_SETS:
+        sg = NumericalSemigroup(gens)
+        f = sg.frobenius()
+        if len(sg.minimal_generators()) < 4:
+            # The closed forms fill no table.
+            assert sg._apery is None, gens
+            continue
+        kept += 1
+        a1 = gens[0]
+        hit = reachable_integers(gens, max(gens) ** 2)
+        want = tuple(min(x for x in hit if x % a1 == r) for r in range(a1))
+        assert sg._apery == want, gens
+        assert f == max(want) - a1 == sg.frobenius(), gens
+    assert kept > 80
+
+
+def test_queries_after_frobenius_answer_as_a_fresh_walk():
+    # Ap answers a gap, or membership, at once; a member's
+    # representation still comes from the walk, so it is the same one.
+    for gens in APERY_SETS:
+        sg = NumericalSemigroup(gens)
+        f = sg.frobenius()
+        fresh = NumericalSemigroup(gens)
+        for x in range(-1, f + 2 * gens[0] + 1):
+            assert sg.contains(x) == fresh.contains(x), (gens, x)
+            assert sg.any_representation(x) == fresh.any_representation(x), (gens, x)
+            assert sg.representations(x) == fresh.representations(x), (gens, x)
+        assert fresh._apery is None
 
 
 def test_frobenius_with_one_is_minus_one():

@@ -116,12 +116,16 @@ def test_claim_error_is_contained():
         {"exponent_cap": 3.0},
         {"prime_search_limit": 10.0},
         {"truncation": True},
+        {"exponent_cap": False},
+        {"prime_search_limit": True},
         {"seed": 1.5},
+        {"seed": True},
     ],
     ids=repr,
 )
 def test_parameters_refuse_inexact_values(fields):
-    with pytest.raises(ParseError):
+    ((field, value),) = fields.items()
+    with pytest.raises(ParseError, match=f"^{field}: expected an integer, got {value!r}$"):
         ClaimParameters(**fields)
 
 
